@@ -112,9 +112,8 @@ type Plan struct {
 	WorkerDelay time.Duration
 
 	// Basis selects the synthesis basis the plan runs under: "xor",
-	// "sop", "auto", or "race" (core.ParseBasis). "" pins the legacy
-	// pure GF(2) flow, keeping every pre-arbiter plan's contract —
-	// including which failures escape as errors — unchanged.
+	// "sop", "auto", or "race" (core.ParseBasis). "" pins the paper's
+	// pure GF(2) flow, the same as "xor".
 	Basis string
 
 	// TripArm injects a budget trip ("nodes") inside the named basis
@@ -151,13 +150,15 @@ func (p Plan) Injects() bool {
 // absorb them. Arm-targeted injections (TripArm/PanicArm) never expect
 // an error — they fire inside the arbiter's per-arm containment
 // boundary, whose contract is the opposite: the sibling arm's verified
-// result covers the cone. A worker panic is likewise contained when a
-// hedged basis gives the cone a sibling arm.
-func (p Plan) ExpectsError() bool {
+// result covers the cone. A worker panic is likewise contained unless
+// the targeted cone runs the GF(2) arm alone: an SOP arm's own boundary
+// catches it, and a hedged cone's GF(2) failure falls to that sibling.
+// xorOnly reports whether the targeted cone runs the GF(2) arm alone.
+func (p Plan) ExpectsError(xorOnly bool) bool {
 	if p.PanicAtPhase != "" {
 		return true
 	}
-	return p.PanicWorker && (p.Basis == "" || p.Basis == "xor")
+	return p.PanicWorker && xorOnly
 }
 
 // ScheduleIndependent reports whether the plan's injection schedule is
@@ -295,13 +296,16 @@ func (p Plan) Hooks(cancel context.CancelFunc) *core.ProbeHooks {
 // least one plan per probe site, covering sticky and transient trips,
 // targeted and broadcast allocation failures, injected panics at a
 // sequential phase and inside a worker, cancellation, and a pure
-// scheduling perturbation. numOutputs scopes the targeted plans.
+// scheduling perturbation — each on the pure GF(2) flow and again at
+// the default basis auto, where the same fault can land on a hedged
+// cone, an SOP-only cone, or a losing candidate. numOutputs scopes the
+// targeted plans.
 func Plans(numOutputs int) []Plan {
 	last := numOutputs - 1
 	if last < 0 {
 		last = 0
 	}
-	return []Plan{
+	curated := []Plan{
 		{Name: "step-sticky", TripAtStep: 400},
 		{Name: "step-transient", TripAtStep: 900, StepOnce: true, StepLimit: "nodes"},
 		{Name: "step-early", TripAtStep: 1},
@@ -322,6 +326,14 @@ func Plans(numOutputs int) []Plan {
 		{Name: "cancel-fprm", CancelAtPhase: "fprm"},
 		{Name: "cancel-redund", CancelAtPhase: "redund"},
 		{Name: "worker-delay", WorkerDelay: 100 * time.Microsecond},
+	}
+	plans := append([]Plan(nil), curated...)
+	for _, p := range curated {
+		p.Name += "@auto"
+		p.Basis = "auto"
+		plans = append(plans, p)
+	}
+	return append(plans, []Plan{
 		// Arm-targeted faults under the raced basis: killing either arm
 		// of a hedged cone — by budget trip or by panic — must yield the
 		// sibling arm's verified result, truthfully attributed; stalling
@@ -332,7 +344,7 @@ func Plans(numOutputs int) []Plan {
 		{Name: "arm-panic-sop", Basis: "race", PanicArm: "sop", ArmOutput: 0},
 		{Name: "arm-delay-xor", Basis: "race", DelayArm: "xor", ArmDelay: 100 * time.Microsecond},
 		{Name: "arm-delay-sop", Basis: "race", DelayArm: "sop", ArmDelay: 100 * time.Microsecond},
-	}
+	}...)
 }
 
 // RandomPlans returns n seeded plans drawn over every probe site and a

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/budget"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // ladderRun synthesizes one bench circuit under an injection plan at
@@ -23,8 +24,8 @@ func ladderRun(t *testing.T, circuit string, p Plan, mutate func(*core.Options))
 	defer cancel()
 	opt := core.DefaultOptions()
 	opt.Workers = 1
-	// The ladder tests assert the legacy GF(2) ladder unless the plan
-	// names a basis explicitly.
+	// The ladder tests assert the GF(2) ladder unless the plan names a
+	// basis explicitly.
 	opt.Basis = core.BasisXor
 	if p.Basis != "" {
 		b, err := core.ParseBasis(p.Basis)
@@ -56,7 +57,9 @@ func hasRung(res *core.Result, stage, fallback string) bool {
 // a chaos plan (or, for the budget-steered cube→OFDD rung, the budget
 // option that steers it) and asserts the recorded (stage, fallback)
 // transitions — including the retry rung in both its recovered and
-// exhausted forms, on both the derivation and the factoring path.
+// exhausted forms, on both the derivation and the factoring path. Rows
+// marked auto run again at the default basis, where the rung must hold
+// just the same.
 func TestLadderRungs(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -65,14 +68,17 @@ func TestLadderRungs(t *testing.T) {
 		mutate  func(*core.Options)
 		want    [][2]string // (stage, fallback) pairs that must appear
 		absent  [][2]string // pairs that must not appear
+		auto    bool        // also run at basis auto
 	}{
 		{
 			name: "spec-bdd to swept-spec", circuit: "f2",
+			auto: true,
 			plan: Plan{FailBDDAlloc: 1},
 			want: [][2]string{{"spec-bdd", "swept-spec"}},
 		},
 		{
 			name: "transient trip recovered by retry", circuit: "adr4",
+			auto: true,
 			plan: Plan{FailOFDDAlloc: 1, OFDDOutput: 0},
 			want: [][2]string{{"fprm", "retry"}},
 			absent: [][2]string{
@@ -82,6 +88,7 @@ func TestLadderRungs(t *testing.T) {
 		},
 		{
 			name: "persistent trip falls past retry to spec-cone", circuit: "adr4",
+			auto: true,
 			plan: Plan{FailOFDDAlloc: 1, OFDDOutput: 0, OFDDPersist: true},
 			want: [][2]string{
 				{"fprm", "retry"},
@@ -90,6 +97,7 @@ func TestLadderRungs(t *testing.T) {
 		},
 		{
 			name: "retry disabled goes straight to spec-cone", circuit: "adr4",
+			auto:   true,
 			plan:   Plan{FailOFDDAlloc: 1, OFDDOutput: 0, OFDDPersist: true},
 			mutate: func(o *core.Options) { o.RetryFactor = 0 },
 			want:   [][2]string{{"fprm", "spec-cone"}},
@@ -97,6 +105,7 @@ func TestLadderRungs(t *testing.T) {
 		},
 		{
 			name: "factor trip recovered by retry", circuit: "adr4",
+			auto: true,
 			plan: Plan{FailFactorAlloc: 1, UseOFDDMethod: true},
 			want: [][2]string{{"factor", "retry"}},
 			absent: [][2]string{
@@ -106,6 +115,7 @@ func TestLadderRungs(t *testing.T) {
 		},
 		{
 			name: "persistent factor trip falls past retry", circuit: "adr4",
+			auto: true,
 			plan: Plan{FailFactorAlloc: 1, FactorPersist: true, UseOFDDMethod: true},
 			want: [][2]string{
 				{"factor", "retry"},
@@ -123,28 +133,70 @@ func TestLadderRungs(t *testing.T) {
 		},
 		{
 			name: "cube budget steers to the OFDD method", circuit: "mlp4",
+			auto:   true,
 			plan:   Plan{},
 			mutate: func(o *core.Options) { o.MaxCubes = 4 },
 			want:   [][2]string{{"cube-method", "ofdd-method"}},
 		},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := ladderRun(t, tc.circuit, tc.plan, tc.mutate)
-			if err != nil {
-				t.Fatalf("Synthesize: %v", err)
+		bases := []string{""}
+		if tc.auto {
+			bases = append(bases, "auto")
+		}
+		for _, basis := range bases {
+			name := tc.name
+			if basis != "" {
+				name += "@" + basis
 			}
-			for _, w := range tc.want {
-				if !hasRung(res, w[0], w[1]) {
-					t.Errorf("missing rung %s -> %s in:\n%s", w[0], w[1], res.FallbackReport())
+			t.Run(name, func(t *testing.T) {
+				p := tc.plan
+				p.Basis = basis
+				res, err := ladderRun(t, tc.circuit, p, tc.mutate)
+				if err != nil {
+					t.Fatalf("Synthesize: %v", err)
 				}
-			}
-			for _, a := range tc.absent {
-				if hasRung(res, a[0], a[1]) {
-					t.Errorf("unexpected rung %s -> %s in:\n%s", a[0], a[1], res.FallbackReport())
+				for _, w := range tc.want {
+					if !hasRung(res, w[0], w[1]) {
+						t.Errorf("missing rung %s -> %s in:\n%s", w[0], w[1], res.FallbackReport())
+					}
 				}
-			}
-		})
+				for _, a := range tc.absent {
+					if hasRung(res, a[0], a[1]) {
+						t.Errorf("unexpected rung %s -> %s in:\n%s", a[0], a[1], res.FallbackReport())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSweptSpecRungFinalizes asserts the bottom rung leaves through the
+// same exit as a full run: the swept specification reports the basis
+// it ran under, the budget's counters, the spec-bdd phase time, and the
+// observability snapshot.
+func TestSweptSpecRungFinalizes(t *testing.T) {
+	for _, basis := range []string{"xor", "auto"} {
+		res, err := ladderRun(t, "f2", Plan{FailBDDAlloc: 1, Basis: basis},
+			func(o *core.Options) { o.Obs = obs.NewCollector() })
+		if err != nil {
+			t.Fatalf("%s: %v", basis, err)
+		}
+		if !res.Fallback || !hasRung(res, "spec-bdd", "swept-spec") {
+			t.Fatalf("%s: no swept-spec rung:\n%s", basis, res.FallbackReport())
+		}
+		if res.Basis != basis {
+			t.Errorf("%s: swept spec reports basis %q", basis, res.Basis)
+		}
+		if res.BudgetPolls == 0 {
+			t.Errorf("%s: swept spec reports no budget polls", basis)
+		}
+		if res.ObsStats == nil {
+			t.Errorf("%s: swept spec carries no obs snapshot", basis)
+		}
+		if len(res.PhaseTimes) != 1 || res.PhaseTimes[0].Name != "spec-bdd" {
+			t.Errorf("%s: swept spec phases %+v, want the spec-bdd phase alone", basis, res.PhaseTimes)
+		}
 	}
 }
 
@@ -157,7 +209,7 @@ func countPolls(t *testing.T, circuit string) int64 {
 	c, _ := bench.ByName(circuit)
 	opt := core.DefaultOptions()
 	opt.Workers = 1
-	opt.Basis = core.BasisXor // match ladderRun's pinned legacy flow
+	opt.Basis = core.BasisXor // match ladderRun's pinned GF(2) flow
 	opt.Hooks = &core.ProbeHooks{BudgetPoll: func(poll int64) *budget.Err {
 		polls.Store(poll)
 		return nil

@@ -132,7 +132,7 @@ func Sweep(opt SweepOptions) []Violation {
 				comboList = append(comboList, cb)
 			}
 		}
-		base := map[bkey]fingerprint{}
+		base := map[bkey]outcome{}
 		for _, w := range workersList {
 			for _, cb := range comboList {
 				out := runOne(c, Plan{Name: "baseline", Basis: cb.basis}, w, cb.ofddMethod, opt.RetryFactor)
@@ -145,13 +145,13 @@ func Sweep(opt SweepOptions) []Violation {
 				if !out.equiv {
 					vs = append(vs, Violation{name, "baseline", w, "equivalent", out.equivErr})
 				}
-				base[bkey{w, cb.ofddMethod, cb.basis}] = out.fp
+				base[bkey{w, cb.ofddMethod, cb.basis}] = out
 			}
 		}
 		for _, cb := range comboList {
-			ref := base[bkey{workersList[0], cb.ofddMethod, cb.basis}]
+			ref := base[bkey{workersList[0], cb.ofddMethod, cb.basis}].fp
 			for _, w := range workersList[1:] {
-				if base[bkey{w, cb.ofddMethod, cb.basis}] != ref {
+				if base[bkey{w, cb.ofddMethod, cb.basis}].fp != ref {
 					vs = append(vs, Violation{name, "baseline", w, "identical",
 						fmt.Sprintf("baseline differs from -j%d baseline", workersList[0])})
 				}
@@ -193,8 +193,7 @@ func runOne(c bench.Circuit, p Plan, workers int, ofddMethod bool, retryFactor f
 	defer cancel()
 	opt := core.DefaultOptions()
 	opt.Workers = workers
-	// "" pins the legacy pure GF(2) flow so pre-arbiter plans keep their
-	// exact contract; a named basis routes through the arbiter.
+	// "" pins the paper's pure GF(2) flow; a named basis overrides it.
 	opt.Basis = core.BasisXor
 	if p.Basis != "" {
 		b, berr := core.ParseBasis(p.Basis)
@@ -250,9 +249,10 @@ func checkEquivalent(spec, got *network.Network) (bool, string) {
 	return true, ""
 }
 
-// checkRun asserts the per-run chaos invariants and returns any
-// violations.
-func checkRun(circuit string, p Plan, workers int, poNames []string, out outcome, baseFP fingerprint) []Violation {
+// checkRun asserts the per-run chaos invariants against the uninjected
+// baseline run at the same basis and returns any violations.
+func checkRun(circuit string, p Plan, workers int, poNames []string, out, base outcome) []Violation {
+	baseFP := base.fp
 	var vs []Violation
 	bad := func(invariant, detail string) {
 		vs = append(vs, Violation{circuit, p.Name, workers, invariant, detail})
@@ -265,7 +265,7 @@ func checkRun(circuit string, p Plan, workers int, poNames []string, out outcome
 	// Injected panics are the one case Synthesize must fail: the error
 	// must name the injected phase (or the fprm merge barrier, for
 	// worker panics) and carry the chaos marker.
-	if p.ExpectsError() {
+	if p.ExpectsError(xorOnly(p.Basis, base.choices, p.PanicOutput)) {
 		if out.err == "" {
 			bad("error-report", "injected panic produced no error")
 			return vs
@@ -367,6 +367,20 @@ func checkRun(circuit string, p Plan, workers int, poNames []string, out outcome
 		}
 	}
 	return vs
+}
+
+// xorOnly reports whether output oi's cone runs the GF(2) arm alone at
+// the given basis: always on the pure GF(2) flow, never under sop or
+// race (every cone has an SOP arm), and under auto when the baseline's
+// predictor routed the cone to xor.
+func xorOnly(basis string, choices []core.BasisChoice, oi int) bool {
+	switch basis {
+	case "", "xor":
+		return true
+	case "auto":
+		return oi >= 0 && oi < len(choices) && choices[oi].Predicted == "xor"
+	}
+	return false
 }
 
 // onlyDelay reports whether a delay (worker stagger or arm stall) is

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -32,7 +33,6 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/budget"
 	"repro/internal/cube"
-	"repro/internal/esop"
 	"repro/internal/factor"
 	"repro/internal/fprm"
 	"repro/internal/network"
@@ -72,14 +72,14 @@ const (
 // paper's GF(2) AND/XOR pipeline, the SIS-style AND/OR SOP baseline, a
 // per-cone arbiter that predicts the winner from the spec BDD (hedging
 // both flows when the structure is ambiguous), or a full race of both
-// flows on every cone. The zero value is BasisXor, the pure legacy
-// flow, so existing Options literals are unchanged.
+// flows on every cone. All four run through the same arbiter pipeline;
+// the zero value is BasisXor, its one-arm case.
 type Basis int
 
 // Basis selections.
 const (
-	// BasisXor runs the GF(2) FPRM flow on every cone (the paper's flow;
-	// the zero value and the pre-arbiter behaviour).
+	// BasisXor runs the GF(2) FPRM flow on every cone (the paper's flow
+	// and the zero value): the arbiter with one arm.
 	BasisXor Basis = iota
 	// BasisSop runs the SOP baseline flow on every cone.
 	BasisSop
@@ -129,8 +129,6 @@ func ParseBasis(s string) (Basis, error) {
 type Options struct {
 	Method   Method   // 0 = MethodCube (Method 1 with the divisor registry)
 	Polarity Polarity // polarity search strategy
-	// ExhaustiveLimit caps exhaustive polarity search (default 10 inputs).
-	ExhaustiveLimit int
 	// Rules applies the Section 3 reduction rules during factorization.
 	// On by default through DefaultOptions.
 	Rules bool
@@ -139,29 +137,11 @@ type Options struct {
 	// Verify confirms every redundancy-removal rewrite with an exact BDD
 	// check (see package redund).
 	Verify bool
-	// CubeLimit bounds materialized FPRM cube lists (default 50000);
-	// outputs above it fall back to MethodOFDD and skip polarity search.
-	CubeLimit int
-	// SearchCubeLimit bounds cube lists eligible for polarity search
-	// (default 2000).
-	SearchCubeLimit int
-	// CubeMethodLimit bounds cube lists factored with Method 1 (default
-	// 2000); larger outputs use the OFDD method, whose cost follows the
-	// (often tiny) decision-diagram size rather than the cube count.
-	CubeMethodLimit int
 	// MergeNodes merges functionally identical internal gates across the
 	// network after synthesis (the paper's resub step).
 	MergeNodes bool
-	// ESOP enables mixed-polarity ESOP minimization (package esop) on top
-	// of the FPRM form before factoring — the paper's §6 future-work
-	// direction. Outputs whose minimized ESOP is smaller than their FPRM
-	// form are factored in a doubled literal space (positive literal of
-	// variable v ↦ 2v, negative ↦ 2v+1) so the whole Section 3 machinery
-	// applies unchanged.
-	ESOP bool
 	// Basis selects the per-cone flow (see Basis). The zero value is
-	// BasisXor — the pure GF(2) pipeline, byte-identical to the
-	// pre-arbiter flow; DefaultOptions selects BasisAuto.
+	// BasisXor, the pure GF(2) flow; DefaultOptions selects BasisAuto.
 	Basis Basis
 	// NoFallback disables the do-no-harm fallback: by default, when the
 	// FPRM-based result is larger than the (swept, hashed, merged)
@@ -259,8 +239,8 @@ type ProbeHooks struct {
 	FactorOFDDAlloc func() func(nodes int) *budget.Err
 	// Phase is called on entry to every pipeline phase ("setup",
 	// "spec-bdd", "predict" under BasisAuto, "fprm", "factor", "emit",
-	// "select" under a non-XOR basis, "do-no-harm-prep", "redund",
-	// "merge", "cleanup", "verify"). A panic here exercises the residual
+	// "select", "do-no-harm-prep", "redund", "merge", "cleanup",
+	// "verify"). A panic here exercises the residual
 	// recover boundary; canceling the run's context exercises the ladder.
 	Phase func(name string)
 	// Worker is called at the start of each per-output derivation with
@@ -350,33 +330,17 @@ func (o Options) method() Method {
 	return o.Method
 }
 
-func (o Options) cubeLimit() int {
-	if o.CubeLimit > 0 {
-		return o.CubeLimit
-	}
-	return 50000
-}
-
-func (o Options) searchCubeLimit() int {
-	if o.SearchCubeLimit > 0 {
-		return o.SearchCubeLimit
-	}
-	return 2000
-}
-
-func (o Options) cubeMethodLimit() int {
-	if o.CubeMethodLimit > 0 {
-		return o.CubeMethodLimit
-	}
-	return 2000
-}
-
-func (o Options) exhaustiveLimit() int {
-	if o.ExhaustiveLimit > 0 {
-		return o.ExhaustiveLimit
-	}
-	return 10
-}
+// Size limits of the GF(2) arm.
+const (
+	// cubeMethodLimit bounds cube lists factored with Method 1; larger
+	// outputs use the OFDD method, whose cost follows the (often tiny)
+	// decision-diagram size rather than the cube count.
+	cubeMethodLimit = 2000
+	// searchCubeLimit bounds cube lists eligible for polarity search.
+	searchCubeLimit = 2000
+	// exhaustiveLimit caps exhaustive polarity search (inputs).
+	exhaustiveLimit = 10
+)
 
 func (o Options) workers() int {
 	if o.Workers > 0 {
@@ -453,7 +417,7 @@ type Result struct {
 	// "auto", "race").
 	Basis string
 	// BasisChoices records the per-cone basis arbitration, in output
-	// order; nil for a BasisXor run (see BasisChoice).
+	// order (see BasisChoice); nil for a swept-spec run.
 	BasisChoices []BasisChoice
 	// CubeCounts holds the exact FPRM cube count per output.
 	CubeCounts []int64
@@ -494,472 +458,566 @@ func Synthesize(ctx context.Context, spec *network.Network, opt Options) (res *R
 	if verr := opt.Validate(); verr != nil {
 		return nil, verr
 	}
-	start := time.Now()
-	phase := "setup"
+	r := &run{spec: spec, opt: opt, start: time.Now(), res: &Result{Basis: opt.Basis.String()}}
 	// Single residual-panic boundary: anything that escapes the per-phase
 	// budget.Guard wrappers (a genuine bug) is turned into a phase-tagged
 	// error instead of killing the process.
 	defer func() {
-		if r := recover(); r != nil {
+		if p := recover(); p != nil {
 			res = nil
-			if be, ok := r.(*budget.Err); ok {
-				err = fmt.Errorf("core: unguarded budget trip in %s: %w", phase, be)
+			if be, ok := p.(*budget.Err); ok {
+				err = fmt.Errorf("core: unguarded budget trip in %s: %w", r.phase, be)
 				return
 			}
-			err = fmt.Errorf("core: internal panic in %s: %v", phase, r)
+			err = fmt.Errorf("core: internal panic in %s: %v", r.phase, p)
 		}
 	}()
-
-	// enterPhase tags the residual-panic boundary and fires the chaos
-	// phase probe; with no hooks installed it is a plain assignment.
-	enterPhase := func(name string) {
-		phase = name
-		if opt.Hooks != nil && opt.Hooks.Phase != nil {
-			opt.Hooks.Phase(name)
-		}
+	net, err := r.flow(ctx)
+	if err != nil {
+		return nil, err
 	}
-	enterPhase("setup")
+	return r.finalize(net), nil
+}
 
-	nPI := spec.NumPIs()
-	bud := budget.New(ctx, budget.Limits{
+// flow runs the stages in order and returns the network to ship: the
+// arbitration's winner, the cleaned specification when do-no-harm
+// prefers it, or the swept specification of the ladder's bottom rung.
+func (r *run) flow(ctx context.Context) (*network.Network, error) {
+	opt := r.opt
+	r.enter("setup")
+	r.bud = budget.New(ctx, budget.Limits{
 		BDDNodes:  opt.MaxBDDNodes,
 		OFDDNodes: opt.MaxOFDDNodes,
 		Cubes:     opt.MaxCubes,
 		Steps:     opt.MaxSteps,
 	})
 	if opt.Hooks != nil && opt.Hooks.BudgetStep != nil {
-		bud.SetStepHook(opt.Hooks.BudgetStep)
+		r.bud.SetStepHook(opt.Hooks.BudgetStep)
 	}
 	if opt.Hooks != nil && opt.Hooks.BudgetPoll != nil {
-		bud.SetPollHook(opt.Hooks.BudgetPoll)
+		r.bud.SetPollHook(opt.Hooks.BudgetPoll)
 	}
-	if perr := bud.Exceeded(); perr != nil {
+	if perr := r.bud.Exceeded(); perr != nil {
 		// Deadline already expired (or context canceled) before any work:
 		// bottom of the ladder immediately.
-		return fallbackToSpec(spec, opt, perr.Error(), start)
+		degrade(&r.res.Degradations, "*", "spec-bdd", "swept-spec", perr.Error())
+		return r.sweptSpec()
 	}
-	res = &Result{Basis: opt.Basis.String()}
-	phaseStart := time.Now()
-	markPhase := func(name string) {
-		res.PhaseTimes = append(res.PhaseTimes, PhaseTime{Name: name, Elapsed: time.Since(phaseStart)})
-		phaseStart = time.Now()
-	}
+	r.mark = time.Now()
 
-	bm := bdd.New(nPI)
-	bm.SetBudget(bud)
-	bm.SetStats(opt.Obs.BDD())
-	if opt.Hooks != nil && opt.Hooks.BDDAlloc != nil {
-		bm.SetAllocHook(opt.Hooks.BDDAlloc)
-	}
-	enterPhase("spec-bdd")
-	var outs []bdd.Ref
-	if gerr := budget.Guard(func() { outs = spec.ToBDDs(bm) }); gerr != nil {
+	var specErr error
+	r.stage("spec-bdd", func() { specErr = r.buildSpec() })
+	if specErr != nil {
 		// Cannot even build the specification BDDs within budget: the
-		// whole FPRM flow is out of reach, ship the swept spec.
-		return fallbackToSpec(spec, opt, gerr.Error(), start)
+		// whole flow is out of reach, ship the swept spec.
+		return r.sweptSpec()
 	}
-	markPhase("spec-bdd")
-
-	degrade := func(output, stage, fallback, reason string) {
-		res.Degradations = append(res.Degradations, Degradation{
-			Output: output, Stage: stage, Fallback: fallback, Reason: reason,
-		})
-	}
-
-	// Per-cone basis routing (see Basis). BasisXor runs the legacy GF(2)
-	// pipeline untouched; the other bases route each output cone to the
-	// GF(2) arm, the SOP arm, or a hedged race of both under sibling
-	// slices of the one run budget. The predict phase is sequential and
-	// read-only on the shared BDD manager, so its decisions are
-	// bit-identical at any worker count.
-	basis := opt.Basis
-	armXor := make([]bool, len(outs))
-	armSop := make([]bool, len(outs))
-	predicted := make([]string, len(outs))
-	predWhy := make([]string, len(outs))
-	switch basis {
-	case BasisSop:
-		for oi := range outs {
-			armSop[oi] = true
-			predicted[oi] = "forced"
-		}
-	case BasisRace:
-		for oi := range outs {
-			armXor[oi], armSop[oi] = true, true
-			predicted[oi] = "forced"
-		}
-	case BasisAuto:
-		enterPhase("predict")
-		cfg := arbiter.DefaultConfig()
-		for oi := range outs {
-			oname := spec.POs[oi].Name
-			if perr := bud.Exceeded(); perr != nil {
-				// No budget left for prediction: the paper's flow.
-				armXor[oi] = true
-				predicted[oi], predWhy[oi] = "xor", "predict skipped: "+perr.Error()
-				degrade(oname, "predict", "xor-arm", perr.Error())
-				continue
-			}
-			var p arbiter.Prediction
-			gerr := budget.Guard(func() { p = arbiter.Predict(bm, outs[oi], cfg) })
-			if gerr != nil {
-				armXor[oi] = true
-				predicted[oi], predWhy[oi] = "xor", "predict failed: "+gerr.Error()
-				degrade(oname, "predict", "xor-arm", gerr.Error())
-				continue
-			}
-			predicted[oi], predWhy[oi] = p.Decision.String(), p.Why
-			switch p.Decision {
-			case arbiter.Sop:
-				armSop[oi] = true
-			case arbiter.Hedge:
-				armXor[oi], armSop[oi] = true, true
-			default:
-				armXor[oi] = true
-			}
-			opt.Obs.Arbiter().Prediction(predicted[oi])
-		}
-		markPhase("predict")
-	default: // BasisXor
-		for oi := range outs {
-			armXor[oi] = true
-			predicted[oi] = "forced"
+	r.route()
+	r.stage("fprm", r.deriveArms)
+	r.stage("factor", r.factor)
+	r.stage("emit", r.emit)
+	r.stage("select", r.selectArms)
+	// The do-no-harm reference is prepared before the candidates are
+	// polished: a candidate already far larger than the cleaned spec
+	// skips redundancy removal. The phase is entered (boundary tag,
+	// chaos probe) but not timed on its own; its time is charged to the
+	// first candidate's redund entry.
+	r.enter("do-no-harm-prep")
+	r.prepareReference()
+	for i := range r.cands {
+		if r.cands[i].dup < 0 {
+			r.polish(&r.cands[i])
 		}
 	}
-
-	net := network.New(spec.Name + "_rm")
-	pis := make([]int, nPI)
-	for i, piID := range spec.PIs {
-		pis[i] = net.AddPI(spec.Gates[piID].Name)
-	}
-
-	// One emitter for the whole network: structurally identical
-	// subexpressions are shared across outputs. Polarity is handled per
-	// literal inside expressions, so the emitter itself is polarity-free;
-	// expressions below are rewritten into PI space first.
-	em := factor.NewEmitter(net, pis, nil)
-
-	// Factoring contexts are shared across outputs with the same polarity
-	// vector (registry cube lists live in literal space, which only
-	// matches between identical vectors). This is the cross-output
-	// subfunction reuse the paper obtains with SIS resub.
-	fopt := factor.Options{ApplyRules: opt.Rules, Budget: bud, Obs: opt.Obs.Factor()}
-	cubeCtxs := make(map[string]*factor.Context)
-	ofddCtxs := make(map[string]*factor.OFDDContext)
-	polKey := func(pol []bool) string {
-		k := make([]byte, len(pol))
-		for i, p := range pol {
-			if p {
-				k[i] = '1'
-			} else {
-				k[i] = '0'
-			}
+	win := r.arbitrate()
+	if opt.Verify {
+		var verr error
+		r.stage("verify", func() { verr = r.verify(win.net) })
+		if verr != nil {
+			return nil, verr
 		}
-		return string(k)
 	}
+	return r.doNoHarm(win), nil
+}
 
-	// Per-output FPRM derivation — the parallel fan-out of the flow. The
-	// paper's derivation is independent per output (each gets its own
-	// OFDD manager; the shared specification BDDs are read-only after
-	// ToBDDs, and the one budget is race-safe), so the outputs run on a
-	// bounded worker pool. Every step of the ladder stays guarded, now
-	// inside each worker goroutine: an output whose OFDD, cube
-	// extraction, or budget blows falls back to a structural copy of its
-	// specification cone (cone[oi]), never failing the run. Results land
-	// in per-output slots and merge in output order, so the network is
-	// bit-identical for every worker count.
-	enterPhase("fprm")
-	opt.Obs.StartOutputs(len(outs))
-	res.Forms = make([]*fprm.Form, len(outs))
-	res.CubeCounts = make([]int64, len(outs))
-	spans := make([]OutputSpan, len(outs))
-	cone := make([]bool, len(outs))
-	// Arm slots. xorFail/sopFail record a contained arm failure (panic,
-	// budget trip, equivalence miss) whose cone falls back to the sibling
-	// arm at selection time rather than down the spec-cone ladder; the
-	// ladder is reached only when every arm of a cone fails. Hedged cones
-	// run both arms under sibling slices of the run budget with
-	// loser-cancellation once a deadline exists (budget.Hedge).
-	xorFail := make([]string, len(outs))
-	sopFail := make([]string, len(outs))
-	sopRes := make([]*sisbase.Result, len(outs))
-	hedges := make([]*budget.Hedge, len(outs))
-	xorBud := make([]*budget.Budget, len(outs))
-	sopBud := make([]*budget.Budget, len(outs))
-	type armJob struct {
-		sop bool
-		oi  int
+// run is the state of one synthesis run. flow threads it through the
+// named stages — spec-bdd, predict (BasisAuto), fprm, factor, emit,
+// select, then redund/merge/cleanup per candidate, and verify — and
+// every network it ships, the swept-spec bottom rung included, leaves
+// through finalize.
+type run struct {
+	spec  *network.Network
+	opt   Options
+	res   *Result
+	start time.Time
+	phase string    // the entered stage, for the residual-panic boundary
+	mark  time.Time // start of the current PhaseTimes span
+
+	bud   *budget.Budget
+	bm    *bdd.Manager // shared specification manager
+	outs  []bdd.Ref    // specification BDD per output
+	cones []cone
+
+	searchWorkers int   // exhaustive-search shards per derivation
+	order         []int // outputs by ascending FPRM cube count
+
+	net     *network.Network // emitter network holding the GF(2) arm cones
+	cands   []candidate
+	specOpt *network.Network // do-no-harm reference; nil under NoFallback
+}
+
+// cone is one output's routing and arm state. The derivation workers
+// write only their own cone, and the two arms of a hedged cone write
+// disjoint fields.
+type cone struct {
+	name             string
+	xor, sop         bool   // arms the router assigned
+	predicted, why   string // predictor verdict ("forced" when the basis decides) and reason
+	hedge            *budget.Hedge
+	xorBud, sopBud   *budget.Budget
+	xorFail, sopFail string // contained arm failures: the sibling arm covers the cone
+	specCone         bool   // the GF(2) arm fell down the ladder to the spec-cone copy
+	sopRes           *sisbase.Result
+	expr             *factor.Expr
+	root             int  // GF(2) arm root in the emitter network
+	emitted          bool // root holds a real GF(2) arm result
+	degs             []Degradation
+	residual         any // an uncontained derivation panic, re-raised after the merge
+}
+
+// Per-cone arm choices of the basis arbiter.
+const (
+	chXor  = iota // the GF(2) arm's emitted cone
+	chSop         // the SOP arm's verified cone
+	chSpec        // the structural spec-cone copy (every arm failed)
+)
+
+// choiceNames are the BasisChoice.Chosen names of the arm choices.
+var choiceNames = [...]string{chXor: "xor", chSop: "sop", chSpec: "spec-cone"}
+
+// candidate is one assembled network of the final arbitration.
+type candidate struct {
+	name              string // "hybrid", "xor", or "sop"
+	vec               []int  // per-cone arm choice
+	dup               int    // index of an identical earlier candidate, else -1
+	net               *network.Network
+	stats             network.Stats
+	redund            redund.Result
+	degs              []Degradation // ladder entries of the candidate's polish
+	mapGates, mapLits int
+}
+
+// enter tags the residual-panic boundary and fires the chaos phase
+// probe; with no hooks installed it is a plain assignment.
+func (r *run) enter(name string) {
+	r.phase = name
+	if r.opt.Hooks != nil && r.opt.Hooks.Phase != nil {
+		r.opt.Hooks.Phase(name)
 	}
-	jobList := make([]armJob, 0, len(outs))
-	for oi := range outs {
-		xorBud[oi], sopBud[oi] = bud, bud
-		if armXor[oi] && armSop[oi] {
-			hedges[oi] = bud.Hedge()
-			xorBud[oi] = hedges[oi].Arm(0)
-			sopBud[oi] = hedges[oi].Arm(1)
-			opt.Obs.Arbiter().HedgeStarted()
+}
+
+// stage runs fn as one named pipeline phase: it tags the residual-panic
+// boundary, fires the chaos phase probe, and appends the time since the
+// previous stage ended to Result.PhaseTimes. Inside a stage, guard runs
+// each budgeted step and records a trip as one ladder entry.
+func (r *run) stage(name string, fn func()) {
+	r.enter(name)
+	fn()
+	r.res.PhaseTimes = append(r.res.PhaseTimes, PhaseTime{Name: name, Elapsed: time.Since(r.mark)})
+	r.mark = time.Now()
+}
+
+// degrade appends one ladder entry to trail: the run's own, a cone's
+// derivation slot, or a candidate's polish entries.
+func degrade(trail *[]Degradation, output, stage, fallback, reason string) {
+	*trail = append(*trail, Degradation{Output: output, Stage: stage, Fallback: fallback, Reason: reason})
+}
+
+// guard runs fn under budget.Guard; a trip is recorded on trail as
+// output's stage → fallback entry and returned.
+func guard(trail *[]Degradation, output, stage, fallback string, fn func()) error {
+	err := budget.Guard(fn)
+	if err != nil {
+		degrade(trail, output, stage, fallback, err.Error())
+	}
+	return err
+}
+
+// finalize is the run's single exit: it installs the shipped network
+// with its stats and snapshots the budget counters, the observability
+// collector, and the elapsed time.
+func (r *run) finalize(net *network.Network) *Result {
+	res := r.res
+	res.Network, res.Stats = net, net.CollectStats()
+	res.BudgetSteps = r.bud.Steps()
+	res.BudgetPolls = r.bud.Polls()
+	if r.opt.Obs != nil {
+		snap := r.opt.Obs.Snapshot()
+		res.ObsStats = &snap
+	}
+	res.Elapsed = time.Since(r.start)
+	return res
+}
+
+// simVectors is the random-vector count of the swept-spec rung's
+// simulation check past verify.Simulate's exhaustive range.
+const simVectors = 4096
+
+// sweptSpec is the bottom rung of the degradation ladder: the budget
+// was exhausted before the flow could start (or the specification BDDs
+// blew it), so it ships a swept structural copy of the specification.
+// Sweep and Strash preserve the function by construction; when Verify is
+// on this is double-checked by simulation, since the BDD route is
+// exactly what just exceeded its budget.
+func (r *run) sweptSpec() (*network.Network, error) {
+	net := r.spec.Clone()
+	net.Name = r.spec.Name + "_rm"
+	net.Strash()
+	net.Sweep()
+	net.Compact()
+	if r.opt.Verify {
+		ok, err := verify.Simulate(r.spec, net, simVectors)
+		if err != nil {
+			return nil, err
 		}
-		if !armXor[oi] {
-			// SOP-only cone: the GF(2) slots stay empty, exactly as a
-			// pure-SOP candidate is later polished (factoring skips the
-			// cone; redundancy removal sees an empty form).
+		if !ok {
+			return nil, fmt.Errorf("core: fallback network: %w", ErrNotEquivalent)
+		}
+	}
+	r.res.Fallback = true
+	return net, nil
+}
+
+// buildSpec builds the specification BDDs on the shared manager; a
+// budget trip is the network-wide spec-bdd → swept-spec rung.
+func (r *run) buildSpec() error {
+	r.bm = bdd.New(r.spec.NumPIs())
+	r.bm.SetBudget(r.bud)
+	r.bm.SetStats(r.opt.Obs.BDD())
+	if r.opt.Hooks != nil && r.opt.Hooks.BDDAlloc != nil {
+		r.bm.SetAllocHook(r.opt.Hooks.BDDAlloc)
+	}
+	return guard(&r.res.Degradations, "*", "spec-bdd", "swept-spec", func() { r.outs = r.spec.ToBDDs(r.bm) })
+}
+
+// route assigns each output cone its arms (see Basis): the GF(2) arm
+// alone, the SOP arm alone, both under every cone, or — under
+// BasisAuto — what the predictor says. The predict phase is sequential
+// and read-only on the shared BDD manager, so its decisions are
+// bit-identical at any worker count.
+func (r *run) route() {
+	r.cones = make([]cone, len(r.outs))
+	for oi := range r.cones {
+		c := &r.cones[oi]
+		c.name = r.spec.POs[oi].Name
+		c.predicted = "forced"
+		c.xor = r.opt.Basis != BasisSop
+		c.sop = r.opt.Basis == BasisSop || r.opt.Basis == BasisRace
+	}
+	if r.opt.Basis == BasisAuto {
+		r.stage("predict", r.predict)
+	}
+}
+
+// predict routes every cone by the arbiter's structural predictor. A
+// cone whose prediction cannot run within budget takes the paper's flow.
+func (r *run) predict() {
+	cfg := arbiter.DefaultConfig()
+	for oi := range r.cones {
+		c := &r.cones[oi]
+		if perr := r.bud.Exceeded(); perr != nil {
+			c.xor, c.sop = true, false
+			c.predicted, c.why = "xor", "predict skipped: "+perr.Error()
+			degrade(&r.res.Degradations, c.name, "predict", "xor-arm", perr.Error())
+			continue
+		}
+		var p arbiter.Prediction
+		if gerr := guard(&r.res.Degradations, c.name, "predict", "xor-arm", func() {
+			p = arbiter.Predict(r.bm, r.outs[oi], cfg)
+		}); gerr != nil {
+			c.xor, c.sop = true, false
+			c.predicted, c.why = "xor", "predict failed: "+gerr.Error()
+			continue
+		}
+		c.predicted, c.why = p.Decision.String(), p.Why
+		c.xor = p.Decision != arbiter.Sop
+		c.sop = p.Decision != arbiter.Xor
+		r.opt.Obs.Arbiter().Prediction(c.predicted)
+	}
+}
+
+// armJob is one arm of one cone on the derivation worker pool.
+type armJob struct {
+	sop bool
+	oi  int
+}
+
+// deriveArms is the parallel fan-out of the flow: every cone's GF(2)
+// derivation (OFDD, FPRM extraction, polarity search) and SOP arm. The
+// paper's derivation is independent per output (each gets its own OFDD
+// manager; the shared specification BDDs are read-only after ToBDDs,
+// and the one budget is race-safe), so the arms run on a bounded worker
+// pool. Hedged cones run both arms under sibling slices of the run
+// budget with loser-cancellation once a deadline exists (budget.Hedge).
+// Results land in per-cone slots and merge in output order, so the
+// network is bit-identical for every worker count.
+func (r *run) deriveArms() {
+	nOut, nPI := len(r.cones), r.spec.NumPIs()
+	res := r.res
+	r.opt.Obs.StartOutputs(nOut)
+	res.Forms = make([]*fprm.Form, nOut)
+	res.CubeCounts = make([]int64, nOut)
+	res.OutputTimes = make([]OutputSpan, nOut)
+	jobs := make([]armJob, 0, nOut)
+	for oi := range r.cones {
+		c := &r.cones[oi]
+		c.xorBud, c.sopBud = r.bud, r.bud
+		if c.xor && c.sop {
+			c.hedge = r.bud.Hedge()
+			c.xorBud, c.sopBud = c.hedge.Arm(0), c.hedge.Arm(1)
+			r.opt.Obs.Arbiter().HedgeStarted()
+		}
+		if c.xor {
+			jobs = append(jobs, armJob{sop: false, oi: oi})
+		} else {
+			// SOP-only cone: the GF(2) slots stay empty (factoring skips
+			// the cone; redundancy removal sees an empty form).
 			res.Forms[oi] = fprm.NewForm(nPI, nil)
 			res.CubeCounts[oi] = -1
 		}
-		if armXor[oi] {
-			jobList = append(jobList, armJob{sop: false, oi: oi})
-		}
-		if armSop[oi] {
-			jobList = append(jobList, armJob{sop: true, oi: oi})
+		if c.sop {
+			jobs = append(jobs, armJob{sop: true, oi: oi})
 		}
 	}
-	workers := opt.workers()
-	if workers > len(jobList) {
-		workers = len(jobList)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(r.opt.workers(), len(jobs)), 1)
 	res.Workers = workers
 	// Exhaustive polarity search shards its Gray-code walk across the
 	// workers the output fan-out leaves idle (one output → all of them).
-	searchWorkers := 1
-	if len(outs) > 0 {
-		if searchWorkers = opt.workers() / len(outs); searchWorkers < 1 {
-			searchWorkers = 1
-		}
-	}
-	slotDegs := make([][]Degradation, len(outs))
-	residual := make([]any, len(outs))
-	ofddHook := func(oi int) func(nodes int) *budget.Err {
-		if opt.Hooks != nil && opt.Hooks.OFDDAlloc != nil {
-			return opt.Hooks.OFDDAlloc(oi)
-		}
-		return nil
-	}
-	deriveOne := func(w, oi int) {
-		abud := xorBud[oi]
-		contained := armSop[oi] // a sibling arm exists to absorb failures
-		spanStart := time.Now()
-		// Residual (non-budget) panics cannot cross the goroutine
-		// boundary to Synthesize's recover; capture them here and
-		// re-raise on the main goroutine after the merge barrier — unless
-		// a sibling SOP arm exists, in which case the panic is this arm's
-		// contained failure and the sibling's result covers the cone.
-		defer func() {
-			if r := recover(); r != nil {
-				if !contained {
-					residual[oi] = r
-				} else {
-					if be, ok := r.(*budget.Err); ok {
-						xorFail[oi] = be.Error()
-					} else {
-						xorFail[oi] = fmt.Sprintf("panic: %v", r)
-					}
-					res.Forms[oi] = fprm.NewForm(nPI, nil)
-					res.CubeCounts[oi] = -1
-				}
-			}
-			spans[oi] = OutputSpan{
-				Output:  spec.POs[oi].Name,
-				Index:   oi,
-				Worker:  w,
-				Elapsed: time.Since(spanStart),
-			}
-		}()
-		if opt.Hooks != nil && opt.Hooks.Worker != nil {
-			opt.Hooks.Worker(w, oi)
-		}
-		if opt.Hooks != nil && opt.Hooks.Arm != nil {
-			opt.Hooks.Arm("xor", oi)
-		}
-		oname := spec.POs[oi].Name
-		// fail routes an arm failure: to the sibling arm when one exists
-		// (recorded at selection), else down the spec-cone ladder.
-		fail := func(stage, reason string) {
-			res.Forms[oi] = fprm.NewForm(nPI, nil)
-			res.CubeCounts[oi] = -1
-			if contained {
-				xorFail[oi] = reason
-				return
-			}
-			cone[oi] = true
-			slotDegs[oi] = append(slotDegs[oi], Degradation{oname, stage, "spec-cone", reason})
-		}
-		if perr := abud.Exceeded(); perr != nil {
-			fail("fprm", perr.Error())
-			return
-		}
-		var form *fprm.Form
-		var count int64
-		var isHuge, searchCut bool
-		gerr := budget.Guard(func() {
-			form, count, isHuge, searchCut = deriveForm(bm, outs[oi], opt, abud, searchWorkers, 1, ofddHook(oi), opt.Obs.Output(oi))
-		})
-		if gerr != nil || isHuge {
-			reason := "OFDD node cap exceeded"
-			if gerr != nil {
-				reason = gerr.Error()
-			}
-			stage := "fprm"
-			// Budgeted-retry rung: a transient per-phase cap trip gets
-			// one retry on a relaxed budget slice before the output
-			// falls all the way to the spec-cone copy.
-			if opt.RetryFactor > 0 && retryableTrip(gerr, isHuge) {
-				slotDegs[oi] = append(slotDegs[oi], Degradation{oname, "fprm", "retry", reason})
-				rerr := budget.Guard(func() {
-					form, count, isHuge, searchCut = deriveForm(bm, outs[oi], opt,
-						abud.Relaxed(opt.RetryFactor), searchWorkers, opt.RetryFactor, ofddHook(oi), opt.Obs.Output(oi))
-				})
-				if rerr == nil && !isHuge {
-					res.Forms[oi] = form
-					res.CubeCounts[oi] = count
-					if searchCut {
-						slotDegs[oi] = append(slotDegs[oi], Degradation{oname, "polarity-search", "best-so-far", "budget exhausted during polarity search"})
-					}
-					if hedges[oi] != nil {
-						hedges[oi].Win(0)
-					}
-					return
-				}
-				reason = "OFDD node cap exceeded"
-				if rerr != nil {
-					reason = rerr.Error()
-				}
-				stage = "retry"
-			}
-			fail(stage, reason)
-			return
-		}
-		if searchCut {
-			slotDegs[oi] = append(slotDegs[oi], Degradation{oname, "polarity-search", "best-so-far", "budget exhausted during polarity search"})
-		}
-		res.Forms[oi] = form
-		res.CubeCounts[oi] = count
-		if hedges[oi] != nil {
-			hedges[oi].Win(0)
-		}
-	}
-	// sopOne runs one cone's SOP arm: the SIS-style script on the
-	// extracted spec cone, under the arm's budget slice and context. All
-	// failures are contained — the GF(2) arm or the spec-cone ladder
-	// covers the cone — and the result is verified against the spec BDD
-	// at selection time before it can win.
-	sopOne := func(w, oi int) {
-		spanStart := time.Now()
-		defer func() {
-			if r := recover(); r != nil {
-				if be, ok := r.(*budget.Err); ok {
-					sopFail[oi] = be.Error()
-				} else {
-					sopFail[oi] = fmt.Sprintf("panic: %v", r)
-				}
-			}
-			if !armXor[oi] {
-				spans[oi] = OutputSpan{
-					Output:  spec.POs[oi].Name,
-					Index:   oi,
-					Worker:  w,
-					Elapsed: time.Since(spanStart),
-				}
-			}
-		}()
-		if opt.Hooks != nil && opt.Hooks.Worker != nil {
-			opt.Hooks.Worker(w, oi)
-		}
-		if opt.Hooks != nil && opt.Hooks.Arm != nil {
-			opt.Hooks.Arm("sop", oi)
-		}
-		abud := sopBud[oi]
-		if perr := abud.Exceeded(); perr != nil {
-			sopFail[oi] = perr.Error()
-			return
-		}
-		r, rerr := sisbase.RunCone(abud.Context(), spec, oi, sisbase.DefaultOptions(), abud)
-		if rerr != nil {
-			sopFail[oi] = rerr.Error()
-			return
-		}
-		sopRes[oi] = r
-		if hedges[oi] != nil {
-			hedges[oi].Win(1)
-		}
+	r.searchWorkers = 1
+	if nOut > 0 {
+		r.searchWorkers = max(r.opt.workers()/nOut, 1)
 	}
 	runJob := func(w int, j armJob) {
 		if j.sop {
-			sopOne(w, j.oi)
+			r.deriveSop(w, j.oi)
 		} else {
-			deriveOne(w, j.oi)
+			r.deriveXor(w, j.oi)
 		}
 	}
 	if workers == 1 {
-		for _, j := range jobList {
+		for _, j := range jobs {
 			runJob(0, j)
 		}
 	} else {
-		jobs := make(chan armJob)
+		ch := make(chan armJob)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for j := range jobs {
+				for j := range ch {
 					runJob(w, j)
 				}
 			}(w)
 		}
-		for _, j := range jobList {
-			jobs <- j
+		for _, j := range jobs {
+			ch <- j
 		}
-		close(jobs)
+		close(ch)
 		wg.Wait()
 	}
-	for _, h := range hedges {
-		if h != nil {
+	for i := range r.cones {
+		if h := r.cones[i].hedge; h != nil {
 			h.Stop()
 		}
 	}
 	// Deterministic merge: degradations in output order; a residual
 	// panic (a bug, not a budget trip) re-raises into the boundary above.
-	for oi := range outs {
-		if residual[oi] != nil {
-			panic(residual[oi])
+	for oi := range r.cones {
+		c := &r.cones[oi]
+		if c.residual != nil {
+			panic(c.residual)
 		}
-		res.Degradations = append(res.Degradations, slotDegs[oi]...)
+		res.Degradations = append(res.Degradations, c.degs...)
 	}
-	res.OutputTimes = spans
 	// Record each output's final form size sequentially after the merge
 	// barrier — one deterministic writer per Search group.
-	for oi := range outs {
-		if f := res.Forms[oi]; f != nil && armXor[oi] && !cone[oi] && xorFail[oi] == "" {
-			opt.Obs.Output(oi).SetBest(f.Cubes.Len(), listLits(f.Cubes))
+	for oi := range r.cones {
+		if r.cones[oi].gf2Ready() {
+			f := res.Forms[oi]
+			r.opt.Obs.Output(oi).SetBest(f.Cubes.Len(), listLits(f.Cubes))
 		}
 	}
-	markPhase("fprm")
+}
 
-	// Factor outputs smallest-first so the divisor registry is populated
-	// bottom-up (an adder's c₁ is registered before c₂ needs it), then
-	// emit largest-first so the big cones create the shared gates the
-	// smaller cones reuse (a sum reuses its carry's a⊕b).
-	orderAsc := make([]int, len(outs))
-	for i := range orderAsc {
-		orderAsc[i] = i
+// armFailure renders a recovered arm panic as its failure reason.
+func armFailure(p any) string {
+	if be, ok := p.(*budget.Err); ok {
+		return be.Error()
 	}
-	sort.SliceStable(orderAsc, func(a, b int) bool {
-		return res.CubeCounts[orderAsc[a]] < res.CubeCounts[orderAsc[b]]
+	return fmt.Sprintf("panic: %v", p)
+}
+
+// deriveXor runs one cone's GF(2) arm: the FPRM derivation under the
+// arm's budget slice, with the budgeted-retry rung. A failure goes to
+// the sibling SOP arm when the cone has one, else down the spec-cone
+// ladder.
+func (r *run) deriveXor(w, oi int) {
+	c := &r.cones[oi]
+	nPI := r.spec.NumPIs()
+	abud := c.xorBud
+	contained := c.sop // a sibling arm exists to absorb failures
+	spanStart := time.Now()
+	// Residual (non-budget) panics cannot cross the goroutine boundary to
+	// Synthesize's recover; capture them here and re-raise on the main
+	// goroutine after the merge barrier — unless a sibling SOP arm
+	// exists, in which case the panic is this arm's contained failure.
+	defer func() {
+		if p := recover(); p != nil {
+			if !contained {
+				c.residual = p
+			} else {
+				c.xorFail = armFailure(p)
+				r.res.Forms[oi] = fprm.NewForm(nPI, nil)
+				r.res.CubeCounts[oi] = -1
+			}
+		}
+		r.res.OutputTimes[oi] = OutputSpan{Output: c.name, Index: oi, Worker: w, Elapsed: time.Since(spanStart)}
+	}()
+	if r.opt.Hooks != nil && r.opt.Hooks.Worker != nil {
+		r.opt.Hooks.Worker(w, oi)
+	}
+	if r.opt.Hooks != nil && r.opt.Hooks.Arm != nil {
+		r.opt.Hooks.Arm("xor", oi)
+	}
+	fail := func(stage, reason string) {
+		r.res.Forms[oi] = fprm.NewForm(nPI, nil)
+		r.res.CubeCounts[oi] = -1
+		if contained {
+			c.xorFail = reason
+			return
+		}
+		c.specCone = true
+		degrade(&c.degs, c.name, stage, "spec-cone", reason)
+	}
+	if perr := abud.Exceeded(); perr != nil {
+		fail("fprm", perr.Error())
+		return
+	}
+	ofddHook := func() func(nodes int) *budget.Err {
+		if r.opt.Hooks != nil && r.opt.Hooks.OFDDAlloc != nil {
+			return r.opt.Hooks.OFDDAlloc(oi)
+		}
+		return nil
+	}
+	var form *fprm.Form
+	var count int64
+	var isHuge, searchCut bool
+	derive := func(bud *budget.Budget, relax float64) error {
+		return budget.Guard(func() {
+			form, count, isHuge, searchCut = deriveForm(r.bm, r.outs[oi], r.opt, bud, r.searchWorkers, relax, ofddHook(), r.opt.Obs.Output(oi))
+		})
+	}
+	reason := func(err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		return "OFDD node cap exceeded"
+	}
+	if gerr := derive(abud, 1); gerr != nil || isHuge {
+		if r.opt.RetryFactor <= 0 || !retryableTrip(gerr, isHuge) {
+			fail("fprm", reason(gerr))
+			return
+		}
+		// Budgeted-retry rung: a transient per-phase cap trip gets one
+		// retry on a relaxed budget slice before the output falls all
+		// the way to the spec-cone copy.
+		degrade(&c.degs, c.name, "fprm", "retry", reason(gerr))
+		if rerr := derive(abud.Relaxed(r.opt.RetryFactor), r.opt.RetryFactor); rerr != nil || isHuge {
+			fail("retry", reason(rerr))
+			return
+		}
+	}
+	if searchCut {
+		degrade(&c.degs, c.name, "polarity-search", "best-so-far", "budget exhausted during polarity search")
+	}
+	r.res.Forms[oi] = form
+	r.res.CubeCounts[oi] = count
+	if c.hedge != nil {
+		c.hedge.Win(0)
+	}
+}
+
+// deriveSop runs one cone's SOP arm: the SIS-style script on the
+// extracted spec cone, under the arm's budget slice and context. All
+// failures are contained — the GF(2) arm or the spec-cone ladder covers
+// the cone — and the result is verified against the spec BDD at
+// selection time before it can win.
+func (r *run) deriveSop(w, oi int) {
+	c := &r.cones[oi]
+	spanStart := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			c.sopFail = armFailure(p)
+		}
+		if !c.xor {
+			r.res.OutputTimes[oi] = OutputSpan{Output: c.name, Index: oi, Worker: w, Elapsed: time.Since(spanStart)}
+		}
+	}()
+	if r.opt.Hooks != nil && r.opt.Hooks.Worker != nil {
+		r.opt.Hooks.Worker(w, oi)
+	}
+	if r.opt.Hooks != nil && r.opt.Hooks.Arm != nil {
+		r.opt.Hooks.Arm("sop", oi)
+	}
+	abud := c.sopBud
+	if perr := abud.Exceeded(); perr != nil {
+		c.sopFail = perr.Error()
+		return
+	}
+	sr, err := sisbase.RunCone(abud.Context(), r.spec, oi, sisbase.DefaultOptions(), abud)
+	if err != nil {
+		c.sopFail = err.Error()
+		return
+	}
+	c.sopRes = sr
+	if c.hedge != nil {
+		c.hedge.Win(1)
+	}
+}
+
+// gf2Ready reports whether a cone has a GF(2) arm result to factor and
+// emit.
+func (c *cone) gf2Ready() bool { return c.xor && !c.specCone && c.xorFail == "" }
+
+// factor factors every GF(2) arm result. Outputs go smallest-first so
+// the divisor registry is populated bottom-up (an adder's c₁ is
+// registered before c₂ needs it). Factoring contexts are shared across
+// outputs with the same polarity vector (registry cube lists live in
+// literal space, which only matches between identical vectors) — the
+// cross-output subfunction reuse the paper obtains with SIS resub.
+func (r *run) factor() {
+	res, bud, opt := r.res, r.bud, r.opt
+	r.order = make([]int, len(r.cones))
+	for i := range r.order {
+		r.order[i] = i
+	}
+	sort.SliceStable(r.order, func(a, b int) bool {
+		return res.CubeCounts[r.order[a]] < res.CubeCounts[r.order[b]]
 	})
-
-	enterPhase("factor")
-	cubeMethodCap := effectiveCap(opt.cubeMethodLimit(), bud.Limits().Cubes)
-	exprs := make([]*factor.Expr, len(outs))
-	for _, oi := range orderAsc {
-		if !armXor[oi] || cone[oi] || xorFail[oi] != "" {
-			continue // no GF(2) arm result to factor; covered at emit/selection
+	fopt := factor.Options{ApplyRules: opt.Rules, Budget: bud, Obs: opt.Obs.Factor()}
+	cubeCtxs := make(map[string]*factor.Context)
+	ofddCtxs := make(map[string]*factor.OFDDContext)
+	cubeMethodCap := effectiveCap(cubeMethodLimit, bud.Limits().Cubes)
+	nPI := r.spec.NumPIs()
+	for _, oi := range r.order {
+		c := &r.cones[oi]
+		if !c.gf2Ready() {
+			continue // no GF(2) arm result to factor; covered at selection
 		}
-		oname := spec.POs[oi].Name
 		if perr := bud.Exceeded(); perr != nil {
-			cone[oi] = true
-			degrade(oname, "factor", "spec-cone", perr.Error())
+			c.specCone = true
+			degrade(&res.Degradations, c.name, "factor", "spec-cone", perr.Error())
 			continue
 		}
 		form := res.Forms[oi]
@@ -968,21 +1026,15 @@ func Synthesize(ctx context.Context, spec *network.Network, opt Options) (res *R
 		// list would synthesize the wrong function); they route to the
 		// OFDD method, which factors the exact decision diagram.
 		useCube := opt.method() == MethodCube && res.CubeCounts[oi] <= int64(cubeMethodCap)
-		if opt.method() == MethodCube && !useCube && res.CubeCounts[oi] <= int64(opt.cubeMethodLimit()) {
-			// The configured limit would have allowed Method 1; only the
-			// budget forced the OFDD route. Record the ladder step.
-			degrade(oname, "cube-method", "ofdd-method",
+		if opt.method() == MethodCube && !useCube && res.CubeCounts[oi] <= cubeMethodLimit {
+			// The limit would have allowed Method 1; only the budget
+			// forced the OFDD route. Record the ladder step.
+			degrade(&res.Degradations, c.name, "cube-method", "ofdd-method",
 				fmt.Sprintf("cube budget %d below FPRM cube count %d", bud.Limits().Cubes, res.CubeCounts[oi]))
 		}
 		factorOne := func(fo factor.Options, fbud *budget.Budget,
 			cubeCtxs map[string]*factor.Context, ofddCtxs map[string]*factor.OFDDContext) {
 			var e *factor.Expr
-			if useCube && opt.ESOP {
-				if de := deriveESOP(form, fo, cubeCtxs); de != nil {
-					exprs[oi] = de
-					return
-				}
-			}
 			if useCube {
 				cx, ok := cubeCtxs[key]
 				if !ok {
@@ -1002,274 +1054,76 @@ func Synthesize(ctx context.Context, spec *network.Network, opt Options) (res *R
 					cx = factor.NewOFDDContext(om, fo)
 					ofddCtxs[key] = cx
 				}
-				e = cx.Factor(cx.M.FromBDD(bm, outs[oi]))
+				e = cx.Factor(cx.M.FromBDD(r.bm, r.outs[oi]))
 			}
 			// Rewrite literal space into PI space so one emitter serves all
 			// outputs even when their polarity vectors differ.
-			exprs[oi] = applyPolarity(e, form.Polarity)
+			c.expr = applyPolarity(e, form.Polarity)
 		}
 		gerr := budget.Guard(func() { factorOne(fopt, bud, cubeCtxs, ofddCtxs) })
-		if gerr != nil && opt.RetryFactor > 0 && retryableTrip(gerr, false) {
-			// Budgeted-retry rung, factor edition: one retry on a relaxed
-			// slice with fresh one-shot contexts — the shared registries
-			// keep the original budget and may hold the half-state of the
-			// tripped attempt, so the retry must not touch them (its
-			// divisors simply go unshared, a quality loss only).
-			degrade(oname, "factor", "retry", gerr.Error())
-			rbud := bud.Relaxed(opt.RetryFactor)
-			rfopt := factor.Options{ApplyRules: opt.Rules, Budget: rbud}
-			gerr = budget.Guard(func() {
-				factorOne(rfopt, rbud,
-					map[string]*factor.Context{}, map[string]*factor.OFDDContext{})
-			})
-			if gerr != nil {
-				cone[oi] = true
-				exprs[oi] = nil
-				degrade(oname, "retry", "spec-cone", gerr.Error())
-			}
-		} else if gerr != nil {
-			cone[oi] = true
-			exprs[oi] = nil
-			degrade(oname, "factor", "spec-cone", gerr.Error())
-		}
-	}
-	markPhase("factor")
-
-	enterPhase("emit")
-	poGate := make([]int, len(outs))
-	emitted := make([]bool, len(outs))
-	for i := len(orderAsc) - 1; i >= 0; i-- {
-		oi := orderAsc[i]
-		if !armXor[oi] || cone[oi] || xorFail[oi] != "" {
+		if gerr == nil {
 			continue
 		}
-		poGate[oi] = em.Emit(exprs[oi])
-		emitted[oi] = true
-	}
-	// Outputs whose functional decision diagrams exploded (Section 6:
-	// the method targets functions with manageable FPRM forms) or whose
-	// budget ran out keep their original cone, copied structurally. Under
-	// an arbiter basis the same copy also backs a failed GF(2) arm inside
-	// the pure-XOR candidate (the cone itself falls back to the SOP arm).
-	copier := newConeCopier(spec, net, pis)
-	for oi := range outs {
-		if armXor[oi] && !emitted[oi] {
-			poGate[oi] = copier.copy(spec.POs[oi].Gate)
+		if opt.RetryFactor <= 0 || !retryableTrip(gerr, false) {
+			c.specCone = true
+			degrade(&res.Degradations, c.name, "factor", "spec-cone", gerr.Error())
+			continue
+		}
+		// Budgeted-retry rung, factor edition: one retry on a relaxed
+		// slice with fresh one-shot contexts — the shared registries keep
+		// the original budget and may hold the half-state of the tripped
+		// attempt, so the retry must not touch them (its divisors simply
+		// go unshared, a quality loss only).
+		degrade(&res.Degradations, c.name, "factor", "retry", gerr.Error())
+		rbud := bud.Relaxed(opt.RetryFactor)
+		rfopt := factor.Options{ApplyRules: opt.Rules, Budget: rbud}
+		if guard(&res.Degradations, c.name, "retry", "spec-cone", func() {
+			factorOne(rfopt, rbud, map[string]*factor.Context{}, map[string]*factor.OFDDContext{})
+		}) != nil {
+			c.specCone = true
 		}
 	}
-	if basis == BasisXor {
-		for oi := range outs {
-			net.AddPO(spec.POs[oi].Name, poGate[oi])
-		}
-		net.Strash()
-		net.Sweep()
-	}
-	markPhase("emit")
-
-	if basis != BasisXor {
-		// Selection and candidate arbitration of the combined flow; the
-		// legacy tail below is the pure GF(2) path, byte for byte.
-		ar := &arbiterRun{
-			spec: spec, opt: opt, basis: basis, bm: bm, bud: bud,
-			outs: outs, res: res, net: net, poGate: poGate,
-			emitted: emitted, armXor: armXor, armSop: armSop,
-			xorFail: xorFail, sopFail: sopFail, sopRes: sopRes,
-			predicted: predicted, predWhy: predWhy,
-			enterPhase: enterPhase, markPhase: markPhase,
-			degrade: degrade, start: start,
-		}
-		return ar.finish()
-	}
-
-	// Prepare the do-no-harm reference early: when the factored network
-	// is already far larger than the cleaned specification, redundancy
-	// removal cannot close the gap and the time is better saved.
-	enterPhase("do-no-harm-prep")
-	var specOpt *network.Network
-	if !opt.NoFallback {
-		specOpt = spec.Clone()
-		specOpt.Sweep()
-		specOpt.Strash()
-		if opt.MergeNodes {
-			// MergeEquivalentGates only mutates after its signature loop
-			// completes, so a budget trip mid-loop leaves specOpt intact.
-			if gerr := budget.Guard(func() { MergeEquivalentGates(specOpt, bm) }); gerr != nil {
-				degrade("*", "merge", "skipped", gerr.Error())
-			}
-		}
-		specOpt.Sweep()
-		// Same cleanup the FPRM result gets below, so the do-no-harm
-		// comparison is between equally-polished networks.
-		cleanupNetwork(specOpt)
-	}
-	hopeless := specOpt != nil && net.CollectStats().Gates2 > 8*specOpt.CollectStats().Gates2
-
-	res.Redund = polishNetwork(net, res.Forms, opt, bud, bm, degrade, hopeless, enterPhase, markPhase)
-	// Safety net: the synthesized network must match the specification.
-	// The budget is detached first — verification must always run to
-	// completion, even (especially) after a deadline trip.
-	if opt.Verify {
-		enterPhase("verify")
-		bm.SetBudget(nil)
-		bm.SetAllocHook(nil) // like the budget, probes must not fail verification
-		got := net.ToBDDs(bm)
-		for i := range got {
-			if got[i] != outs[i] {
-				return nil, fmt.Errorf("core: output %s: %w", spec.POs[i].Name, ErrNotEquivalent)
-			}
-		}
-		markPhase("verify")
-	}
-	res.Network = net
-	res.Stats = net.CollectStats()
-
-	// Do-no-harm fallback (Section 6 scopes the method to functions with
-	// manageable FPRM forms): if the cleaned specification is smaller
-	// than the FPRM result, ship that instead.
-	if specOpt != nil {
-		if st := specOpt.CollectStats(); st.Gates2 < res.Stats.Gates2 {
-			res.Network = specOpt
-			res.Stats = st
-			res.Fallback = true
-			degrade("*", "do-no-harm", "swept-spec", "FPRM result larger than cleaned specification")
-		}
-	}
-	res.BudgetSteps = bud.Steps()
-	res.BudgetPolls = bud.Polls()
-	if opt.Obs != nil {
-		snap := opt.Obs.Snapshot()
-		res.ObsStats = &snap
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
 }
 
-// Per-cone arm choices of the basis arbiter.
-const (
-	chXor  = iota // the GF(2) arm's emitted cone
-	chSop         // the SOP arm's verified cone
-	chSpec        // the structural spec-cone copy (every arm failed)
-)
-
-// arbiterRun carries the mid-flight state of a non-XOR basis run from
-// Synthesize's fan-out into the selection and candidate-arbitration
-// tail.
-type arbiterRun struct {
-	spec                  *network.Network
-	opt                   Options
-	basis                 Basis
-	bm                    *bdd.Manager
-	bud                   *budget.Budget
-	outs                  []bdd.Ref
-	res                   *Result
-	net                   *network.Network // the emitter network holding the GF(2) cones
-	poGate                []int            // per-output root in net (emitted or spec-cone copy)
-	emitted               []bool           // true when poGate is a real GF(2) arm result
-	armXor, armSop        []bool
-	xorFail, sopFail      []string
-	sopRes                []*sisbase.Result
-	predicted, predWhy    []string
-	enterPhase, markPhase func(string)
-	degrade               func(output, stage, fallback, reason string)
-	start                 time.Time
+// polKey renders a polarity vector as a factoring-context key.
+func polKey(pol []bool) string {
+	k := make([]byte, len(pol))
+	for i, p := range pol {
+		k[i] = '0'
+		if p {
+			k[i] = '1'
+		}
+	}
+	return string(k)
 }
 
-// finish selects each cone's arm, assembles and polishes the candidate
-// networks, and arbitrates them so the combined flow is never worse
-// than either pure flow — lexicographically in pre-map literals, then
-// mapped gates, then mapped literals.
-func (a *arbiterRun) finish() (*Result, error) {
-	spec, opt, res, net, bm, bud, outs := a.spec, a.opt, a.res, a.net, a.bm, a.bud, a.outs
-	nOut := len(outs)
-	a.enterPhase("select")
-	// Verify the SOP arms: a cone may only fall to an arm whose result
-	// provably computes the spec cone. The arm's network is rebuilt as a
-	// BDD on the shared manager (budget-guarded, sequential, in output
-	// order — deterministic at any worker count) and compared by
-	// hash-consed identity; a miss is that arm's contained failure.
-	for oi := 0; oi < nOut; oi++ {
-		if a.sopRes[oi] == nil {
-			if a.armSop[oi] && a.sopFail[oi] == "" {
-				a.sopFail[oi] = "sop arm produced no result"
-			}
-			continue
-		}
-		var got []bdd.Ref
-		gerr := budget.Guard(func() { got = a.sopRes[oi].Network.ToBDDs(bm) })
-		if gerr != nil {
-			a.sopRes[oi] = nil
-			a.sopFail[oi] = "sop verify: " + gerr.Error()
-			continue
-		}
-		if len(got) != 1 || got[0] != outs[oi] {
-			a.sopRes[oi] = nil
-			a.sopFail[oi] = "sop arm result not equivalent to spec cone"
+// emit emits every factored GF(2) arm into one network, largest-first,
+// so the big cones create the shared gates the smaller cones reuse (a
+// sum reuses its carry's a⊕b). One emitter serves the whole network:
+// structurally identical subexpressions are shared across outputs.
+// Polarity is handled per literal inside expressions, so the emitter
+// itself is polarity-free.
+func (r *run) emit() {
+	r.net = network.New(r.spec.Name + "_rm")
+	pis := make([]int, len(r.spec.PIs))
+	for i, piID := range r.spec.PIs {
+		pis[i] = r.net.AddPI(r.spec.Gates[piID].Name)
+	}
+	em := factor.NewEmitter(r.net, pis, nil)
+	for i := len(r.order) - 1; i >= 0; i-- {
+		c := &r.cones[r.order[i]]
+		if c.gf2Ready() {
+			c.root = em.Emit(c.expr)
+			c.emitted = true
 		}
 	}
-	// Per-cone choice: literals, then total gates, then XOR on a tie
-	// (the GF(2) arm is the paper's flow and the deterministic default).
-	// An arm failure falls back to its sibling's verified result; the
-	// spec-cone ladder is reached only when every arm of a cone failed.
-	choice := make([]int, nOut)
-	for oi := 0; oi < nOut; oi++ {
-		oname := spec.POs[oi].Name
-		bc := BasisChoice{Output: oname, Predicted: a.predicted[oi], XorLits: -1, SopLits: -1, Reason: a.predWhy[oi]}
-		xorOK, sopOK := a.emitted[oi], a.sopRes[oi] != nil
-		var xs, ss network.Stats
-		if xorOK {
-			xs = coneStats(net, a.poGate[oi])
-			bc.XorLits = xs.Lits
-		}
-		if sopOK {
-			ss = a.sopRes[oi].Stats
-			bc.SopLits = ss.Lits
-		}
-		switch {
-		case xorOK && sopOK:
-			if ss.Lits < xs.Lits || (ss.Lits == xs.Lits && ss.Total < xs.Total) {
-				choice[oi] = chSop
-				opt.Obs.Arbiter().ArmWin("sop")
-			} else {
-				choice[oi] = chXor
-				opt.Obs.Arbiter().ArmWin("xor")
-			}
-		case xorOK:
-			choice[oi] = chXor
-			if a.armSop[oi] {
-				a.degrade(oname, "sop-arm", "xor-arm", a.sopFail[oi])
-				opt.Obs.Arbiter().Override()
-				bc.Reason = a.sopFail[oi]
-			}
-		case sopOK:
-			choice[oi] = chSop
-			if a.armXor[oi] {
-				reason := a.xorFail[oi]
-				if reason == "" {
-					reason = "GF(2) arm fell back to spec-cone"
-				}
-				a.degrade(oname, "xor-arm", "sop-arm", reason)
-				opt.Obs.Arbiter().Override()
-				bc.Reason = reason
-			}
-		default:
-			choice[oi] = chSpec
-			if a.xorFail[oi] != "" {
-				a.degrade(oname, "xor-arm", "spec-cone", a.xorFail[oi])
-			}
-			if a.armSop[oi] && a.sopFail[oi] != "" {
-				a.degrade(oname, "sop-arm", "spec-cone", a.sopFail[oi])
-			}
-		}
-		switch choice[oi] {
-		case chXor:
-			bc.Chosen = "xor"
-		case chSop:
-			bc.Chosen = "sop"
-		default:
-			bc.Chosen = "spec-cone"
-		}
-		res.BasisChoices = append(res.BasisChoices, bc)
-	}
+}
+
+// selectArms verifies the SOP arms, picks each cone's arm, and
+// assembles the candidate networks of the final arbitration.
+func (r *run) selectArms() {
+	r.verifySopArms()
+	choice := r.choose()
 	// Candidate assembly. The hybrid keeps each cone's chosen arm; a
 	// pure-XOR or pure-SOP assembly is arbitrated alongside it whenever
 	// that arm succeeded on every cone. Per-cone choices cannot see
@@ -1277,231 +1131,145 @@ func (a *arbiterRun) finish() (*Result, error) {
 	// outputs), so a hybrid that wins every cone in isolation can still
 	// lose to a single-basis network; arbitrating the pure assemblies
 	// keeps the combined flow no worse than either on the whole circuit.
-	type candidate struct {
-		name string
-		vec  []int
-		dup  int // index of an identical earlier candidate, else -1
-		n    *network.Network
-	}
-	cands := []candidate{{name: "hybrid", vec: choice, dup: -1}}
+	// Under BasisXor the hybrid is the pure-XOR assembly (or, when a cone
+	// fell to its spec copy, the only candidate): the one-arm case.
+	r.cands = []candidate{{name: "hybrid", vec: choice, dup: -1}}
 	xorPure, sopPure := true, true
-	for oi := 0; oi < nOut; oi++ {
-		xorPure = xorPure && a.emitted[oi]
-		sopPure = sopPure && a.sopRes[oi] != nil
+	for i := range r.cones {
+		xorPure = xorPure && r.cones[i].emitted
+		sopPure = sopPure && r.cones[i].sopRes != nil
 	}
 	if xorPure {
-		vec := make([]int, nOut)
-		for oi := range vec {
-			vec[oi] = chXor
-		}
-		cands = append(cands, candidate{name: "xor", vec: vec, dup: -1})
+		r.cands = append(r.cands, candidate{name: "xor", vec: uniform(len(r.cones), chXor), dup: -1})
 	}
 	if sopPure {
-		vec := make([]int, nOut)
-		for oi := range vec {
-			vec[oi] = chSop
-		}
-		cands = append(cands, candidate{name: "sop", vec: vec, dup: -1})
+		r.cands = append(r.cands, candidate{name: "sop", vec: uniform(len(r.cones), chSop), dup: -1})
 	}
-	for i := 1; i < len(cands); i++ {
+	for i := 1; i < len(r.cands); i++ {
 		for j := 0; j < i; j++ {
-			if cands[j].dup < 0 && vecEqual(cands[i].vec, cands[j].vec) {
-				cands[i].dup = j
+			if r.cands[j].dup < 0 && slices.Equal(r.cands[i].vec, r.cands[j].vec) {
+				r.cands[i].dup = j
 				break
 			}
 		}
 	}
-	allXor := func(vec []int) bool {
-		for _, c := range vec {
-			if c != chXor {
-				return false
-			}
-		}
-		return true
-	}
 	// Build assembled candidates first — they graft cones out of the
 	// emitter network before Strash rewrites it in place — then finish
-	// the all-XOR candidate (when present) on the emitter network
-	// itself, exactly as the pure GF(2) flow finishes it.
-	for i := range cands {
-		if cands[i].dup < 0 && !allXor(cands[i].vec) {
-			cands[i].n = a.assemble(cands[i].vec)
+	// the all-XOR candidate (when present) on the emitter network itself.
+	allXor := func(vec []int) bool { return !slices.ContainsFunc(vec, func(ch int) bool { return ch != chXor }) }
+	for i := range r.cands {
+		if r.cands[i].dup < 0 && !allXor(r.cands[i].vec) {
+			r.cands[i].net = r.assemble(r.cands[i].vec)
 		}
 	}
-	for i := range cands {
-		if cands[i].dup < 0 && allXor(cands[i].vec) {
-			for oi := 0; oi < nOut; oi++ {
-				net.AddPO(spec.POs[oi].Name, a.poGate[oi])
+	for i := range r.cands {
+		if r.cands[i].dup < 0 && allXor(r.cands[i].vec) {
+			for oi := range r.cones {
+				r.net.AddPO(r.cones[oi].name, r.cones[oi].root)
 			}
-			net.Strash()
-			net.Sweep()
-			cands[i].n = net
+			r.net.Strash()
+			r.net.Sweep()
+			r.cands[i].net = r.net
 			break
 		}
 	}
-	a.markPhase("select")
+}
 
-	// Do-no-harm reference, prepared exactly as in the pure flow.
-	a.enterPhase("do-no-harm-prep")
-	var specOpt *network.Network
-	if !opt.NoFallback {
-		specOpt = spec.Clone()
-		specOpt.Sweep()
-		specOpt.Strash()
-		if opt.MergeNodes {
-			if gerr := budget.Guard(func() { MergeEquivalentGates(specOpt, bm) }); gerr != nil {
-				a.degrade("*", "merge", "skipped", gerr.Error())
-			}
-		}
-		specOpt.Sweep()
-		cleanupNetwork(specOpt)
+// uniform returns an n-cone choice vector with every cone on arm ch.
+func uniform(n, ch int) []int {
+	vec := make([]int, n)
+	for i := range vec {
+		vec[i] = ch
 	}
+	return vec
+}
 
-	// Polish every candidate exactly as the single-basis flow polishes
-	// its one network; only the winning candidate's ladder entries are
-	// recorded.
-	stats := make([]network.Stats, len(cands))
-	rress := make([]redund.Result, len(cands))
-	degs := make([][]Degradation, len(cands))
-	for i := range cands {
-		if cands[i].dup >= 0 {
+// verifySopArms re-proves every SOP arm result: a cone may only fall to
+// an arm whose result provably computes the spec cone. The arm's network
+// is rebuilt as a BDD on the shared manager (budget-guarded, sequential,
+// in output order — deterministic at any worker count) and compared by
+// hash-consed identity; a miss is that arm's contained failure.
+func (r *run) verifySopArms() {
+	for oi := range r.cones {
+		c := &r.cones[oi]
+		if c.sopRes == nil {
+			if c.sop && c.sopFail == "" {
+				c.sopFail = "sop arm produced no result"
+			}
 			continue
 		}
-		i := i
-		sink := func(output, stage, fallback, reason string) {
-			degs[i] = append(degs[i], Degradation{Output: output, Stage: stage, Fallback: fallback, Reason: reason})
-		}
-		hopeless := specOpt != nil && cands[i].n.CollectStats().Gates2 > 8*specOpt.CollectStats().Gates2
-		rress[i] = polishNetwork(cands[i].n, a.formsFor(cands[i].vec), opt, bud, bm, sink, hopeless, a.enterPhase, a.markPhase)
-		stats[i] = cands[i].n.CollectStats()
-	}
-	for i := range cands {
-		if d := cands[i].dup; d >= 0 {
-			cands[i].n = cands[d].n
-			stats[i] = stats[d]
-			rress[i] = rress[d]
-			degs[i] = degs[d]
-		}
-	}
-	// Final arbitration: pre-map literals, then mapped gates, then
-	// mapped literals, then total gates, then the fixed candidate order
-	// (hybrid, xor, sop) — the never-worse guarantee, lexicographic on
-	// the metrics the paper reports. The mapped tie-breaks exist because
-	// the 2-input cost model cannot order candidates whose literal
-	// counts tie: a NAND3-friendly SOP cone maps tighter than an
-	// inverter-heavy GF(2) cone of the same pre-map size, and only the
-	// library can see that.
-	lib := techmap.Library()
-	const worstMap = int(^uint(0) >> 1)
-	mapCostOf := func(n *network.Network) (gates, lits int) {
-		m, merr := techmap.Map(n, lib)
-		if merr != nil {
-			return worstMap, worstMap // unmappable candidates lose every tie
-		}
-		return m.Gates, m.Lits
-	}
-	mapg := make([]int, len(cands))
-	mapl := make([]int, len(cands))
-	for i := range cands {
-		if cands[i].dup >= 0 {
-			mapg[i], mapl[i] = mapg[cands[i].dup], mapl[cands[i].dup]
+		var got []bdd.Ref
+		if gerr := budget.Guard(func() { got = c.sopRes.Network.ToBDDs(r.bm) }); gerr != nil {
+			c.sopRes = nil
+			c.sopFail = "sop verify: " + gerr.Error()
 			continue
 		}
-		mapg[i], mapl[i] = mapCostOf(cands[i].n)
-	}
-	better := func(i, j int) bool {
-		if stats[i].Lits != stats[j].Lits {
-			return stats[i].Lits < stats[j].Lits
-		}
-		if mapg[i] != mapg[j] {
-			return mapg[i] < mapg[j]
-		}
-		if mapl[i] != mapl[j] {
-			return mapl[i] < mapl[j]
-		}
-		return stats[i].Total < stats[j].Total
-	}
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if better(i, best) {
-			best = i
+		if len(got) != 1 || got[0] != r.outs[oi] {
+			c.sopRes = nil
+			c.sopFail = "sop arm result not equivalent to spec cone"
 		}
 	}
-	win := cands[best]
-	res.Degradations = append(res.Degradations, degs[best]...)
-	res.Redund = rress[best]
-	distinct := 0
-	for i := range cands {
-		if cands[i].dup < 0 {
-			distinct++
+}
+
+// choose picks each cone's arm: literals, then total gates, then XOR on
+// a tie (the GF(2) arm is the paper's flow and the deterministic
+// default). An arm failure falls back to its sibling's verified result;
+// the spec-cone ladder is reached only when every arm of a cone failed.
+func (r *run) choose() []int {
+	res, ob := r.res, r.opt.Obs.Arbiter()
+	choice := make([]int, len(r.cones))
+	for oi := range r.cones {
+		c := &r.cones[oi]
+		bc := BasisChoice{Output: c.name, Predicted: c.predicted, XorLits: -1, SopLits: -1, Reason: c.why}
+		var xs, ss network.Stats
+		if c.emitted {
+			xs = coneStats(r.net, c.root)
+			bc.XorLits = xs.Lits
 		}
-	}
-	if distinct > 1 {
-		namedLits := func(name string) int {
-			for i := range cands {
-				if cands[i].name == name {
-					return stats[i].Lits
+		if c.sopRes != nil {
+			ss = c.sopRes.Stats
+			bc.SopLits = ss.Lits
+		}
+		switch {
+		case c.emitted && c.sopRes != nil:
+			if ss.Lits < xs.Lits || (ss.Lits == xs.Lits && ss.Total < xs.Total) {
+				choice[oi] = chSop
+				ob.ArmWin("sop")
+			} else {
+				choice[oi] = chXor
+				ob.ArmWin("xor")
+			}
+		case c.emitted:
+			choice[oi] = chXor
+			if c.sop {
+				degrade(&res.Degradations, c.name, "sop-arm", "xor-arm", c.sopFail)
+				ob.Override()
+				bc.Reason = c.sopFail
+			}
+		case c.sopRes != nil:
+			choice[oi] = chSop
+			if c.xor {
+				reason := c.xorFail
+				if reason == "" {
+					reason = "GF(2) arm fell back to spec-cone"
 				}
+				degrade(&res.Degradations, c.name, "xor-arm", "sop-arm", reason)
+				ob.Override()
+				bc.Reason = reason
 			}
-			return -1
-		}
-		namedMapG := func(name string) int {
-			for i := range cands {
-				if cands[i].name == name {
-					return mapg[i]
-				}
+		default:
+			choice[oi] = chSpec
+			if c.xorFail != "" {
+				degrade(&res.Degradations, c.name, "xor-arm", "spec-cone", c.xorFail)
 			}
-			return -1
-		}
-		res.BasisChoices = append(res.BasisChoices, BasisChoice{
-			Output: "*", Predicted: a.basis.String(), Chosen: win.name,
-			XorLits: namedLits("xor"), SopLits: namedLits("sop"),
-			Reason: fmt.Sprintf("lits hybrid=%d xor=%d sop=%d; map-gates hybrid=%d xor=%d sop=%d",
-				stats[0].Lits, namedLits("xor"), namedLits("sop"),
-				mapg[0], namedMapG("xor"), namedMapG("sop")),
-		})
-	}
-	// Safety net, identical to the pure flow's verify phase.
-	if opt.Verify {
-		a.enterPhase("verify")
-		bm.SetBudget(nil)
-		bm.SetAllocHook(nil)
-		got := win.n.ToBDDs(bm)
-		for i := range got {
-			if got[i] != outs[i] {
-				return nil, fmt.Errorf("core: output %s: %w", spec.POs[i].Name, ErrNotEquivalent)
+			if c.sop && c.sopFail != "" {
+				degrade(&res.Degradations, c.name, "sop-arm", "spec-cone", c.sopFail)
 			}
 		}
-		a.markPhase("verify")
+		bc.Chosen = choiceNames[choice[oi]]
+		res.BasisChoices = append(res.BasisChoices, bc)
 	}
-	res.Network = win.n
-	res.Stats = stats[best]
-	// Do-no-harm under the same lexicographic order as the candidate
-	// arbitration (Lits is 2×Gates2, so the literal comparison is the
-	// legacy Gates2 one): the swept spec replaces the winner only when
-	// strictly better, so a full tie still ships the synthesized result.
-	if specOpt != nil {
-		st := specOpt.CollectStats()
-		replace := st.Lits < res.Stats.Lits
-		if st.Lits == res.Stats.Lits {
-			sg, sl := mapCostOf(specOpt)
-			replace = sg < mapg[best] || (sg == mapg[best] && sl < mapl[best])
-		}
-		if replace {
-			res.Network = specOpt
-			res.Stats = st
-			res.Fallback = true
-			a.degrade("*", "do-no-harm", "swept-spec", "FPRM result larger than cleaned specification")
-		}
-	}
-	res.BudgetSteps = bud.Steps()
-	res.BudgetPolls = bud.Polls()
-	if opt.Obs != nil {
-		snap := opt.Obs.Snapshot()
-		res.ObsStats = &snap
-	}
-	res.Elapsed = time.Since(a.start)
-	return res, nil
+	return choice
 }
 
 // assemble builds one candidate network: for each output, the chosen
@@ -1509,22 +1277,22 @@ func (a *arbiterRun) finish() (*Result, error) {
 // or the specification — is grafted into a fresh hash-consed network
 // with the spec's PI order, so structurally identical subcones are
 // shared across outputs by construction.
-func (a *arbiterRun) assemble(vec []int) *network.Network {
-	spec := a.spec
+func (r *run) assemble(vec []int) *network.Network {
+	spec := r.spec
 	cn := network.New(spec.Name + "_rm")
 	cpis := make([]int, len(spec.PIs))
 	for i, piID := range spec.PIs {
 		cpis[i] = cn.AddPI(spec.Gates[piID].Name)
 	}
-	fromNet := newConeCopier(a.net, cn, cpis)
+	fromNet := newConeCopier(r.net, cn, cpis)
 	fromSpec := newConeCopier(spec, cn, cpis)
-	for oi := range vec {
+	for oi, ch := range vec {
 		var root int
-		switch vec[oi] {
+		switch ch {
 		case chXor:
-			root = fromNet.copy(a.poGate[oi])
+			root = fromNet.copy(r.cones[oi].root)
 		case chSop:
-			sn := a.sopRes[oi].Network
+			sn := r.cones[oi].sopRes.Network
 			root = newConeCopier(sn, cn, cpis).copy(sn.POs[0].Gate)
 		default:
 			root = fromSpec.copy(spec.POs[oi].Gate)
@@ -1536,29 +1304,204 @@ func (a *arbiterRun) assemble(vec []int) *network.Network {
 	return cn
 }
 
+// prepareReference builds the do-no-harm reference: the specification
+// swept, hashed, merged, and cleaned exactly like a candidate, so the
+// final comparison is between equally-polished networks.
+func (r *run) prepareReference() {
+	if r.opt.NoFallback {
+		return
+	}
+	so := r.spec.Clone()
+	so.Sweep()
+	so.Strash()
+	if r.opt.MergeNodes {
+		// MergeEquivalentGates only mutates after its signature loop
+		// completes, so a budget trip mid-loop leaves the copy intact.
+		guard(&r.res.Degradations, "*", "merge", "skipped", func() { MergeEquivalentGates(so, r.bm) })
+	}
+	so.Sweep()
+	cleanupNetwork(so)
+	r.specOpt = so
+}
+
+// polish runs the shared optimization tail — redundancy removal
+// (snapshot-guarded), cross-output merging, structural cleanup — on one
+// candidate, recording its ladder entries on the candidate. A candidate
+// already more than 8× the cleaned specification skips redundancy
+// removal: the pass cannot close that gap and the time is better saved.
+func (r *run) polish(cd *candidate) {
+	net, opt, bud := cd.net, r.opt, r.bud
+	hopeless := r.specOpt != nil && net.CollectStats().Gates2 > 8*r.specOpt.CollectStats().Gates2
+	r.stage("redund", func() {
+		if !opt.Redund || hopeless {
+			return
+		}
+		if perr := bud.Exceeded(); perr != nil {
+			degrade(&cd.degs, "*", "redund", "skipped", perr.Error())
+			return
+		}
+		// Snapshot first: a budget trip inside the pass could land
+		// mid-rewrite, and a half-applied candidate must not survive.
+		snap := net.Clone()
+		if guard(&cd.degs, "*", "redund", "skipped", func() {
+			cd.redund = redund.Remove(net, redund.Options{Forms: r.formsFor(cd.vec), Verify: opt.Verify, Budget: bud})
+		}) != nil {
+			*net = *snap
+			cd.redund = redund.Result{}
+		} else if cd.redund.BudgetCut {
+			// The pass stopped early but kept its committed reductions:
+			// weaker optimization, not a fallback network — still worth
+			// a truthful ladder entry.
+			reason := "budget exhausted"
+			if perr := bud.Exceeded(); perr != nil {
+				reason = perr.Error()
+			}
+			degrade(&cd.degs, "*", "redund", "partial", reason)
+		}
+	})
+	r.stage("merge", func() {
+		if opt.MergeNodes {
+			// Safe without a snapshot: mutation happens only after the BDD
+			// signature loop, the sole place a budget trip can occur.
+			guard(&cd.degs, "*", "merge", "skipped", func() { MergeEquivalentGates(net, r.bm) })
+			net.Sweep()
+		}
+	})
+	// Structural cleanup after the optimization passes: cancel inverter
+	// pairs, rebalance XOR chains (deferred until after redund, whose
+	// Section 4 analysis depends on the factor-phase tree shapes),
+	// re-hash, and compact away everything the merges left dead. Runs
+	// before verify so the equivalence check covers it.
+	r.stage("cleanup", func() { cleanupNetwork(net) })
+	cd.stats = net.CollectStats()
+}
+
 // formsFor returns the redundancy-removal forms matching a candidate:
 // the derived FPRM form for GF(2)-chosen cones, an empty form otherwise
-// (SOP and spec cones have no GF(2) cube list, exactly what a pure-SOP
-// run's redundancy pass would see).
-func (a *arbiterRun) formsFor(vec []int) []*fprm.Form {
+// (SOP and spec cones have no GF(2) cube list).
+func (r *run) formsFor(vec []int) []*fprm.Form {
 	fs := make([]*fprm.Form, len(vec))
-	for oi := range vec {
-		if vec[oi] == chXor && a.emitted[oi] {
-			fs[oi] = a.res.Forms[oi]
+	for oi, ch := range vec {
+		if ch == chXor {
+			fs[oi] = r.res.Forms[oi]
 		} else {
-			fs[oi] = fprm.NewForm(a.spec.NumPIs(), nil)
+			fs[oi] = fprm.NewForm(r.spec.NumPIs(), nil)
 		}
 	}
 	return fs
 }
 
-func vecEqual(x, y []int) bool {
-	for i := range x {
-		if x[i] != y[i] {
-			return false
+// worstMap is the mapped cost of an unmappable network: it loses every
+// tie.
+const worstMap = math.MaxInt
+
+// mapCost returns a network's mapped gate and literal counts.
+func mapCost(n *network.Network) (gates, lits int) {
+	m, err := techmap.Map(n, techmap.Library())
+	if err != nil {
+		return worstMap, worstMap
+	}
+	return m.Gates, m.Lits
+}
+
+// arbitrate picks the winning candidate: pre-map literals, then mapped
+// gates, then mapped literals, then total gates, then the fixed
+// candidate order (hybrid, xor, sop) — the never-worse guarantee,
+// lexicographic on the metrics the paper reports. The mapped tie-breaks
+// exist because the 2-input cost model cannot order candidates whose
+// literal counts tie: a NAND3-friendly SOP cone maps tighter than an
+// inverter-heavy GF(2) cone of the same pre-map size, and only the
+// library can see that. The ladder entries of every polished candidate
+// are recorded, so a fault that only touched a losing candidate still
+// leaves its trace.
+func (r *run) arbitrate() *candidate {
+	cands, res := r.cands, r.res
+	for i := range cands {
+		if d := cands[i].dup; d >= 0 {
+			cands[i].net, cands[i].stats, cands[i].redund = cands[d].net, cands[d].stats, cands[d].redund
+			cands[i].mapGates, cands[i].mapLits = cands[d].mapGates, cands[d].mapLits
+			continue
+		}
+		cands[i].mapGates, cands[i].mapLits = mapCost(cands[i].net)
+		res.Degradations = append(res.Degradations, cands[i].degs...)
+	}
+	better := func(a, b *candidate) bool {
+		if a.stats.Lits != b.stats.Lits {
+			return a.stats.Lits < b.stats.Lits
+		}
+		if a.mapGates != b.mapGates {
+			return a.mapGates < b.mapGates
+		}
+		if a.mapLits != b.mapLits {
+			return a.mapLits < b.mapLits
+		}
+		return a.stats.Total < b.stats.Total
+	}
+	win := &cands[0]
+	for i := 1; i < len(cands); i++ {
+		if better(&cands[i], win) {
+			win = &cands[i]
 		}
 	}
-	return true
+	res.Redund = win.redund
+	if slices.ContainsFunc(cands[1:], func(cd candidate) bool { return cd.dup < 0 }) {
+		named := func(name string) (lits, mapGates int) {
+			for i := range cands {
+				if cands[i].name == name {
+					return cands[i].stats.Lits, cands[i].mapGates
+				}
+			}
+			return -1, -1
+		}
+		xl, xg := named("xor")
+		sl, sg := named("sop")
+		res.BasisChoices = append(res.BasisChoices, BasisChoice{
+			Output: "*", Predicted: r.opt.Basis.String(), Chosen: win.name,
+			XorLits: xl, SopLits: sl,
+			Reason: fmt.Sprintf("lits hybrid=%d xor=%d sop=%d; map-gates hybrid=%d xor=%d sop=%d",
+				cands[0].stats.Lits, xl, sl, cands[0].mapGates, xg, sg),
+		})
+	}
+	return win
+}
+
+// verify is the safety net: the shipped network must match the
+// specification. The budget is detached first — verification must
+// always run to completion, even (especially) after a deadline trip —
+// and so are the chaos allocation probes.
+func (r *run) verify(net *network.Network) error {
+	r.bm.SetBudget(nil)
+	r.bm.SetAllocHook(nil)
+	got := net.ToBDDs(r.bm)
+	for i := range got {
+		if got[i] != r.outs[i] {
+			return fmt.Errorf("core: output %s: %w", r.spec.POs[i].Name, ErrNotEquivalent)
+		}
+	}
+	return nil
+}
+
+// doNoHarm returns the network to ship: the winner, or the cleaned
+// specification when that is strictly better under the arbitration's
+// order (Section 6 scopes the method to functions with manageable FPRM
+// forms). Lits is 2×Gates2, so a full tie still ships the synthesized
+// result.
+func (r *run) doNoHarm(win *candidate) *network.Network {
+	if r.specOpt == nil {
+		return win.net
+	}
+	st := r.specOpt.CollectStats()
+	replace := st.Lits < win.stats.Lits
+	if st.Lits == win.stats.Lits {
+		sg, sl := mapCost(r.specOpt)
+		replace = sg < win.mapGates || (sg == win.mapGates && sl < win.mapLits)
+	}
+	if !replace {
+		return win.net
+	}
+	r.res.Fallback = true
+	degrade(&r.res.Degradations, "*", "do-no-harm", "swept-spec", "FPRM result larger than cleaned specification")
+	return r.specOpt
 }
 
 // coneStats computes CollectStats' cost model over the cone rooted at
@@ -1594,68 +1537,6 @@ func coneStats(n *network.Network, root int) network.Stats {
 	return s
 }
 
-// polishNetwork runs the shared optimization tail — redundancy removal
-// (snapshot-guarded), cross-output merging, structural cleanup — on one
-// network. Both the pure flow's single network and every arbiter
-// candidate go through this, so the do-no-harm and never-worse
-// comparisons are always between equally-polished networks.
-func polishNetwork(net *network.Network, forms []*fprm.Form, opt Options, bud *budget.Budget, bm *bdd.Manager,
-	degrade func(output, stage, fallback, reason string), hopeless bool,
-	enterPhase, markPhase func(string)) redund.Result {
-	var rres redund.Result
-	enterPhase("redund")
-	if opt.Redund && !hopeless {
-		if perr := bud.Exceeded(); perr != nil {
-			degrade("*", "redund", "skipped", perr.Error())
-		} else {
-			// Snapshot first: a budget trip inside the pass could land
-			// mid-rewrite, and a half-applied candidate must not survive.
-			snap := net.Clone()
-			gerr := budget.Guard(func() {
-				rres = redund.Remove(net, redund.Options{
-					Forms:  forms,
-					Verify: opt.Verify,
-					Budget: bud,
-				})
-			})
-			if gerr != nil {
-				*net = *snap
-				rres = redund.Result{}
-				degrade("*", "redund", "skipped", gerr.Error())
-			} else if rres.BudgetCut {
-				// The pass stopped early but kept its committed
-				// reductions: weaker optimization, not a fallback
-				// network — still worth a truthful ladder entry.
-				reason := "budget exhausted"
-				if perr := bud.Exceeded(); perr != nil {
-					reason = perr.Error()
-				}
-				degrade("*", "redund", "partial", reason)
-			}
-		}
-	}
-	markPhase("redund")
-	enterPhase("merge")
-	if opt.MergeNodes {
-		// Safe without a snapshot: mutation happens only after the BDD
-		// signature loop, the sole place a budget trip can occur.
-		if gerr := budget.Guard(func() { MergeEquivalentGates(net, bm) }); gerr != nil {
-			degrade("*", "merge", "skipped", gerr.Error())
-		}
-		net.Sweep()
-	}
-	markPhase("merge")
-	// Structural cleanup after the optimization passes: cancel inverter
-	// pairs, rebalance XOR chains (deferred until after redund, whose
-	// Section 4 analysis depends on the factor-phase tree shapes),
-	// re-hash, and compact away everything the merges left dead. Runs
-	// before verify so the equivalence check covers it.
-	enterPhase("cleanup")
-	cleanupNetwork(net)
-	markPhase("cleanup")
-	return rres
-}
-
 // cleanupNetwork runs the cheap structural post-passes: inverter-pair
 // elimination, XOR-tree rebalancing, a re-hash of anything the rewrites
 // uncovered, and compaction of dead gates. None of the passes can
@@ -1688,58 +1569,6 @@ func effectiveCap(base int, budCubes int64) int {
 	return base
 }
 
-// fallbackToSpec is the bottom rung of the degradation ladder: the budget
-// was exhausted before the FPRM flow could even start (or the specifica-
-// tion BDDs blew the budget), so return a swept structural copy of the
-// specification. Sweep and Strash preserve the function by construction;
-// when Verify is on this is double-checked by simulation, since the BDD
-// route is exactly what just exceeded its budget.
-func fallbackToSpec(spec *network.Network, opt Options, reason string, start time.Time) (*Result, error) {
-	net := spec.Clone()
-	net.Name = spec.Name + "_rm"
-	net.Strash()
-	net.Sweep()
-	net.Compact()
-	res := &Result{
-		Network:  net,
-		Stats:    net.CollectStats(),
-		Fallback: true,
-		Degradations: []Degradation{{
-			Output: "*", Stage: "spec-bdd", Fallback: "swept-spec", Reason: reason,
-		}},
-	}
-	if opt.Verify {
-		if err := simVerify(spec, net); err != nil {
-			return nil, err
-		}
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// simVerify checks equivalence by simulation: exhaustively up to 16
-// inputs, randomized beyond (the fallback path cannot afford BDDs).
-func simVerify(spec, net *network.Network) error {
-	if spec.NumPIs() <= 16 {
-		ok, err := verify.Exhaustive(spec, net)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("core: fallback network: %w", ErrNotEquivalent)
-		}
-		return nil
-	}
-	o, err := verify.RandomCheck(spec, net, 4096, 1)
-	if err != nil {
-		return err
-	}
-	if o >= 0 {
-		return fmt.Errorf("core: fallback network output %d: %w", o, ErrNotEquivalent)
-	}
-	return nil
-}
-
 // ofddNodeBudget caps functional-decision-diagram growth per output; an
 // OFDD can be exponentially larger than the BDD of the same function
 // (long OR chains are the classic case), and such outputs bypass the
@@ -1764,7 +1593,7 @@ func retryableTrip(err error, huge bool) bool {
 }
 
 // deriveForm computes the FPRM form of one output with the configured
-// polarity search. For outputs whose cube count exceeds the materialize
+// polarity search. For outputs whose cube count exceeds the cube-method
 // limit, a sampled form (for pattern generation) is returned — the
 // sampled list is only ever used for redundancy-removal patterns, never
 // factored (factoring an incomplete list would change the function);
@@ -1799,17 +1628,13 @@ func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, sea
 		return fprm.NewForm(n, nil), -1, true, false
 	}
 	count = om.CubeCount(ref)
-	cubeMethodCap := effectiveCap(opt.cubeMethodLimit(), bud.Limits().Cubes)
+	cubeMethodCap := effectiveCap(cubeMethodLimit, bud.Limits().Cubes)
 	if count > int64(cubeMethodCap) {
 		// Too large to materialize: keep all-positive polarity and sample
 		// only as many cubes as the redundancy-removal pattern budget can
 		// use anyway.
-		sample := effectiveCap(2048, bud.Limits().Cubes)
-		if opt.cubeLimit() < sample {
-			sample = opt.cubeLimit()
-		}
 		form = fprm.NewForm(n, nil)
-		form.Cubes = om.CubesSample(ref, sample)
+		form.Cubes = om.CubesSample(ref, effectiveCap(2048, bud.Limits().Cubes))
 		return form, count, false, false
 	}
 	form = fprm.NewForm(n, nil)
@@ -1820,13 +1645,13 @@ func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, sea
 		panic(err)
 	}
 	form.Cubes = cubes
-	if count <= int64(opt.searchCubeLimit()) {
+	if count <= searchCubeLimit {
 		complete := true
 		switch opt.Polarity {
 		case PolarityGreedy:
 			form, complete = fprm.SearchGreedyObs(form, bud, s)
 		case PolarityExhaustive:
-			if n <= opt.exhaustiveLimit() {
+			if n <= exhaustiveLimit {
 				form, complete = fprm.SearchExhaustiveParallelObs(form, bud, searchWorkers, s)
 			} else {
 				form, complete = fprm.SearchGreedyObs(form, bud, s)
@@ -1835,74 +1660,6 @@ func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, sea
 		searchCut = !complete
 	}
 	return form, int64(form.Cubes.Len()), false, searchCut
-}
-
-// deriveESOP minimizes the form as a mixed-polarity ESOP; when that is
-// smaller than the FPRM form, it factors the ESOP in the doubled literal
-// space and returns the PI-space expression. Returns nil when the ESOP
-// does not improve on the form.
-func deriveESOP(form *fprm.Form, fopt factor.Options, ctxs map[string]*factor.Context) *factor.Expr {
-	el := esop.FromFPRM(form)
-	el.Minimize(0)
-	if el.Len() >= form.Cubes.Len() {
-		return nil
-	}
-	n := form.NumVars
-	doubled := cube.NewList(2 * n)
-	for _, c := range el.Cubes {
-		dc := cube.One(2 * n)
-		c.Pos.ForEach(func(v int) { dc.Vars.Set(2 * v) })
-		c.Neg.ForEach(func(v int) { dc.Vars.Set(2*v + 1) })
-		doubled.Add(dc)
-	}
-	cx, ok := ctxs["esop"]
-	if !ok {
-		cx = factor.NewContext(fopt)
-		ctxs["esop"] = cx
-	}
-	e := cx.Factor(doubled)
-	return undouble(e)
-}
-
-// undouble rewrites doubled-space literals back to PI space: 2v ↦ x_v,
-// 2v+1 ↦ x̄_v.
-func undouble(e *factor.Expr) *factor.Expr {
-	memo := make(map[string]*factor.Expr)
-	var rec func(*factor.Expr) *factor.Expr
-	rec = func(e *factor.Expr) *factor.Expr {
-		if r, ok := memo[e.Key()]; ok {
-			return r
-		}
-		var r *factor.Expr
-		switch e.Op {
-		case factor.OpLit:
-			if e.Var%2 == 0 {
-				r = factor.Lit(e.Var / 2)
-			} else {
-				r = factor.Not(factor.Lit(e.Var / 2))
-			}
-		case factor.OpConst0, factor.OpConst1:
-			r = e
-		default:
-			kids := make([]*factor.Expr, len(e.Kids))
-			for i, k := range e.Kids {
-				kids[i] = rec(k)
-			}
-			switch e.Op {
-			case factor.OpNot:
-				r = factor.Not(kids[0])
-			case factor.OpAnd:
-				r = factor.AndN(kids...)
-			case factor.OpOr:
-				r = factor.OrN(kids...)
-			case factor.OpXor:
-				r = factor.XorN(kids...)
-			}
-		}
-		memo[e.Key()] = r
-		return r
-	}
-	return rec(e)
 }
 
 // coneCopier structurally copies gate cones from the specification into

@@ -320,11 +320,14 @@ func (e *engine) batchMask(b int) uint64 {
 	return 1<<uint(rem) - 1
 }
 
-// screen reports whether the candidate rewrite of gate changed (plus any
-// gates appended at index ≥ oldLen, e.g. a new inverter) leaves every
-// primary output unchanged on every pattern. Only the fanout cone of the
-// rewritten gate is resimulated; cached values are not modified.
-func (e *engine) screen(changed, oldLen int) bool {
+// screen reports whether the candidate rewrite of gate changed leaves
+// every primary output unchanged on every pattern. Gates appended since
+// the cached values were last refreshed — the candidate's new inverter,
+// or an orphan a rejected candidate left behind that hash-consing hands
+// back — have no cached value and are evaluated first. Only the fanout
+// cone of the rewritten gate is resimulated; cached values are not
+// modified.
+func (e *engine) screen(changed int) bool {
 	// Topological cone of `changed` over the pre-rewrite order (fanin
 	// rewrites never create edges among old gates, so the cached order
 	// remains valid; new gates only feed `changed` and are evaluated
@@ -350,8 +353,9 @@ func (e *engine) screen(changed, oldLen int) bool {
 	var in []uint64
 	for b := range e.piWords {
 		vals := e.vals[b]
+		fresh := len(vals) // first gate without a cached value
 		read := func(f int) uint64 {
-			if f >= oldLen || inCone[f] {
+			if f >= fresh || inCone[f] {
 				return scratch[f]
 			}
 			return vals[f]
@@ -364,7 +368,7 @@ func (e *engine) screen(changed, oldLen int) bool {
 			}
 			scratch[id] = network.EvalGateWord(g.Type, in)
 		}
-		for id := oldLen; id < len(e.net.Gates); id++ {
+		for id := fresh; id < len(e.net.Gates); id++ {
 			evalInto(id)
 		}
 		for _, id := range coneList {
@@ -424,9 +428,8 @@ func (e *engine) supports() []cube.BitSet {
 // cached values are refreshed. Returns whether the change was kept.
 func (e *engine) tryCandidate(changed int, apply, undo func()) bool {
 	e.res.Candidates++
-	oldLen := len(e.net.Gates)
 	apply()
-	if !e.screen(changed, oldLen) {
+	if !e.screen(changed) {
 		undo()
 		return false
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/factor"
 	"repro/internal/fprm"
 	"repro/internal/network"
+	"repro/internal/wordgen"
 )
 
 // TestTable1 reproduces Table 1 of the paper: the truth table of g⊕h
@@ -332,5 +333,30 @@ func TestMultiOutputForms(t *testing.T) {
 	}
 	if net.CollectStats().XORs > 1 {
 		t.Errorf("f0's XORs should reduce away; stats %+v", net.CollectStats())
+	}
+}
+
+// TestRemoveReusesOrphanedInverter is the regression test for a screen
+// crash: a rejected XOR → AND-with-complement candidate leaves its new
+// inverter behind, a later candidate's hash-consed AddGate(Not, x)
+// hands that orphan back, and the screen must evaluate it instead of
+// reading a cached value it does not have. The swept gfmul4
+// specification with empty forms (what SOP and spec-cone cones pass)
+// runs exactly that sequence.
+func TestRemoveReusesOrphanedInverter(t *testing.T) {
+	s, err := wordgen.ByName("gfmul4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := s.Net.Clone()
+	net.Sweep()
+	m, spec := specOf(net)
+	forms := make([]*fprm.Form, net.NumPOs())
+	for i := range forms {
+		forms[i] = fprm.NewForm(net.NumPIs(), nil)
+	}
+	Remove(net, Options{Forms: forms, Verify: true})
+	if !equalSpec(net, m, spec) {
+		t.Fatal("removal changed a function")
 	}
 }

@@ -25,7 +25,6 @@ type Flow struct {
 	Rules    bool   `json:"rules"`
 	Redund   bool   `json:"redund"`
 	Merge    bool   `json:"merge"`
-	ESOP     bool   `json:"esop"`
 }
 
 // Response is the rmsynd/v1 success body. Everything in it is a

@@ -518,7 +518,7 @@ func (s *Server) runFlight(circuit string, spec *network.Network, g grant, brown
 	// Trust nothing that is about to be cached: re-verify the result by
 	// simulation against the parsed spec. This is what turns a cache
 	// poisoning attempt into a truthful 500 instead of a durable lie.
-	verified, verr := verifyBySim(spec, res.Network)
+	verified, verr := verify.Simulate(spec, res.Network, simVectors)
 	if verr != nil || !verified {
 		detail := "result network is not equivalent to the specification"
 		if verr != nil {
@@ -539,20 +539,10 @@ func (s *Server) runFlight(circuit string, spec *network.Network, g grant, brown
 	}, len(res.Degradations), nil
 }
 
-// verifyBySim checks the result against the spec by simulation:
-// exhaustive up to 16 inputs, 2048 fixed-seed random vectors beyond —
-// bounded cost, independent of the BDD machinery a poisoned run might
-// have corrupted.
-func verifyBySim(spec, got *network.Network) (bool, error) {
-	if spec.NumPIs() <= 16 {
-		return verify.Exhaustive(spec, got)
-	}
-	bad, err := verify.RandomCheck(spec, got, 2048, 1)
-	if err != nil {
-		return false, err
-	}
-	return bad < 0, nil
-}
+// simVectors is the random-vector count of the server's re-verification
+// past verify.Simulate's exhaustive range: bounded cost, independent of
+// the BDD machinery a poisoned run might have corrupted.
+const simVectors = 2048
 
 // parseSpec decodes the request body as PLA or BLIF, picking the format
 // from ?format=, Content-Type, or the first directive in the body.

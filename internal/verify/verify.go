@@ -86,6 +86,23 @@ func RandomCheck(a, b *network.Network, n int, seed int64) (int, error) {
 	return -1, nil
 }
 
+// simExhaustiveInputs is the input count up to which Simulate checks
+// every input pattern (65,536 patterns, 1,024 simulation words).
+const simExhaustiveInputs = 16
+
+// Simulate checks equivalence by simulation alone, never building a BDD:
+// every input pattern up to 16 inputs, otherwise vectors fixed-seed
+// random vectors. It is the check for results whose BDD route is
+// unaffordable or untrusted; the caller picks vectors per its cost
+// budget.
+func Simulate(a, b *network.Network, vectors int) (bool, error) {
+	if a.NumPIs() <= simExhaustiveInputs {
+		return Exhaustive(a, b)
+	}
+	bad, err := RandomCheck(a, b, vectors, 1)
+	return err == nil && bad < 0, err
+}
+
 // Exhaustive checks all 2^n input patterns (n ≤ 20). It returns an error
 // rather than simulating past the input-count limit.
 func Exhaustive(a, b *network.Network) (bool, error) {

@@ -34,6 +34,9 @@ func TestEquivalentTrue(t *testing.T) {
 	if o, err := RandomCheck(a, b, 256, 1); err != nil || o != -1 {
 		t.Errorf("RandomCheck disagrees: o=%d err=%v", o, err)
 	}
+	if ok, err := Simulate(a, b, 256); err != nil || !ok {
+		t.Errorf("Simulate disagrees: ok=%v err=%v", ok, err)
+	}
 	if _, _, found, err := Counterexample(a, b); err != nil || found {
 		t.Errorf("counterexample on equivalent networks (err=%v)", err)
 	}
@@ -59,6 +62,35 @@ func TestEquivalentFalse(t *testing.T) {
 	}
 	if ok, err := Exhaustive(a, c); err != nil || ok {
 		t.Errorf("Exhaustive says equal: ok=%v err=%v", ok, err)
+	}
+	if ok, err := Simulate(a, c, 256); err != nil || ok {
+		t.Errorf("Simulate says equal: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestSimulateWide covers Simulate past its exhaustive range, where it
+// checks fixed-seed random vectors: a 20-input parity chain against
+// itself and against a copy whose last XOR is an OR.
+func TestSimulateWide(t *testing.T) {
+	chain := func(last network.GateType) *network.Network {
+		n := network.New("chain")
+		acc := n.AddPI("")
+		for i := 1; i < 20; i++ {
+			ty := network.Xor
+			if i == 19 {
+				ty = last
+			}
+			acc = n.AddGate(ty, acc, n.AddPI(""))
+		}
+		n.AddPO("o", acc)
+		return n
+	}
+	a := chain(network.Xor)
+	if ok, err := Simulate(a, chain(network.Xor), 256); err != nil || !ok {
+		t.Errorf("equal chains: ok=%v err=%v", ok, err)
+	}
+	if ok, err := Simulate(a, chain(network.Or), 256); err != nil || ok {
+		t.Errorf("different chains: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -98,6 +130,9 @@ func TestShapeMismatch(t *testing.T) {
 			}
 			if _, err := Exhaustive(a, tc.bad); err == nil {
 				t.Error("Exhaustive: expected count error")
+			}
+			if _, err := Simulate(a, tc.bad, 64); err == nil {
+				t.Error("Simulate: expected count error")
 			}
 			// Symmetric order must error too, not panic.
 			if _, err := RandomCheck(tc.bad, a, 64, 1); err == nil {
