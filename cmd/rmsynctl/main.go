@@ -1,18 +1,17 @@
-// Command rmsynctl is the resilient rmsynd client CLI: submit a spec
-// with deadline propagation, capped-and-jittered retries that honor the
-// server's Retry-After, a shed-aware circuit breaker, and optional
-// hedging against a second replica.
+// Command rmsynctl is the rmsynd client CLI: submit a spec with
+// deadline propagation and capped-and-jittered retries that honor the
+// server's Retry-After.
 //
 // Usage:
 //
-//	rmsynctl synth  [-server URL] [-hedge URL] [-timeout 30s] [-format pla|blif]
+//	rmsynctl synth  [-server URL] [-timeout 30s] [-format pla|blif]
 //	                [-retries 3] [-header K=V ...] [spec-file|-]
 //	rmsynctl health [-server URL]           # /healthz and /readyz
 //	rmsynctl metrics [-server URL]          # Prometheus exposition
 //
 // synth reads the PLA/BLIF spec from the named file or stdin and prints
 // the rmsynd/v1 response body to stdout; volatile per-request facts
-// (replica, cache source, attempts, brownout) go to stderr.
+// (cache source, attempts) go to stderr.
 //
 // Exit codes: 0 success, 1 usage error, 2 request failed.
 package main
@@ -58,7 +57,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  rmsynctl synth  [-server URL] [-hedge URL] [-timeout D] [-format pla|blif] [-retries N] [-header K=V] [file|-]
+  rmsynctl synth  [-server URL] [-timeout D] [-format pla|blif] [-retries N] [-header K=V] [file|-]
   rmsynctl health [-server URL]
   rmsynctl metrics [-server URL]`)
 }
@@ -79,8 +78,7 @@ func (h headerList) Set(v string) error {
 func runSynth(args []string) int {
 	fs := flag.NewFlagSet("synth", flag.ContinueOnError)
 	var (
-		serverURL = fs.String("server", "http://127.0.0.1:8177", "primary rmsynd replica")
-		hedgeURL  = fs.String("hedge", "", "secondary replica for hedged requests")
+		serverURL = fs.String("server", "http://127.0.0.1:8177", "rmsynd server")
 		timeout   = fs.Duration("timeout", 30*time.Second, "synthesis deadline, propagated as X-Rmsynd-Timeout")
 		format    = fs.String("format", "", "force spec format: pla or blif (default: server sniffs)")
 		retries   = fs.Int("retries", 3, "max re-submissions after shed/drain responses")
@@ -97,11 +95,7 @@ func runSynth(args []string) int {
 		return exitUsage
 	}
 
-	c, err := client.New(client.Config{
-		BaseURL:    *serverURL,
-		HedgeURL:   *hedgeURL,
-		MaxRetries: *retries,
-	})
+	c, err := client.New(client.Config{BaseURL: *serverURL, MaxRetries: *retries})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rmsynctl:", err)
 		return exitUsage
@@ -116,15 +110,14 @@ func runSynth(args []string) int {
 		fmt.Fprintln(os.Stderr, "rmsynctl:", err)
 		return exitFail
 	}
-	fmt.Fprintf(os.Stderr, "rmsynctl: replica=%s cache=%s attempts=%d hedged=%v brownout=%v\n",
-		res.Replica, res.Cache, res.Attempts, res.Hedged, res.Brownout)
+	fmt.Fprintf(os.Stderr, "rmsynctl: cache=%s attempts=%d\n", res.Cache, res.Attempts)
 	os.Stdout.Write(res.Body)
 	return 0
 }
 
 func runHealth(args []string) int {
 	fs := flag.NewFlagSet("health", flag.ContinueOnError)
-	serverURL := fs.String("server", "http://127.0.0.1:8177", "rmsynd replica")
+	serverURL := fs.String("server", "http://127.0.0.1:8177", "rmsynd server")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
@@ -149,7 +142,7 @@ func runHealth(args []string) int {
 
 func runMetrics(args []string) int {
 	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
-	serverURL := fs.String("server", "http://127.0.0.1:8177", "rmsynd replica")
+	serverURL := fs.String("server", "http://127.0.0.1:8177", "rmsynd server")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}

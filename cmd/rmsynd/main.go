@@ -19,9 +19,13 @@
 //
 // Per-request knobs travel in X-Rmsynd-* headers (see DESIGN.md §11):
 // Timeout, Max-Bdd-Nodes, Max-Ofdd-Nodes, Max-Cubes, Max-Steps,
-// Workers, Retry-Factor, Method, Polarity, No-Cache. SIGTERM/SIGINT
-// stops admission, finishes or degrades in-flight work within -grace,
-// and flushes final metrics to stderr.
+// Workers, Retry-Factor, Method, Polarity, Basis, No-Cache.
+// SIGTERM/SIGINT stops admission, finishes or degrades in-flight work
+// within -grace, and flushes final metrics to stderr.
+//
+// Memory is bounded by the policy's per-request node and cube ceilings
+// times the worker pool; set GOMEMLIMIT to give the garbage collector
+// a target below the machine's limit.
 //
 // Exit codes: 0 clean drain, 1 usage error, 2 serve failure.
 package main
@@ -36,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -64,7 +67,6 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "directory for the crash-safe persistent cache tier (empty = memory only)")
 		diskBytes    = flag.Int64("disk-cache-bytes", 0, "persistent cache byte bound (0 = 256 MiB default)")
 		adaptive     = flag.Bool("adaptive", true, "AIMD admission limiter (false = static Workers+queue token gate)")
-		memSoft      = flag.Int64("mem-soft-limit", 0, "heap bytes that engage the memory brownout (0 = disabled)")
 		grace        = flag.Duration("grace", 15*time.Second, "drain grace before in-flight work is force-degraded")
 		chaosPlan    = flag.String("chaos-plan", "", "inject the named core chaos plan into every request (soak testing only)")
 	)
@@ -88,17 +90,6 @@ func main() {
 		hooks = &server.Hooks{CoreHooks: func() *core.ProbeHooks { return plan.Hooks(nil) }}
 	}
 
-	if *memSoft < 0 {
-		fmt.Fprintln(os.Stderr, "rmsynd: -mem-soft-limit must be non-negative")
-		os.Exit(exitUsage)
-	}
-	if *memSoft > 0 {
-		// Belt and braces: the brownout sheds work above the soft cap;
-		// the runtime's own limit (25% above it) makes the GC fight for
-		// the remaining headroom instead of letting a spike OOM first.
-		debug.SetMemoryLimit(*memSoft + *memSoft/4)
-	}
-
 	srv := server.New(server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
@@ -110,7 +101,6 @@ func main() {
 		CacheDir:       *cacheDir,
 		DiskCacheBytes: *diskBytes,
 		Adaptive:       *adaptive,
-		MemSoftLimit:   uint64(*memSoft),
 		Hooks:          hooks,
 	})
 

@@ -296,34 +296,3 @@ func TestFallbackReport(t *testing.T) {
 		t.Fatalf("clean run reported degradations: %q", clean.FallbackReport())
 	}
 }
-
-// TestNoFallbackSurfacesErrors asserts NoFallback neither masks real
-// errors nor suppresses the ladder: an injected panic still surfaces
-// as a phase-tagged error, and an injected cancel still degrades (just
-// without the do-no-harm rung, whose reference network NoFallback
-// disables).
-func TestNoFallbackSurfacesErrors(t *testing.T) {
-	noFallback := func(o *core.Options) { o.NoFallback = true }
-
-	res, err := ladderRun(t, "f2", Plan{PanicAtPhase: "fprm"}, noFallback)
-	if err == nil {
-		t.Fatal("injected panic with NoFallback returned no error")
-	}
-	if res != nil {
-		t.Fatal("injected panic returned a result alongside the error")
-	}
-	if !strings.Contains(err.Error(), Marker) || !strings.Contains(err.Error(), "fprm") {
-		t.Fatalf("error does not surface the injected panic: %v", err)
-	}
-
-	res, err = ladderRun(t, "f2", Plan{CancelAtPhase: "redund"}, noFallback)
-	if err != nil {
-		t.Fatalf("canceled run with NoFallback: %v", err)
-	}
-	if !hasRung(res, "redund", "skipped") {
-		t.Fatalf("NoFallback suppressed the ladder:\n%s", res.FallbackReport())
-	}
-	if hasRung(res, "do-no-harm", "swept-spec") {
-		t.Fatal("NoFallback did not disable the do-no-harm rung")
-	}
-}

@@ -1,12 +1,12 @@
 package chaos
 
-// Resilience scenarios (DESIGN.md §14): the overload, memory-pressure,
-// and crash-recovery behaviors layered onto rmsynd. Each gets a fresh
-// server behind a real listener, like every other server-level
-// scenario, and asserts the same contract — every response truthful,
-// the process alive — plus the adaptive bits: the AIMD cap converges
-// down under storm and regrows after, brownouts clamp and attribute,
-// the persistent cache survives corruption without serving it.
+// Resilience scenarios (DESIGN.md §14): the overload and crash-recovery
+// behaviors layered onto rmsynd. Each gets a fresh server behind a real
+// listener, like every other server-level scenario, and asserts the
+// same contract — every response truthful, the process alive — plus
+// the adaptive bits: the AIMD cap converges down under storm and
+// regrows after, and the persistent cache survives corruption without
+// serving it.
 
 import (
 	"bytes"
@@ -97,125 +97,6 @@ func runOverloadStorm(spec []byte, bad func(string, string)) {
 			bad("alive", fmt.Sprintf("healthy traffic after the storm: err=%v status=%d", r.err, r.status))
 			return
 		}
-	}
-}
-
-// runMemoryBrownout: injected heap pressure engages the brownout — new
-// grants are clamped (volatile header, not body), the largest in-flight
-// budget is force-degraded with truthful "brownout:" attribution — and
-// once the pressure clears, the same submission returns byte-identical
-// clean results.
-func runMemoryBrownout(spec []byte, bad func(string, string)) {
-	var heap atomic.Uint64
-	heap.Store(500)
-	entered := make(chan struct{}, 4)
-	release := make(chan struct{})
-	var gateArmed atomic.Bool
-	var once sync.Once
-	defer once.Do(func() { close(release) })
-	srv, ts := newTestServer(server.Config{
-		Workers:         2,
-		MemSoftLimit:    1000,
-		MemPollInterval: 2 * time.Millisecond,
-		Hooks: &server.Hooks{
-			MemProbe: func() uint64 { return heap.Load() },
-			JobStart: func(string) {
-				if gateArmed.Load() {
-					entered <- struct{}{}
-					<-release
-				}
-			},
-		},
-	})
-	defer ts.Close()
-
-	// Baseline: clean run under no pressure.
-	clean := post(ts.Client(), ts.URL, spec, nil)
-	if verifiedResponse(clean, bad, "baseline") == nil {
-		return
-	}
-	if clean.err == nil && srv.BrownoutActive() {
-		bad("brownout", "monitor active below the soft cap")
-	}
-
-	// Park a synthesis in flight, then spike the heap: the monitor must
-	// engage and force-degrade the parked flight.
-	gateArmed.Store(true)
-	parked := make(chan srvResp, 1)
-	go func() {
-		parked <- post(ts.Client(), ts.URL, spec, map[string]string{"X-Rmsynd-No-Cache": "1"})
-	}()
-	select {
-	case <-entered:
-	case <-time.After(10 * time.Second):
-		bad("brownout", "parked request never reached the pool")
-		return
-	}
-	heap.Store(2000)
-	deadline := time.Now().Add(5 * time.Second)
-	for !srv.BrownoutActive() || promGauge(srv.Metrics(), "rmsynd_brownout_forced_total") == 0 {
-		if time.Now().After(deadline) {
-			bad("brownout", "monitor never engaged or never force-degraded the parked flight")
-			once.Do(func() { close(release) })
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	gateArmed.Store(false)
-	once.Do(func() { close(release) })
-
-	r := <-parked
-	resp := verifiedResponse(r, bad, "force-degraded flight")
-	if resp == nil {
-		return
-	}
-	if len(resp.Degradations) == 0 {
-		bad("truthful", "force-degraded flight reports no degradations")
-	}
-	attributed := false
-	for _, d := range resp.Degradations {
-		if strings.HasPrefix(d.Reason, "brownout: ") {
-			attributed = true
-		}
-	}
-	if !attributed {
-		bad("truthful", fmt.Sprintf("no degradation carries the brownout attribution (%d recorded)", len(resp.Degradations)))
-	}
-
-	// While engaged, new admissions are clamped and marked — the cached
-	// entry still serves, bytes untouched, the clamp visible in headers.
-	during := post(ts.Client(), ts.URL, spec, nil)
-	if verifiedResponse(during, bad, "during brownout") == nil {
-		return
-	}
-	if !bytes.Equal(during.body, clean.body) {
-		bad("cache", "brownout changed the served bytes of a cached entry")
-	}
-	if promGauge(srv.Metrics(), "rmsynd_brownout_clamped_total") == 0 {
-		bad("brownout", "no grant was clamped while the brownout was active")
-	}
-
-	// Pressure clears: the monitor exits (hysteresis: must fall below
-	// 7/8 of the cap) and a fresh synthesis is clean and byte-identical.
-	heap.Store(500)
-	deadline = time.Now().Add(5 * time.Second)
-	for srv.BrownoutActive() {
-		if time.Now().After(deadline) {
-			bad("brownout", "monitor never cleared after the pressure dropped")
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	after := post(ts.Client(), ts.URL, spec, map[string]string{"X-Rmsynd-No-Cache": "1"})
-	resp2 := verifiedResponse(after, bad, "after brownout")
-	if resp2 == nil {
-		return
-	}
-	if len(resp2.Degradations) != 0 {
-		bad("truthful", "post-brownout synthesis still degraded")
-	}
-	if !bytes.Equal(after.body, clean.body) {
-		bad("cache", "post-brownout synthesis is not byte-identical to the pre-brownout result")
 	}
 }
 

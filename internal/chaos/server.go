@@ -82,7 +82,6 @@ func ServerSweep(opt ServerSweepOptions) []Violation {
 		{"overload-shed", func(b []byte, bad func(string, string)) { runOverload(b, burst, bad) }},
 		{"drain", runDrain},
 		{"overload-storm", runOverloadStorm},
-		{"memory-brownout", runMemoryBrownout},
 		{"cache-crash-recovery", runCacheCrashRecovery},
 		{"drain-under-load", runDrainUnderLoad},
 	}

@@ -1,9 +1,8 @@
-// Package client is the resilient rmsynd client: deadline propagation,
-// capped exponential backoff with jitter that honors the server's
-// Retry-After, a shed-aware circuit breaker per replica, and optional
-// hedged requests against a second replica. It is the client half of
-// the overload contract rmsynd's admission layer defines — a server
-// that sheds truthfully deserves a client that backs off honestly.
+// Package client is the rmsynd client: deadline propagation and capped
+// exponential backoff with jitter that honors the server's Retry-After.
+// It is the client half of the overload contract rmsynd's admission
+// layer defines — a server that sheds truthfully deserves a client that
+// backs off honestly.
 package client
 
 import (
@@ -17,21 +16,13 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Config sizes one Client. Zero values mean the documented defaults.
 type Config struct {
-	// BaseURL is the primary replica, e.g. "http://127.0.0.1:8080".
+	// BaseURL is the server, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HedgeURL, when set, is a second replica: a request that has not
-	// answered within HedgeAfter is raced against it, first response
-	// wins, the loser's context is cancelled.
-	HedgeURL string
-	// HedgeAfter is how long the primary gets before the hedge launches
-	// (default 1/4 of the request deadline, floor 50ms).
-	HedgeAfter time.Duration
 
 	// MaxRetries bounds re-submissions after retryable responses — 429
 	// queue_full, 503 draining/queue_timeout, transport errors (default
@@ -43,13 +34,6 @@ type Config struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 
-	// BreakerThreshold consecutive retryable failures open a replica's
-	// circuit for BreakerCooldown (defaults 5 and 10s); while open,
-	// calls fail fast without burdening the replica. One probe is let
-	// through per cooldown (half-open).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
 	// HTTPClient overrides the transport (default http.DefaultClient
 	// semantics with no client-side timeout — deadlines travel by ctx).
 	HTTPClient *http.Client
@@ -59,7 +43,7 @@ type Config struct {
 type Options struct {
 	// Timeout is the per-request synthesis deadline: propagated to the
 	// server as X-Rmsynd-Timeout and enforced locally on the whole call
-	// (retries and hedges included) with headroom for transport.
+	// (retries included) with headroom for transport.
 	Timeout time.Duration
 	// Format forces ?format=pla|blif instead of server-side sniffing.
 	Format string
@@ -70,11 +54,8 @@ type Options struct {
 // Result is one successful synthesis response.
 type Result struct {
 	Body     []byte // rmsynd/v1 response body, exactly as served
-	Replica  string // base URL of the replica that answered
 	Cache    string // X-Rmsynd-Cache: miss|hit|coalesced|disk
-	Brownout bool   // response produced under a server memory brownout
-	Attempts int    // submissions across retries and hedge arms
-	Hedged   bool   // the hedge arm produced the winning response
+	Attempts int    // submissions across retries
 }
 
 // APIError is a structured rmsynd/v1 error response.
@@ -83,66 +64,16 @@ type APIError struct {
 	Code         string // rmsynd error code, e.g. "queue_full"
 	Message      string
 	RetryAfterMS int64
-	Replica      string
 }
 
 func (e *APIError) Error() string {
-	return fmt.Sprintf("rmsynd %s (%d) from %s: %s", e.Code, e.Status, e.Replica, e.Message)
-}
-
-// ErrCircuitOpen is returned when every eligible replica's breaker is
-// open — the fail-fast path that keeps a melted-down server from being
-// hammered by its own clients.
-var ErrCircuitOpen = errors.New("client: circuit open on all replicas")
-
-// breaker is a per-replica shed-aware circuit: consecutive retryable
-// failures open it; while open, calls fail fast; after the cooldown one
-// probe is admitted (half-open) and its outcome closes or reopens.
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
-
-	mu        sync.Mutex
-	fails     int
-	openUntil time.Time
-	probing   bool
-}
-
-func (b *breaker) allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.fails < b.threshold {
-		return true
-	}
-	if now.Before(b.openUntil) {
-		return false
-	}
-	if b.probing {
-		return false // one half-open probe at a time
-	}
-	b.probing = true
-	return true
-}
-
-func (b *breaker) record(ok bool, now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-	if ok {
-		b.fails = 0
-		return
-	}
-	b.fails++
-	if b.fails >= b.threshold {
-		b.openUntil = now.Add(b.cooldown)
-	}
+	return fmt.Sprintf("rmsynd %s (%d): %s", e.Code, e.Status, e.Message)
 }
 
 // Client is safe for concurrent use.
 type Client struct {
-	cfg      Config
-	http     *http.Client
-	breakers map[string]*breaker // keyed by replica base URL
+	cfg  Config
+	http *http.Client
 }
 
 // New builds a client; Config.BaseURL is required.
@@ -161,22 +92,10 @@ func New(cfg Config) (*Client, error) {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = 10 * time.Second
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 10 * time.Second
-	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = &http.Client{}
 	}
-	c := &Client{cfg: cfg, http: cfg.HTTPClient, breakers: map[string]*breaker{}}
-	for _, u := range []string{cfg.BaseURL, cfg.HedgeURL} {
-		if u != "" {
-			c.breakers[u] = &breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown}
-		}
-	}
-	return c, nil
+	return &Client{cfg: cfg, http: cfg.HTTPClient}, nil
 }
 
 // retryable reports whether a failure is worth re-submitting: overload
@@ -192,7 +111,7 @@ func retryable(err error) bool {
 		return false
 	}
 	// Transport-level failure (connection refused, reset, EOF): the
-	// replica may be restarting — retry. Context expiry is final.
+	// server may be restarting — retry. Context expiry is final.
 	return err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
@@ -210,9 +129,9 @@ func (c *Client) backoff(attempt int, serverMS int64) time.Duration {
 	return d
 }
 
-// Synthesize submits a PLA/BLIF spec and returns the winning response.
-// The full call — every retry and hedge arm — runs inside opt.Timeout
-// plus transport headroom (or ctx's deadline, whichever is sooner).
+// Synthesize submits a PLA/BLIF spec and returns the response. The full
+// call — every retry — runs inside opt.Timeout plus transport headroom
+// (or ctx's deadline, whichever is sooner).
 func (c *Client) Synthesize(ctx context.Context, spec []byte, opt Options) (*Result, error) {
 	if opt.Timeout > 0 {
 		// Headroom: the server needs the whole granted clock, plus the
@@ -223,14 +142,13 @@ func (c *Client) Synthesize(ctx context.Context, spec []byte, opt Options) (*Res
 	}
 
 	var lastErr error
-	attempts := 0
 	for try := 0; try <= c.cfg.MaxRetries; try++ {
 		if ctx.Err() != nil {
 			break
 		}
-		res, err := c.attempt(ctx, spec, opt, &attempts)
+		res, err := c.post(ctx, spec, opt)
 		if err == nil {
-			res.Attempts = attempts
+			res.Attempts = try + 1
 			return res, nil
 		}
 		lastErr = err
@@ -257,94 +175,10 @@ func (c *Client) Synthesize(ctx context.Context, spec []byte, opt Options) (*Res
 	return nil, lastErr
 }
 
-// attempt runs one submission round: the primary, hedged against the
-// secondary when one is configured and the primary is slow. First
-// response (success or terminal error) wins.
-func (c *Client) attempt(ctx context.Context, spec []byte, opt Options, attempts *int) (*Result, error) {
-	now := time.Now()
-	primaryOK := c.breakers[c.cfg.BaseURL].allow(now)
-	hedgeOK := c.cfg.HedgeURL != "" && c.breakers[c.cfg.HedgeURL].allow(now)
-	if !primaryOK && !hedgeOK {
-		return nil, ErrCircuitOpen
-	}
-	if !primaryOK {
-		// Primary open, hedge closed: the "hedge" replica is simply the
-		// replica now.
-		*attempts++
-		return c.post(ctx, c.cfg.HedgeURL, spec, opt, true)
-	}
-	if !hedgeOK || c.cfg.HedgeURL == "" {
-		*attempts++
-		return c.post(ctx, c.cfg.BaseURL, spec, opt, false)
-	}
-
-	// Both available: race with a head start for the primary.
-	hedgeAfter := c.cfg.HedgeAfter
-	if hedgeAfter <= 0 {
-		hedgeAfter = opt.Timeout / 4
-		if hedgeAfter < 50*time.Millisecond {
-			hedgeAfter = 50 * time.Millisecond
-		}
-	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type arm struct {
-		res *Result
-		err error
-	}
-	out := make(chan arm, 2)
-	launched := 1
-	*attempts++
-	go func() {
-		r, err := c.post(raceCtx, c.cfg.BaseURL, spec, opt, false)
-		out <- arm{r, err}
-	}()
-	hedgeTimer := time.NewTimer(hedgeAfter)
-	defer hedgeTimer.Stop()
-
-	var lastErr error
-	hedgeLaunched := false
-	launchHedge := func() {
-		hedgeLaunched = true
-		launched++
-		*attempts++
-		go func() {
-			r, err := c.post(raceCtx, c.cfg.HedgeURL, spec, opt, true)
-			out <- arm{r, err}
-		}()
-	}
-	for done := 0; done < launched; done++ {
-		select {
-		case <-hedgeTimer.C:
-			if !hedgeLaunched {
-				launchHedge()
-			}
-			done-- // the timer is not an arm
-		case a := <-out:
-			if a.err == nil {
-				return a.res, nil
-			}
-			// An arm cancelled because the other won is not a real error.
-			if raceCtx.Err() == nil || lastErr == nil {
-				lastErr = a.err
-			}
-			if !hedgeLaunched {
-				// The primary failed outright before the timer — hedge
-				// now rather than burning a whole retry round.
-				hedgeTimer.Stop()
-				launchHedge()
-			}
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
-	}
-	return nil, lastErr
-}
-
-// post performs one HTTP submission against one replica and classifies
-// the outcome for that replica's breaker.
-func (c *Client) post(ctx context.Context, base string, spec []byte, opt Options, hedged bool) (*Result, error) {
-	url := strings.TrimSuffix(base, "/") + "/v1/synthesize"
+// post performs one HTTP submission and decodes a non-200 response
+// into an APIError.
+func (c *Client) post(ctx context.Context, spec []byte, opt Options) (*Result, error) {
+	url := strings.TrimSuffix(c.cfg.BaseURL, "/") + "/v1/synthesize"
 	if opt.Format != "" {
 		url += "?format=" + opt.Format
 	}
@@ -360,27 +194,18 @@ func (c *Client) post(ctx context.Context, base string, spec []byte, opt Options
 		req.Header.Set(k, v)
 	}
 
-	br := c.breakers[base]
 	resp, err := c.http.Do(req)
 	if err != nil {
-		// Don't let an arm we cancelled (the other one won) trip the
-		// breaker against an innocent replica.
-		if ctx.Err() == nil {
-			br.record(false, time.Now())
-		}
 		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		if ctx.Err() == nil {
-			br.record(false, time.Now())
-		}
 		return nil, err
 	}
 
 	if resp.StatusCode != http.StatusOK {
-		ae := &APIError{Status: resp.StatusCode, Replica: base}
+		ae := &APIError{Status: resp.StatusCode}
 		var eb struct {
 			Error struct {
 				Code         string `json:"code"`
@@ -400,22 +225,13 @@ func (c *Client) post(ctx context.Context, base string, spec []byte, opt Options
 				}
 			}
 		}
-		br.record(!retryable(ae), time.Now()) // a 400 is the client's fault, not the replica's
 		return nil, ae
 	}
-	br.record(true, time.Now())
-	return &Result{
-		Body:     body,
-		Replica:  base,
-		Cache:    resp.Header.Get("X-Rmsynd-Cache"),
-		Brownout: resp.Header.Get("X-Rmsynd-Brownout") == "1",
-		Attempts: 1,
-		Hedged:   hedged,
-	}, nil
+	return &Result{Body: body, Cache: resp.Header.Get("X-Rmsynd-Cache")}, nil
 }
 
-// Health probes one endpoint path ("/healthz" or "/readyz") on the
-// primary replica; a non-200 returns the body as the error.
+// Health probes one endpoint path ("/healthz" or "/readyz"); a non-200
+// returns the body as the error.
 func (c *Client) Health(ctx context.Context, path string) error {
 	req, err := http.NewRequestWithContext(ctx, "GET", strings.TrimSuffix(c.cfg.BaseURL, "/")+path, nil)
 	if err != nil {
@@ -433,7 +249,7 @@ func (c *Client) Health(ctx context.Context, path string) error {
 	return nil
 }
 
-// Metrics fetches the primary replica's Prometheus exposition.
+// Metrics fetches the server's Prometheus exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, "GET", strings.TrimSuffix(c.cfg.BaseURL, "/")+"/metrics", nil)
 	if err != nil {

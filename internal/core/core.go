@@ -143,12 +143,6 @@ type Options struct {
 	// Basis selects the per-cone flow (see Basis). The zero value is
 	// BasisXor, the pure GF(2) flow; DefaultOptions selects BasisAuto.
 	Basis Basis
-	// NoFallback disables the do-no-harm fallback: by default, when the
-	// FPRM-based result is larger than the (swept, hashed, merged)
-	// specification itself — which happens for functions with
-	// unmanageable FPRM forms, the limitation Section 6 of the paper
-	// states — the optimized specification is returned instead.
-	NoFallback bool
 
 	// Resource budget (0 = unlimited). The wall-clock deadline comes from
 	// the context passed to Synthesize. When a budget is exhausted the
@@ -407,8 +401,10 @@ type Result struct {
 	OutputTimes []OutputSpan
 	// Workers is the derivation worker count the fprm phase ran with.
 	Workers int
-	// Fallback reports that the FPRM result was larger than the cleaned
-	// specification, which was returned instead (see Options.NoFallback).
+	// Fallback reports that the FPRM result was larger than the (swept,
+	// hashed, merged) specification, which was returned instead — the
+	// do-no-harm rung for functions with unmanageable FPRM forms, the
+	// limitation Section 6 of the paper states.
 	Fallback bool
 	// Degradations lists every fallback the graceful-degradation ladder
 	// took, in the order they fired. Empty for a fully unconstrained run.
@@ -563,7 +559,7 @@ type run struct {
 
 	net     *network.Network // emitter network holding the GF(2) arm cones
 	cands   []candidate
-	specOpt *network.Network // do-no-harm reference; nil under NoFallback
+	specOpt *network.Network // do-no-harm reference
 }
 
 // cone is one output's routing and arm state. The derivation workers
@@ -1308,9 +1304,6 @@ func (r *run) assemble(vec []int) *network.Network {
 // swept, hashed, merged, and cleaned exactly like a candidate, so the
 // final comparison is between equally-polished networks.
 func (r *run) prepareReference() {
-	if r.opt.NoFallback {
-		return
-	}
 	so := r.spec.Clone()
 	so.Sweep()
 	so.Strash()
@@ -1331,7 +1324,7 @@ func (r *run) prepareReference() {
 // removal: the pass cannot close that gap and the time is better saved.
 func (r *run) polish(cd *candidate) {
 	net, opt, bud := cd.net, r.opt, r.bud
-	hopeless := r.specOpt != nil && net.CollectStats().Gates2 > 8*r.specOpt.CollectStats().Gates2
+	hopeless := net.CollectStats().Gates2 > 8*r.specOpt.CollectStats().Gates2
 	r.stage("redund", func() {
 		if !opt.Redund || hopeless {
 			return
@@ -1487,9 +1480,6 @@ func (r *run) verify(net *network.Network) error {
 // forms). Lits is 2×Gates2, so a full tie still ships the synthesized
 // result.
 func (r *run) doNoHarm(win *candidate) *network.Network {
-	if r.specOpt == nil {
-		return win.net
-	}
 	st := r.specOpt.CollectStats()
 	replace := st.Lits < win.stats.Lits
 	if st.Lits == win.stats.Lits {

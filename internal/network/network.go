@@ -1043,21 +1043,35 @@ func (n *Network) Canonical() *Network {
 // ToBDDs builds the BDD of every PO over a manager with one variable per
 // PI (in PIs order). Gates outside the PO cone are ignored.
 func (n *Network) ToBDDs(m *bdd.Manager) []bdd.Ref {
+	val := n.GateBDDs(m, nil)
+	out := make([]bdd.Ref, len(n.POs))
+	for i, po := range n.POs {
+		out[i] = val[po.Gate]
+	}
+	return out
+}
+
+// GateBDDs builds the BDD of every gate in the PO cones, indexed by gate
+// ID, over a manager with one variable per PI. level[i] is the variable
+// of the i-th PI; nil means PIs order. Gates outside the PO cones are
+// left bdd.Zero.
+func (n *Network) GateBDDs(m *bdd.Manager, level []int) []bdd.Ref {
 	if m.NumVars() != len(n.PIs) {
 		// Programmer invariant: callers allocate the manager from
 		// NumPIs() of this network (or a network with the same inputs).
 		panic("network: BDD manager size mismatch")
 	}
 	val := make([]bdd.Ref, len(n.Gates))
-	piIdx := make(map[int]int, len(n.PIs))
 	for i, id := range n.PIs {
-		piIdx[id] = i
+		v := i
+		if level != nil {
+			v = level[i]
+		}
+		val[id] = m.Var(v)
 	}
 	for _, id := range n.TopoOrder() {
 		g := &n.Gates[id]
 		switch g.Type {
-		case PI:
-			val[id] = m.Var(piIdx[id])
 		case Const0:
 			val[id] = bdd.Zero
 		case Const1:
@@ -1095,11 +1109,7 @@ func (n *Network) ToBDDs(m *bdd.Manager) []bdd.Ref {
 			val[id] = v
 		}
 	}
-	out := make([]bdd.Ref, len(n.POs))
-	for i, po := range n.POs {
-		out[i] = val[po.Gate]
-	}
-	return out
+	return val
 }
 
 // BalancedTree builds a balanced tree of 2-input gates of type t over the

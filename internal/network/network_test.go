@@ -457,6 +457,37 @@ func TestToBDDsMatchesEval(t *testing.T) {
 	}
 }
 
+// TestGateBDDsMatchesSimulation checks every gate's BDD, under a
+// permuted variable order, against bit-parallel simulation.
+func TestGateBDDsMatchesSimulation(t *testing.T) {
+	n := buildFullAdder()
+	level := []int{2, 0, 1}
+	m := bdd.New(3)
+	gates := n.GateBDDs(m, level)
+	words := make([]uint64, 3)
+	for a := 0; a < 8; a++ {
+		for v := 0; v < 3; v++ {
+			if a&(1<<v) != 0 {
+				words[v] |= 1 << a
+			}
+		}
+	}
+	sim := n.Simulate(words)
+	for a := 0; a < 8; a++ {
+		assign := cube.NewBitSet(3)
+		for v := 0; v < 3; v++ {
+			if a&(1<<v) != 0 {
+				assign.Set(level[v])
+			}
+		}
+		for _, id := range n.TopoOrder() {
+			if m.Eval(gates[id], assign) != (sim[id]>>a&1 == 1) {
+				t.Fatalf("gate %d: BDD/simulation mismatch at %03b", id, a)
+			}
+		}
+	}
+}
+
 func TestBalancedTree(t *testing.T) {
 	n := New("t")
 	var ids []int

@@ -28,7 +28,7 @@ type Report struct {
 // plus one per primary output driven.
 func EstimateNetwork(net *network.Network) Report {
 	m := bdd.New(net.NumPIs())
-	funcs := gateBDDs(net, m)
+	funcs := net.GateBDDs(m, nil)
 	load := make([]int, len(net.Gates))
 	for _, id := range net.TopoOrder() {
 		for _, f := range net.Gates[id].Fanins {
@@ -86,47 +86,6 @@ func EstimateMapped(res *techmap.Result) Report {
 	}
 	rep.MaxNodeBDD = m.Size()
 	return rep
-}
-
-func gateBDDs(net *network.Network, m *bdd.Manager) []bdd.Ref {
-	val := make([]bdd.Ref, len(net.Gates))
-	piIdx := make(map[int]int)
-	for i, id := range net.PIs {
-		piIdx[id] = i
-	}
-	for _, id := range net.TopoOrder() {
-		g := &net.Gates[id]
-		switch g.Type {
-		case network.PI:
-			val[id] = m.Var(piIdx[id])
-		case network.Const0:
-			val[id] = bdd.Zero
-		case network.Const1:
-			val[id] = bdd.One
-		case network.Buf:
-			val[id] = val[g.Fanins[0]]
-		case network.Not:
-			val[id] = m.Not(val[g.Fanins[0]])
-		default:
-			v := val[g.Fanins[0]]
-			for _, f := range g.Fanins[1:] {
-				switch g.Type {
-				case network.And, network.Nand:
-					v = m.And(v, val[f])
-				case network.Or, network.Nor:
-					v = m.Or(v, val[f])
-				case network.Xor, network.Xnor:
-					v = m.Xor(v, val[f])
-				}
-			}
-			switch g.Type {
-			case network.Nand, network.Nor, network.Xnor:
-				v = m.Not(v)
-			}
-			val[id] = v
-		}
-	}
-	return val
 }
 
 func subjectBDDs(subj *techmap.Subject, m *bdd.Manager) []bdd.Ref {

@@ -27,9 +27,8 @@ type metrics struct {
 	cacheCoalesced atomic.Int64
 	cacheDiskHit   atomic.Int64 // served from the persistent tier (then promoted)
 
-	degraded     atomic.Int64 // responses with a non-empty degradation ladder
-	panics       atomic.Int64 // panics contained by the request boundary
-	brownClamped atomic.Int64 // grants tightened by an active brownout
+	degraded atomic.Int64 // responses with a non-empty degradation ladder
+	panics   atomic.Int64 // panics contained by the request boundary
 
 	diskOpenFailed atomic.Bool // persistent tier failed to open; memory-only
 
@@ -82,8 +81,8 @@ func (m *metrics) cache(src fmt.Stringer) {
 }
 
 // statsSnapshot carries the scrape-time samples that live outside the
-// metrics struct — cache tiers, admission limiter, brownout monitor —
-// gathered by Server.snapshot so write stays a pure renderer.
+// metrics struct — cache tiers and admission limiter — gathered by
+// Server.snapshot so write stays a pure renderer.
 type statsSnapshot struct {
 	cacheLen     int
 	cacheBytes   int64
@@ -95,13 +94,6 @@ type statsSnapshot struct {
 	limMax       int
 	limAdaptive  bool
 	limShrinks   int64
-
-	brownActive      bool
-	brownTransitions int64
-	brownExits       int64
-	brownForced      int64
-	brownUsage       uint64
-	brownSoft        uint64
 }
 
 // write renders the Prometheus text exposition over the scrape-time
@@ -139,19 +131,6 @@ func (m *metrics) write(w io.Writer, snap statsSnapshot) {
 	}
 	gauge("rmsynd_admission_adaptive", "1 when the AIMD limiter is enabled", adaptive)
 	counter("rmsynd_admission_shrinks_total", "multiplicative decreases of the effective cap", snap.limShrinks)
-
-	// Memory brownout monitor.
-	brown := int64(0)
-	if snap.brownActive {
-		brown = 1
-	}
-	gauge("rmsynd_brownout_active", "1 while heap usage is over the soft limit", brown)
-	counter("rmsynd_brownout_transitions_total", "times the brownout engaged", snap.brownTransitions)
-	counter("rmsynd_brownout_exits_total", "times the brownout cleared", snap.brownExits)
-	counter("rmsynd_brownout_forced_total", "in-flight budgets force-degraded by the brownout", snap.brownForced)
-	counter("rmsynd_brownout_clamped_total", "grants tightened at admission during a brownout", m.brownClamped.Load())
-	gauge("rmsynd_mem_usage_bytes", "last sampled heap usage (0 when no monitor)", int64(snap.brownUsage))
-	gauge("rmsynd_mem_soft_limit_bytes", "configured brownout soft limit (0 when disabled)", int64(snap.brownSoft))
 
 	counter("rmsynd_shed_total", "requests refused with 429 at admission", m.shed.Load())
 	counter("rmsynd_abandoned_total", "clients gone before their result was ready", m.abandon.Load())

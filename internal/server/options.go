@@ -14,7 +14,8 @@ import (
 // per-request knob arrives in an X-Rmsynd-* header from an untrusted
 // client; the grant is min(requested, policy ceiling), never the raw
 // request. Zero ceilings mean "unlimited" for budgets and "server
-// default" for the rest.
+// default" for the rest. A request's worker count is clamped to the
+// pool size.
 type Policy struct {
 	DefaultTimeout time.Duration // granted when the client asks for none
 	MaxTimeout     time.Duration // hard per-request wall-clock ceiling
@@ -25,15 +26,7 @@ type Policy struct {
 	MaxCubes     int64 // ceiling on X-Rmsynd-Max-Cubes
 	MaxSteps     int64 // ceiling on X-Rmsynd-Max-Steps
 
-	MaxWorkersPerRequest int     // clamp on X-Rmsynd-Workers
-	MaxRetryFactor       float64 // clamp on X-Rmsynd-Retry-Factor
-
-	// AllowRace permits X-Rmsynd-Basis: race, which runs both basis
-	// arms on every cone (roughly doubling a request's arm work under
-	// the same budget). When false, race requests are clamped to auto —
-	// the predictor still hedges where the structure is ambiguous, but
-	// sure cones run one arm only.
-	AllowRace bool
+	MaxRetryFactor float64 // clamp on X-Rmsynd-Retry-Factor
 }
 
 // DefaultPolicy returns conservative service defaults: 30s granted by
@@ -41,16 +34,14 @@ type Policy struct {
 // heavy circuits live, 16x retry at most.
 func DefaultPolicy() Policy {
 	return Policy{
-		DefaultTimeout:       30 * time.Second,
-		MaxTimeout:           2 * time.Minute,
-		MinTimeout:           10 * time.Millisecond,
-		MaxBDDNodes:          4_000_000,
-		MaxOFDDNodes:         4_000_000,
-		MaxCubes:             10_000_000,
-		MaxSteps:             2_000_000_000,
-		MaxWorkersPerRequest: 0, // filled from Config.Workers
-		MaxRetryFactor:       16,
-		AllowRace:            true,
+		DefaultTimeout: 30 * time.Second,
+		MaxTimeout:     2 * time.Minute,
+		MinTimeout:     10 * time.Millisecond,
+		MaxBDDNodes:    4_000_000,
+		MaxOFDDNodes:   4_000_000,
+		MaxCubes:       10_000_000,
+		MaxSteps:       2_000_000_000,
+		MaxRetryFactor: 16,
 	}
 }
 
@@ -126,17 +117,13 @@ func parseGrant(h http.Header, pol Policy, poolSize int) (grant, error) {
 	}
 
 	// Worker share of the global pool.
-	maxW := pol.MaxWorkersPerRequest
-	if maxW <= 0 || maxW > poolSize {
-		maxW = poolSize
-	}
-	g.Workers = maxW
+	g.Workers = poolSize
 	if v := h.Get("X-Rmsynd-Workers"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return g, &optErr{"X-Rmsynd-Workers", "want a non-negative integer"}
 		}
-		if n > 0 && n < maxW {
+		if n > 0 && n < poolSize {
 			g.Workers = n
 		}
 	}
@@ -185,9 +172,6 @@ func parseGrant(h http.Header, pol Policy, poolSize int) (grant, error) {
 		}
 		g.Basis = b
 	}
-	if g.Basis == core.BasisRace && !pol.AllowRace {
-		g.Basis = core.BasisAuto
-	}
 
 	switch v := h.Get("X-Rmsynd-No-Cache"); v {
 	case "", "0", "false":
@@ -233,38 +217,6 @@ func int64Budget(h http.Header, header string, ceiling int64) (int64, error) {
 		return ceiling, nil
 	}
 	return n, nil
-}
-
-// clampBrownout tightens a grant admitted during a memory brownout:
-// every node/cube/step budget is divided by brownoutBudgetDiv
-// (unlimited budgets first assume the default-policy ceilings —
-// "unlimited" is exactly what a brownout cannot afford), and a hedged
-// race basis collapses to auto so sure cones run one arm. Floors of 1
-// keep a tiny granted budget from dividing to 0, which core would read
-// as unlimited. The timeout is untouched: the point is to bound memory,
-// not to renege on the wall clock.
-func (g grant) clampBrownout() grant {
-	def := DefaultPolicy()
-	if g.BDDNodes <= 0 {
-		g.BDDNodes = def.MaxBDDNodes
-	}
-	if g.OFDDNodes <= 0 {
-		g.OFDDNodes = def.MaxOFDDNodes
-	}
-	if g.Cubes <= 0 {
-		g.Cubes = def.MaxCubes
-	}
-	if g.Steps <= 0 {
-		g.Steps = def.MaxSteps
-	}
-	g.BDDNodes = max(g.BDDNodes/brownoutBudgetDiv, 1)
-	g.OFDDNodes = max(g.OFDDNodes/brownoutBudgetDiv, 1)
-	g.Cubes = max(g.Cubes/brownoutBudgetDiv, 1)
-	g.Steps = max(g.Steps/brownoutBudgetDiv, 1)
-	if g.Basis == core.BasisRace {
-		g.Basis = core.BasisAuto
-	}
-	return g
 }
 
 // coreOptions assembles the synthesis configuration for one grant.

@@ -64,7 +64,11 @@ func (s *sem) Acquire(ctx context.Context, n int) error {
 			s.mu.Unlock()
 			s.Release(n)
 		default:
+			// Leaving may unblock the waiters behind us: a narrow
+			// follower that fits the free slots must not wait for
+			// the next Release.
 			s.waiters.Remove(elem)
+			s.wake()
 			s.mu.Unlock()
 		}
 		return ctx.Err()
@@ -86,6 +90,13 @@ func (s *sem) Release(n int) {
 		s.mu.Unlock()
 		panic(fmt.Sprintf("server: semaphore released below zero (%d)", s.cur))
 	}
+	s.wake()
+	s.mu.Unlock()
+}
+
+// wake serves waiters in FIFO order while they fit. Called with s.mu
+// held.
+func (s *sem) wake() {
 	for {
 		front := s.waiters.Front()
 		if front == nil {
@@ -99,7 +110,6 @@ func (s *sem) Release(n int) {
 		s.waiters.Remove(front)
 		close(w.ready)
 	}
-	s.mu.Unlock()
 }
 
 // InUse returns the currently held slot count.

@@ -69,18 +69,7 @@ func TestSemFIFONoOvertaking(t *testing.T) {
 	<-wideQueued
 	// Make sure the wide waiter is actually parked before the narrow one
 	// joins the queue behind it.
-	for i := 0; ; i++ {
-		s.mu.Lock()
-		n := s.waiters.Len()
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("wide waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s, 1)
 	go func() {
 		if err := s.Acquire(ctx, 1); err != nil {
 			t.Error(err)
@@ -128,18 +117,7 @@ func TestSemCancelWhileWaiting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() { errCh <- s.Acquire(ctx, 1) }()
-	for i := 0; ; i++ {
-		s.mu.Lock()
-		n := s.waiters.Len()
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s, 1)
 	cancel()
 	if err := <-errCh; err != context.Canceled {
 		t.Fatalf("cancelled Acquire = %v, want context.Canceled", err)
@@ -155,5 +133,55 @@ func TestSemCancelWhileWaiting(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("release after cancelled waiter never served the next one")
+	}
+}
+
+// TestSemCancelledHeadWakesFollower: when a blocked wide head gives up,
+// a narrow follower that fits the free slots is served at once — it
+// must not wait for an unrelated Release.
+func TestSemCancelledHeadWakesFollower(t *testing.T) {
+	s := newSem(2)
+	if err := s.Acquire(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	headErr := make(chan error, 1)
+	go func() { headErr <- s.Acquire(ctx, 2) }()
+	waitQueued(t, s, 1)
+	followerErr := make(chan error, 1)
+	go func() { followerErr <- s.Acquire(context.Background(), 1) }()
+	waitQueued(t, s, 2)
+
+	cancel()
+	if err := <-headErr; err != context.Canceled {
+		t.Fatalf("cancelled head Acquire = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-followerErr:
+		if err != nil {
+			t.Fatalf("follower Acquire: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still blocked with a slot free after the head left")
+	}
+	if got := s.InUse(); got != 2 {
+		t.Fatalf("InUse = %d, want 2", got)
+	}
+}
+
+// waitQueued waits until n acquisitions are parked in s's queue.
+func waitQueued(t *testing.T, s *sem, n int) {
+	t.Helper()
+	for i := 0; ; i++ {
+		s.mu.Lock()
+		got := s.waiters.Len()
+		s.mu.Unlock()
+		if got == n {
+			return
+		}
+		if i > 1000 {
+			t.Fatalf("%d waiters queued, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -47,9 +47,6 @@ type Hooks struct {
 	// CoreHooks supplies per-request core-level probes, letting a plan
 	// drive the library's fault points through the HTTP path.
 	CoreHooks func() *core.ProbeHooks
-	// MemProbe replaces the brownout monitor's heap-usage reading —
-	// the injected-memory-pressure fault. Nil means real ReadMemStats.
-	MemProbe func() uint64
 }
 
 // Config sizes the server. Zero values mean the documented defaults.
@@ -73,9 +70,6 @@ type Config struct {
 	// sigcache.New).
 	CacheEntries int
 	CacheBytes   int64
-	// SigNodeCap bounds the BDD build of cache signatures (default
-	// sigcache.DefaultSigNodeCap).
-	SigNodeCap int
 	// Adaptive enables the AIMD admission limiter (DESIGN.md §14): the
 	// effective in-system cap moves between 1 and Workers+QueueDepth on
 	// congestion signals. False — the zero value — preserves the static
@@ -87,11 +81,6 @@ type Config struct {
 	// (default sigcache.DefaultDiskBytes).
 	CacheDir       string
 	DiskCacheBytes int64
-	// MemSoftLimit, when non-zero, arms the memory brownout monitor at
-	// that many heap bytes; MemPollInterval is its sampling period
-	// (default 250ms).
-	MemSoftLimit    uint64
-	MemPollInterval time.Duration
 	// Hooks injects faults; nil in production.
 	Hooks *Hooks
 }
@@ -102,7 +91,6 @@ type Server struct {
 	cfg     Config
 	pool    *sem
 	lim     *limiter
-	brown   *brownout
 	cache   *sigcache.Cache
 	metrics *metrics
 	mux     *http.ServeMux
@@ -124,22 +112,6 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	jobs     sync.WaitGroup
-
-	// flightMu guards the in-flight registry the brownout monitor picks
-	// force-degrade victims from.
-	flightMu  sync.Mutex
-	flightSeq int64
-	flights   map[int64]*flightRec
-}
-
-// flightRec is one in-flight synthesis as the brownout monitor sees it:
-// weight orders victims by granted budget, cancel trips the flight's
-// run context, forced marks it picked — both so it is not cancelled
-// twice and so runFlight can attribute the degradations truthfully.
-type flightRec struct {
-	weight int64
-	cancel context.CancelFunc
-	forced bool
 }
 
 // New builds a server from cfg.
@@ -161,9 +133,6 @@ func New(cfg Config) *Server {
 	if cfg.Policy == (Policy{}) {
 		cfg.Policy = DefaultPolicy()
 	}
-	if cfg.SigNodeCap <= 0 {
-		cfg.SigNodeCap = sigcache.DefaultSigNodeCap
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -174,13 +143,7 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		baseCtx:    ctx,
 		cancelBase: cancel,
-		flights:    make(map[int64]*flightRec),
 	}
-	var probe func() uint64
-	if cfg.Hooks != nil {
-		probe = cfg.Hooks.MemProbe
-	}
-	s.brown = newBrownout(cfg.MemSoftLimit, cfg.MemPollInterval, probe, s.forceDegradeLargest)
 	if cfg.CacheDir != "" {
 		// The recovery scan runs off the startup path: the server serves
 		// (memory-only) immediately and /readyz reports warming until the
@@ -254,14 +217,11 @@ func (s *Server) ForceCancel() { s.cancelBase() }
 
 // Shutdown drains gracefully: stop admitting, wait for in-flight work,
 // and if ctx expires first, force-cancel so the remaining flights
-// degrade and finish. It returns once every request handler is done,
-// the brownout monitor is stopped, and liveness has flipped.
+// degrade and finish. It returns once every request handler is done
+// and liveness has flipped.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
-	defer func() {
-		s.brown.Stop()
-		s.stopped.Store(true)
-	}()
+	defer s.stopped.Store(true)
 	done := make(chan struct{})
 	go func() {
 		s.jobs.Wait()
@@ -365,22 +325,12 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) string {
 		return codeBadOption
 	}
 
-	// Memory brownout: while the watermark is engaged, new grants are
-	// clamped — budgets divided, hedged races collapsed to one arm — so
-	// admitted work fits the heap that is actually left. The clamp is
-	// volatile (header, not body): a clean clamped run produces the
-	// same bytes as a clean unclamped one, so it stays cacheable.
-	browned := s.brown.Active()
-	if browned {
-		g = g.clampBrownout()
-		s.metrics.brownClamped.Add(1)
-	}
-
 	// Content address: functionally identical submissions — reordered
 	// cover rows, renamed internal signals, regenerated files — land on
 	// the same entry. A cache bypass still coalesces with identical
-	// in-flight work (flightKey), it just skips the stored entry.
-	sig := sigcache.Signature(spec, s.cfg.SigNodeCap)
+	// in-flight work (flightKey), it just skips the stored entry. The
+	// signature's BDD build runs under sigcache's default node cap.
+	sig := sigcache.Signature(spec, 0)
 	storeKey := sig + "|" + g.flowKey()
 	if g.NoCache {
 		storeKey = ""
@@ -391,7 +341,7 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) string {
 	var degradations int
 	entry, src, ferr := s.cache.GetOrDo(r.Context(), storeKey, flightKey,
 		func() (e *sigcache.Entry, cacheable bool, err error) {
-			e, degradations, err = s.runFlight(circuit, spec, g, browned)
+			e, degradations, err = s.runFlight(circuit, spec, g)
 			return e, err == nil && degradations == 0, err
 		})
 
@@ -432,9 +382,6 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) string {
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	if browned {
-		h.Set("X-Rmsynd-Brownout", "1")
-	}
 	h.Set("X-Rmsynd-Cache", src.String())
 	h.Set("X-Rmsynd-Elapsed-Ms", strconv.FormatInt(time.Since(start).Milliseconds(), 10))
 	h.Set("X-Rmsynd-Granted-Timeout-Ms", strconv.FormatInt(g.Timeout.Milliseconds(), 10))
@@ -451,7 +398,7 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) string {
 // synthesis, poisoning-proof verification, serialization. Panics
 // anywhere inside — hooks, core phases outside their own recover, the
 // serializer — are contained here and become a structured 500.
-func (s *Server) runFlight(circuit string, spec *network.Network, g grant, browned bool) (entry *sigcache.Entry, degradations int, err error) {
+func (s *Server) runFlight(circuit string, spec *network.Network, g grant) (entry *sigcache.Entry, degradations int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.metrics.panics.Add(1)
@@ -463,13 +410,6 @@ func (s *Server) runFlight(circuit string, spec *network.Network, g grant, brown
 	// the granted wall clock, parented on the server, not the client.
 	ctx, cancel := context.WithTimeout(s.baseCtx, g.Timeout)
 	defer cancel()
-
-	// Register as a brownout victim candidate: if memory pressure peaks
-	// while this flight runs, the monitor may cancel it (largest granted
-	// budget first) and it degrades through the ladder like any budget
-	// trip — verified result, truthful attribution.
-	id := s.registerFlight(g, cancel)
-	defer s.unregisterFlight(id)
 
 	if aerr := s.pool.Acquire(ctx, g.Workers); aerr != nil {
 		return nil, 0, failCode(codeQueueTimeout, "no workers within the %s budget: %v", g.Timeout, aerr)
@@ -498,18 +438,6 @@ func (s *Server) runFlight(circuit string, spec *network.Network, g grant, brown
 		return nil, 0, failCode(codeSynthFailed, "%v", serr)
 	}
 	s.metrics.absorb(opt.Obs.Snapshot())
-
-	// Truthful attribution: trips under a brownout clamp or a forced
-	// cancel happened because the server shed memory, not because the
-	// client under-budgeted. Degraded results are never cached, so the
-	// prefix cannot leak into a clean entry.
-	if (browned || s.flightForced(id)) && len(res.Degradations) > 0 {
-		for i := range res.Degradations {
-			if !strings.HasPrefix(res.Degradations[i].Reason, "brownout: ") {
-				res.Degradations[i].Reason = "brownout: " + res.Degradations[i].Reason
-			}
-		}
-	}
 
 	if s.cfg.Hooks != nil && s.cfg.Hooks.MutateResult != nil {
 		s.cfg.Hooks.MutateResult(res.Network)
@@ -622,62 +550,6 @@ func isTimeout(err error) bool {
 		strings.Contains(err.Error(), "deadline")
 }
 
-// registerFlight adds one in-flight synthesis to the brownout victim
-// registry and returns its handle.
-func (s *Server) registerFlight(g grant, cancel context.CancelFunc) int64 {
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
-	s.flightSeq++
-	id := s.flightSeq
-	s.flights[id] = &flightRec{
-		weight: int64(g.BDDNodes) + int64(g.OFDDNodes) + g.Cubes,
-		cancel: cancel,
-	}
-	return id
-}
-
-func (s *Server) unregisterFlight(id int64) {
-	s.flightMu.Lock()
-	delete(s.flights, id)
-	s.flightMu.Unlock()
-}
-
-// flightForced reports whether the brownout monitor picked this flight.
-func (s *Server) flightForced(id int64) bool {
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
-	r, ok := s.flights[id]
-	return ok && r.forced
-}
-
-// forceDegradeLargest is the brownout monitor's shed action: cancel the
-// run context of the largest-budget in-flight synthesis not already
-// forced. The flight drains through the degradation ladder and returns
-// a verified, brownout-attributed degraded result — memory is
-// reclaimed without dropping a single response.
-func (s *Server) forceDegradeLargest() bool {
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
-	var (
-		bestID int64
-		best   *flightRec
-	)
-	for id, r := range s.flights {
-		if r.forced {
-			continue
-		}
-		if best == nil || r.weight > best.weight || (r.weight == best.weight && id < bestID) {
-			bestID, best = id, r
-		}
-	}
-	if best == nil {
-		return false
-	}
-	best.forced = true
-	best.cancel()
-	return true
-}
-
 // Cache exposes the result cache for introspection (tests, metrics).
 func (s *Server) Cache() *sigcache.Cache { return s.cache }
 
@@ -690,7 +562,7 @@ func (s *Server) Metrics() string {
 }
 
 // snapshot gathers the scrape-time samples that live outside the
-// metrics struct: cache tiers, admission limiter, brownout monitor.
+// metrics struct: cache tiers and admission limiter.
 func (s *Server) snapshot() statsSnapshot {
 	snap := statsSnapshot{
 		cacheLen:     s.cache.Len(),
@@ -706,7 +578,6 @@ func (s *Server) snapshot() statsSnapshot {
 		st := d.Stats()
 		snap.disk = &st
 	}
-	snap.brownActive, snap.brownTransitions, snap.brownExits, snap.brownForced, snap.brownUsage, snap.brownSoft = s.brown.stats()
 	return snap
 }
 
@@ -717,8 +588,5 @@ func (s *Server) QueueCapacity() int { return s.lim.max }
 // EffectiveLimit reports the limiter's current cap — equal to
 // QueueCapacity when static, AIMD-moved when adaptive.
 func (s *Server) EffectiveLimit() int { return s.lim.Effective() }
-
-// BrownoutActive reports whether the memory brownout is engaged.
-func (s *Server) BrownoutActive() bool { return s.brown.Active() }
 
 var _ fmt.Stringer = sigcache.Source(0) // metrics.cache relies on this

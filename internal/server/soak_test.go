@@ -76,8 +76,7 @@ func TestRestartSoak(t *testing.T) {
 	cacheDir := t.TempDir()
 	blif := cm82aBLIF(t)
 
-	inst := startRmsynd(t, bin, "-addr", "127.0.0.1:0", "-workers", "2",
-		"-cache-dir", cacheDir, "-mem-soft-limit", fmt.Sprint(1<<30))
+	inst := startRmsynd(t, bin, "-addr", "127.0.0.1:0", "-workers", "2", "-cache-dir", cacheDir)
 
 	// Populate: post until the entry lands on disk (the tier attaches
 	// asynchronously), remembering the clean bytes.

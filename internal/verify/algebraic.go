@@ -576,18 +576,19 @@ func bddWord(net *network.Network, ws *wordgen.Spec, opt WordOptions) (res *Word
 		perm := interleavePerm(net, ws)
 		m := bdd.New(net.NumPIs())
 		m.SetBudget(opt.Budget)
-		netRefs := toBDDsPerm(m, net, perm)
+		gates := net.GateBDDs(m, perm)
 		specRefs := specBDDRefs(m, net, ws, perm)
 		res = &WordResult{OK: true, Mode: "bdd", Shards: 1}
 		posWord := poWords(ws)
-		for pos := range netRefs {
-			if netRefs[pos] == specRefs[pos] {
+		for pos, po := range net.POs {
+			got := gates[po.Gate]
+			if got == specRefs[pos] {
 				continue
 			}
 			res.OK = false
 			w, b := posWord[pos][0], posWord[pos][1]
 			detail := "functions differ"
-			if assign, sat := m.AnySat(m.Xor(netRefs[pos], specRefs[pos])); sat {
+			if assign, sat := m.AnySat(m.Xor(got, specRefs[pos])); sat {
 				// AnySat speaks var levels; translate back to PI positions.
 				piAssign := cube.NewBitSet(net.NumPIs())
 				for pos := range net.PIs {
@@ -625,64 +626,6 @@ func interleavePerm(net *network.Network, ws *wordgen.Spec) []int {
 			return perm
 		}
 	}
-}
-
-// toBDDsPerm builds the network's PO BDDs with PI position i assigned
-// to variable level perm[i] (network.ToBDDs is fixed to the identity
-// order).
-func toBDDsPerm(m *bdd.Manager, net *network.Network, perm []int) []bdd.Ref {
-	val := make([]bdd.Ref, len(net.Gates))
-	piLevel := make(map[int]int, len(net.PIs))
-	for pos, id := range net.PIs {
-		piLevel[id] = perm[pos]
-	}
-	for _, id := range net.TopoOrder() {
-		g := &net.Gates[id]
-		switch g.Type {
-		case network.PI:
-			val[id] = m.Var(piLevel[id])
-		case network.Const0:
-			val[id] = bdd.Zero
-		case network.Const1:
-			val[id] = bdd.One
-		case network.Buf:
-			val[id] = val[g.Fanins[0]]
-		case network.Not:
-			val[id] = m.Not(val[g.Fanins[0]])
-		case network.And, network.Nand:
-			r := bdd.One
-			for _, f := range g.Fanins {
-				r = m.And(r, val[f])
-			}
-			if g.Type == network.Nand {
-				r = m.Not(r)
-			}
-			val[id] = r
-		case network.Or, network.Nor:
-			r := bdd.Zero
-			for _, f := range g.Fanins {
-				r = m.Or(r, val[f])
-			}
-			if g.Type == network.Nor {
-				r = m.Not(r)
-			}
-			val[id] = r
-		case network.Xor, network.Xnor:
-			r := bdd.Zero
-			for _, f := range g.Fanins {
-				r = m.Xor(r, val[f])
-			}
-			if g.Type == network.Xnor {
-				r = m.Not(r)
-			}
-			val[id] = r
-		}
-	}
-	refs := make([]bdd.Ref, len(net.POs))
-	for i, po := range net.POs {
-		refs[i] = val[po.Gate]
-	}
-	return refs
 }
 
 // specBDDRefs builds the word-level spec as BDDs, one ref per PO

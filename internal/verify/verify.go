@@ -8,7 +8,6 @@ import (
 	"math/rand"
 
 	"repro/internal/bdd"
-	"repro/internal/cube"
 	"repro/internal/network"
 )
 
@@ -41,25 +40,6 @@ func Equivalent(a, b *network.Network) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// Counterexample returns an input assignment on which the networks
-// disagree, or ok=false if they are equivalent. Interface-mismatched
-// networks are an error, not a counterexample.
-func Counterexample(a, b *network.Network) (cube.BitSet, int, bool, error) {
-	if err := precheck(a, b); err != nil {
-		return nil, 0, false, err
-	}
-	m := bdd.New(a.NumPIs())
-	fa := a.ToBDDs(m)
-	fb := b.ToBDDs(m)
-	for i := range fa {
-		diff := m.Xor(fa[i], fb[i])
-		if assign, sat := m.AnySat(diff); sat {
-			return assign, i, true, nil
-		}
-	}
-	return nil, 0, false, nil
 }
 
 // RandomCheck simulates both networks on n random vectors and reports the
