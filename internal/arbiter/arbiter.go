@@ -17,7 +17,6 @@ package arbiter
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/bdd"
 	"repro/internal/ofdd"
@@ -64,36 +63,25 @@ type Features struct {
 	SOPPaths   int64   // BDD paths to the One terminal (a disjoint SOP cube count)
 }
 
-// Config holds the decision thresholds. The defaults are conservative:
-// a sure verdict (Xor/Sop) skips the other arm entirely, so it only
-// fires on strong structural evidence; everything ambiguous hedges.
-type Config struct {
-	// XorSure: density of complement-cofactor nodes at or above which
+// Decision thresholds. They are conservative: a sure verdict (Xor/Sop)
+// skips the other arm entirely, so it only fires on strong structural
+// evidence; everything ambiguous hedges.
+const (
+	// xorSure: density of complement-cofactor nodes at or above which
 	// the cone is XOR-dominated (a pure parity cone has density 1).
-	XorSure float64
-	// SopSure: density at or below which the cone has essentially no
+	xorSure = 0.60
+	// sopSure: density at or below which the cone has essentially no
 	// XOR decision structure.
-	SopSure float64
-	// RatioXor: PPRMCubes ≤ RatioXor·SOPPaths counts as GF(2)-friendly
+	sopSure = 0.05
+	// ratioXor: PPRMCubes ≤ ratioXor·SOPPaths counts as GF(2)-friendly
 	// (the Reed-Muller form is no bigger than the disjoint SOP).
-	RatioXor float64
-	// RatioSop: PPRMCubes ≥ RatioSop·SOPPaths counts as SOP-friendly.
-	RatioSop float64
-	// OFDDNodeBound caps the bounded PPRM build; past it PPRMCubes is
+	ratioXor = 1.5
+	// ratioSop: PPRMCubes ≥ ratioSop·SOPPaths counts as SOP-friendly.
+	ratioSop = 4.0
+	// ofddNodeBound caps the bounded PPRM build; past it PPRMCubes is
 	// reported as -1 (the GF(2) canonical form is already blowing up).
-	OFDDNodeBound int
-}
-
-// DefaultConfig returns the tuned thresholds.
-func DefaultConfig() Config {
-	return Config{
-		XorSure:       0.60,
-		SopSure:       0.05,
-		RatioXor:      1.5,
-		RatioSop:      4.0,
-		OFDDNodeBound: 4096,
-	}
-}
+	ofddNodeBound = 4096
+)
 
 // Prediction is the predictor's full output for one cone: the verdict,
 // the features it was derived from, and a deterministic one-line reason
@@ -105,17 +93,14 @@ type Prediction struct {
 }
 
 // Compute measures the features of cone f. bm is only read.
-func Compute(bm *bdd.Manager, f bdd.Ref, cfg Config) Features {
-	if cfg.OFDDNodeBound <= 0 {
-		cfg.OFDDNodeBound = DefaultConfig().OFDDNodeBound
-	}
+func Compute(bm *bdd.Manager, f bdd.Ref) Features {
 	var ft Features
 	ft.Support = bm.Support(f).Count()
 	ft.Nodes = coneNodes(bm, f)
 	ft.XorDensity = xorDensity(bm, f, ft.Nodes)
 	ft.SOPPaths = onePaths(bm, f)
 	om := ofdd.New(bm.NumVars(), nil) // nil polarity = all-positive = PPRM
-	if r, ok := om.FromBDDBounded(bm, f, cfg.OFDDNodeBound); ok {
+	if r, ok := om.FromBDDBounded(bm, f, ofddNodeBound); ok {
 		ft.PPRMCubes = ofddPaths(om, r)
 	} else {
 		ft.PPRMCubes = -1
@@ -124,13 +109,13 @@ func Compute(bm *bdd.Manager, f bdd.Ref, cfg Config) Features {
 }
 
 // Predict measures cone f and applies the thresholds.
-func Predict(bm *bdd.Manager, f bdd.Ref, cfg Config) Prediction {
-	ft := Compute(bm, f, cfg)
-	d, why := cfg.decide(ft)
+func Predict(bm *bdd.Manager, f bdd.Ref) Prediction {
+	ft := Compute(bm, f)
+	d, why := decide(ft)
 	return Prediction{Decision: d, Features: ft, Why: why}
 }
 
-func (cfg Config) decide(ft Features) (Decision, string) {
+func decide(ft Features) (Decision, string) {
 	if ft.Nodes == 0 {
 		return Xor, "constant cone"
 	}
@@ -138,16 +123,16 @@ func (cfg Config) decide(ft Features) (Decision, string) {
 		return Xor, fmt.Sprintf("trivial cone (support %d)", ft.Support)
 	}
 	if ft.PPRMCubes < 0 {
-		if ft.XorDensity <= cfg.SopSure {
+		if ft.XorDensity <= sopSure {
 			return Sop, fmt.Sprintf("pprm overflow, xor density %.2f", ft.XorDensity)
 		}
 		return Hedge, fmt.Sprintf("pprm overflow, xor density %.2f", ft.XorDensity)
 	}
 	pprm, paths := float64(ft.PPRMCubes), float64(ft.SOPPaths)
-	if ft.XorDensity >= cfg.XorSure && pprm <= cfg.RatioXor*paths {
+	if ft.XorDensity >= xorSure && pprm <= ratioXor*paths {
 		return Xor, fmt.Sprintf("xor density %.2f, pprm/sop %d/%d", ft.XorDensity, ft.PPRMCubes, ft.SOPPaths)
 	}
-	if ft.XorDensity <= cfg.SopSure && pprm >= cfg.RatioSop*paths {
+	if ft.XorDensity <= sopSure && pprm >= ratioSop*paths {
 		return Sop, fmt.Sprintf("xor density %.2f, pprm/sop %d/%d", ft.XorDensity, ft.PPRMCubes, ft.SOPPaths)
 	}
 	return Hedge, fmt.Sprintf("xor density %.2f, pprm/sop %d/%d", ft.XorDensity, ft.PPRMCubes, ft.SOPPaths)
@@ -294,16 +279,4 @@ func (c *compMemo) complements(f, g bdd.Ref) bool {
 		c.complements(c.bm.Hi(f), c.bm.Hi(g))
 	c.memo[key] = v
 	return v
-}
-
-// Ratio returns PPRMCubes/SOPPaths as a float for diagnostics; +Inf when
-// the bounded PPRM build overflowed.
-func (ft Features) Ratio() float64 {
-	if ft.PPRMCubes < 0 {
-		return math.Inf(1)
-	}
-	if ft.SOPPaths == 0 {
-		return 0
-	}
-	return float64(ft.PPRMCubes) / float64(ft.SOPPaths)
 }

@@ -19,7 +19,7 @@ func parity(m *bdd.Manager, n int) bdd.Ref {
 // has complement cofactors and the PPRM is linear in n.
 func TestPredictParityIsXor(t *testing.T) {
 	m := bdd.New(8)
-	p := Predict(m, parity(m, 8), DefaultConfig())
+	p := Predict(m, parity(m, 8))
 	if p.Decision != Xor {
 		t.Fatalf("parity predicted %v (%s), want xor", p.Decision, p.Why)
 	}
@@ -39,7 +39,7 @@ func TestPredictWideOrIsSop(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f = m.Or(f, m.Var(i))
 	}
-	p := Predict(m, f, DefaultConfig())
+	p := Predict(m, f)
 	if p.Decision != Sop {
 		t.Fatalf("wide OR predicted %v (%s), want sop", p.Decision, p.Why)
 	}
@@ -55,7 +55,7 @@ func TestPredictWideOrIsSop(t *testing.T) {
 func TestPredictConstant(t *testing.T) {
 	m := bdd.New(4)
 	for _, f := range []bdd.Ref{bdd.Zero, bdd.One} {
-		p := Predict(m, f, DefaultConfig())
+		p := Predict(m, f)
 		if p.Decision != Xor {
 			t.Fatalf("constant predicted %v, want xor (trivial)", p.Decision)
 		}
@@ -70,8 +70,8 @@ func TestPredictDeterministicAndReadOnly(t *testing.T) {
 	maj := m.Or(m.Or(m.And(m.Var(0), m.Var(1)), m.And(m.Var(0), m.Var(2))), m.And(m.Var(1), m.Var(2)))
 	f := m.Xor(maj, m.Xor(m.Var(3), m.Var(4)))
 	before := m.Size()
-	p1 := Predict(m, f, DefaultConfig())
-	p2 := Predict(m, f, DefaultConfig())
+	p1 := Predict(m, f)
+	p2 := Predict(m, f)
 	if p1 != p2 {
 		t.Fatalf("two predictions differ: %+v vs %+v", p1, p2)
 	}

@@ -46,8 +46,8 @@ func FuzzPredict(f *testing.F) {
 		outs := spec.ToBDDs(m)
 		for oi, out := range outs {
 			before := m.Size()
-			p1 := Predict(m, out, DefaultConfig())
-			p2 := Predict(m, out, DefaultConfig())
+			p1 := Predict(m, out)
+			p2 := Predict(m, out)
 			if p1 != p2 {
 				t.Fatalf("output %d: predictions differ: %+v vs %+v", oi, p1, p2)
 			}

@@ -101,9 +101,6 @@ func (m *Manager) Size() int { return len(m.nodes) }
 // Var returns the BDD for the single variable v.
 func (m *Manager) Var(v int) Ref { return m.vars[v] }
 
-// NVar returns the BDD for the complement of variable v.
-func (m *Manager) NVar(v int) Ref { return m.Not(m.vars[v]) }
-
 // IsConst reports whether f is a terminal node.
 func (m *Manager) IsConst(f Ref) bool { return f == Zero || f == One }
 

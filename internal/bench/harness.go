@@ -305,13 +305,3 @@ func WriteCSVRow(w io.Writer, r Row) error {
 		r.ImproveLits, r.ImprovePower, r.Workers, r.OursPhases, r.Basis, r.Verified, r.Note)
 	return err
 }
-
-// WriteCSV renders a complete row set as CSV for downstream analysis.
-func WriteCSV(w io.Writer, rows []Row, arith, all Row) {
-	WriteCSVHeader(w)
-	for _, r := range rows {
-		WriteCSVRow(w, r)
-	}
-	WriteCSVRow(w, arith)
-	WriteCSVRow(w, all)
-}

@@ -197,7 +197,6 @@ func TestScaleGateTripsOnWorsenedFlow(t *testing.T) {
 	}
 	worsened := DefaultScaleOptions()
 	worsened.Core.Rules = false
-	worsened.Core.MergeNodes = false
 	regs := CheckScale(run(worsened), base)
 	if len(regs) == 0 {
 		t.Fatal("gate passed a flow with the reduction rules disabled")

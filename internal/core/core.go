@@ -124,8 +124,10 @@ func ParseBasis(s string) (Basis, error) {
 	return 0, fmt.Errorf("%w: unknown basis %q (want auto, xor, sop, or race)", ErrBadOptions, s)
 }
 
-// Options configure the synthesis flow. The zero value is the paper's
-// default configuration except Verify, which callers usually enable.
+// Options configure the synthesis flow. The zero value is the pure
+// GF(2) flow at positive polarity, without the reduction rules,
+// redundancy removal or verification; DefaultOptions is the paper's
+// flow.
 type Options struct {
 	Method   Method   // 0 = MethodCube (Method 1 with the divisor registry)
 	Polarity Polarity // polarity search strategy
@@ -137,9 +139,6 @@ type Options struct {
 	// Verify confirms every redundancy-removal rewrite with an exact BDD
 	// check (see package redund).
 	Verify bool
-	// MergeNodes merges functionally identical internal gates across the
-	// network after synthesis (the paper's resub step).
-	MergeNodes bool
 	// Basis selects the per-cone flow (see Basis). The zero value is
 	// BasisXor, the pure GF(2) flow; DefaultOptions selects BasisAuto.
 	Basis Basis
@@ -252,8 +251,8 @@ type ProbeHooks struct {
 // DefaultOptions returns the paper's flow: cube-method factorization with
 // rules (our Method 1 with the cross-output divisor registry outperforms
 // Method 2 — the opposite of the paper's mild preference; both are
-// available), greedy polarity search, redundancy removal with exact
-// verification, and cross-output node merging.
+// available), greedy polarity search, and redundancy removal with exact
+// verification. Cross-output node merging runs under every option set.
 func DefaultOptions() Options {
 	return Options{
 		Method:      MethodCube,
@@ -261,7 +260,6 @@ func DefaultOptions() Options {
 		Rules:       true,
 		Redund:      true,
 		Verify:      true,
-		MergeNodes:  true,
 		RetryFactor: 2,
 		Basis:       BasisAuto,
 	}
@@ -349,14 +347,14 @@ func (o Options) workers() int {
 // instead, and why.
 type Degradation struct {
 	Output   string // PO name, or "*" for the whole network
-	Stage    string // pipeline stage: "spec-bdd", "predict", "fprm", "polarity-search", "factor", "retry", "xor-arm", "sop-arm", "redund", "merge", "do-no-harm"
-	Fallback string // what ran instead: "swept-spec", "spec-cone", "best-so-far", "skipped", "partial", "retry", "xor-arm", "sop-arm"
+	Stage    string // pipeline stage: "spec-bdd", "predict", "fprm", "polarity-search", "cube-method", "factor", "retry", "xor-arm", "sop-arm", "redund", "merge", "do-no-harm"
+	Fallback string // what ran instead: "swept-spec", "spec-cone", "best-so-far", "ofdd-method", "skipped", "partial", "retry", "xor-arm", "sop-arm"
 	Reason   string // the budget error or condition that triggered it
 }
 
 // PhaseTime records the wall-clock time of one pipeline phase.
 type PhaseTime struct {
-	Name    string // "spec-bdd", "fprm", "factor", "emit", "redund", "merge", "cleanup", "verify"
+	Name    string // "spec-bdd", "predict", "fprm", "factor", "emit", "select", "redund", "merge", "cleanup", "verify"
 	Elapsed time.Duration
 }
 
@@ -554,8 +552,7 @@ type run struct {
 	outs  []bdd.Ref    // specification BDD per output
 	cones []cone
 
-	searchWorkers int   // exhaustive-search shards per derivation
-	order         []int // outputs by ascending FPRM cube count
+	order []int // outputs by ascending FPRM cube count
 
 	net     *network.Network // emitter network holding the GF(2) arm cones
 	cands   []candidate
@@ -718,7 +715,6 @@ func (r *run) route() {
 // predict routes every cone by the arbiter's structural predictor. A
 // cone whose prediction cannot run within budget takes the paper's flow.
 func (r *run) predict() {
-	cfg := arbiter.DefaultConfig()
 	for oi := range r.cones {
 		c := &r.cones[oi]
 		if perr := r.bud.Exceeded(); perr != nil {
@@ -729,7 +725,7 @@ func (r *run) predict() {
 		}
 		var p arbiter.Prediction
 		if gerr := guard(&r.res.Degradations, c.name, "predict", "xor-arm", func() {
-			p = arbiter.Predict(r.bm, r.outs[oi], cfg)
+			p = arbiter.Predict(r.bm, r.outs[oi])
 		}); gerr != nil {
 			c.xor, c.sop = true, false
 			c.predicted, c.why = "xor", "predict failed: "+gerr.Error()
@@ -787,12 +783,6 @@ func (r *run) deriveArms() {
 	}
 	workers := max(min(r.opt.workers(), len(jobs)), 1)
 	res.Workers = workers
-	// Exhaustive polarity search shards its Gray-code walk across the
-	// workers the output fan-out leaves idle (one output → all of them).
-	r.searchWorkers = 1
-	if nOut > 0 {
-		r.searchWorkers = max(r.opt.workers()/nOut, 1)
-	}
 	runJob := func(w int, j armJob) {
 		if j.sop {
 			r.deriveSop(w, j.oi)
@@ -911,7 +901,7 @@ func (r *run) deriveXor(w, oi int) {
 	var isHuge, searchCut bool
 	derive := func(bud *budget.Budget, relax float64) error {
 		return budget.Guard(func() {
-			form, count, isHuge, searchCut = deriveForm(r.bm, r.outs[oi], r.opt, bud, r.searchWorkers, relax, ofddHook(), r.opt.Obs.Output(oi))
+			form, count, isHuge, searchCut = deriveForm(r.bm, r.outs[oi], r.opt, bud, relax, ofddHook(), r.opt.Obs.Output(oi))
 		})
 	}
 	reason := func(err error) string {
@@ -1072,7 +1062,7 @@ func (r *run) factor() {
 		// go unshared, a quality loss only).
 		degrade(&res.Degradations, c.name, "factor", "retry", gerr.Error())
 		rbud := bud.Relaxed(opt.RetryFactor)
-		rfopt := factor.Options{ApplyRules: opt.Rules, Budget: rbud}
+		rfopt := factor.Options{ApplyRules: opt.Rules, Budget: rbud, Obs: opt.Obs.Factor()}
 		if guard(&res.Degradations, c.name, "retry", "spec-cone", func() {
 			factorOne(rfopt, rbud, map[string]*factor.Context{}, map[string]*factor.OFDDContext{})
 		}) != nil {
@@ -1307,11 +1297,9 @@ func (r *run) prepareReference() {
 	so := r.spec.Clone()
 	so.Sweep()
 	so.Strash()
-	if r.opt.MergeNodes {
-		// MergeEquivalentGates only mutates after its signature loop
-		// completes, so a budget trip mid-loop leaves the copy intact.
-		guard(&r.res.Degradations, "*", "merge", "skipped", func() { MergeEquivalentGates(so, r.bm) })
-	}
+	// MergeEquivalentGates only mutates after its signature loop
+	// completes, so a budget trip mid-loop leaves the copy intact.
+	guard(&r.res.Degradations, "*", "merge", "skipped", func() { MergeEquivalentGates(so, r.bm) })
 	so.Sweep()
 	cleanupNetwork(so)
 	r.specOpt = so
@@ -1353,12 +1341,10 @@ func (r *run) polish(cd *candidate) {
 		}
 	})
 	r.stage("merge", func() {
-		if opt.MergeNodes {
-			// Safe without a snapshot: mutation happens only after the BDD
-			// signature loop, the sole place a budget trip can occur.
-			guard(&cd.degs, "*", "merge", "skipped", func() { MergeEquivalentGates(net, r.bm) })
-			net.Sweep()
-		}
+		// Safe without a snapshot: mutation happens only after the BDD
+		// signature loop, the sole place a budget trip can occur.
+		guard(&cd.degs, "*", "merge", "skipped", func() { MergeEquivalentGates(net, r.bm) })
+		net.Sweep()
 	})
 	// Structural cleanup after the optimization passes: cancel inverter
 	// pairs, rebalance XOR chains (deferred until after redund, whose
@@ -1589,18 +1575,16 @@ func retryableTrip(err error, huge bool) bool {
 // factored (factoring an incomplete list would change the function);
 // outputs whose OFDD explodes come back with huge=true and an empty
 // form. searchCut reports a polarity search stopped early by the budget
-// (the returned best-so-far form is still exact). searchWorkers shards
-// an exhaustive polarity search's Gray-code walk (1 = sequential; the
-// result is identical either way). relax scales the built-in OFDD node
-// cap (>1 on the retry rung's second attempt; the budget caps are
-// already scaled by Budget.Relaxed). allocHook, when non-nil, is the
-// chaos allocation probe for this attempt's OFDD manager. s, when
-// non-nil, counts the polarity search's candidates and improvements
-// (and the OFDD manager feeds the collector's shared OFDD group). The
-// caller wraps this in budget.Guard; a budget trip inside unwinds as
-// panic(*budget.Err).
-func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, searchWorkers int,
-	relax float64, allocHook func(nodes int) *budget.Err, s *obs.Search) (form *fprm.Form, count int64, huge, searchCut bool) {
+// (the returned best-so-far form is still exact). relax scales the
+// built-in OFDD node cap (>1 on the retry rung's second attempt; the
+// budget caps are already scaled by Budget.Relaxed). allocHook, when
+// non-nil, is the chaos allocation probe for this attempt's OFDD
+// manager. s, when non-nil, counts the polarity search's candidates and
+// improvements (and the OFDD manager feeds the collector's shared OFDD
+// group). The caller wraps this in budget.Guard; a budget trip inside
+// unwinds as panic(*budget.Err).
+func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, relax float64,
+	allocHook func(nodes int) *budget.Err, s *obs.Search) (form *fprm.Form, count int64, huge, searchCut bool) {
 	n := bm.NumVars()
 	om := ofdd.New(n, nil)
 	om.SetBudget(bud)
@@ -1639,12 +1623,12 @@ func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, sea
 		complete := true
 		switch opt.Polarity {
 		case PolarityGreedy:
-			form, complete = fprm.SearchGreedyObs(form, bud, s)
+			form, complete = fprm.SearchGreedy(form, bud, s)
 		case PolarityExhaustive:
 			if n <= exhaustiveLimit {
-				form, complete = fprm.SearchExhaustiveParallelObs(form, bud, searchWorkers, s)
+				form, complete = fprm.SearchExhaustive(form, bud, s)
 			} else {
-				form, complete = fprm.SearchGreedyObs(form, bud, s)
+				form, complete = fprm.SearchGreedy(form, bud, s)
 			}
 		}
 		searchCut = !complete

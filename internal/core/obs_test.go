@@ -10,9 +10,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -113,8 +115,43 @@ func TestRunStatsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Exhaustive search shards its Gray-code walk across workers; candidate
-// totals must still be shard-count independent.
+// The factor retry rung counts its rule passes. 9sym's one output is
+// factored by the OFDD method; the first factor context fails its
+// allocation at 24 nodes, before any rule runs, and the retry's fresh
+// context factors the output with rules on.
+func TestObsCountsFactorRetry(t *testing.T) {
+	opt := core.DefaultOptions()
+	opt.Method = core.MethodOFDD
+	opt.Basis = core.BasisXor
+	opt.Obs = obs.NewCollector()
+	contexts := 0 // the factor phase is sequential
+	opt.Hooks = &core.ProbeHooks{FactorOFDDAlloc: func() func(nodes int) *budget.Err {
+		if contexts++; contexts > 1 {
+			return nil
+		}
+		return func(nodes int) *budget.Err {
+			if nodes >= 24 {
+				return &budget.Err{Phase: "test", Limit: "nodes", Max: 24, Used: int64(nodes)}
+			}
+			return nil
+		}
+	}}
+	res := runAt(t, "9sym", opt, 1)
+	retried := false
+	for _, d := range res.Degradations {
+		retried = retried || (d.Stage == "factor" && d.Fallback == "retry")
+	}
+	if !retried {
+		t.Fatalf("no factor retry recorded: %+v", res.Degradations)
+	}
+	if f := res.ObsStats.Factor; f.Passes == 0 {
+		t.Errorf("retried factorization counted no rule passes: %+v", f)
+	}
+}
+
+// Every polarity-search counter of the exhaustive Gray-code walk —
+// candidates, improvements, best cubes and literals — is identical at
+// any worker count.
 func TestRunStatsDeterministicExhaustive(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.Polarity = core.PolarityExhaustive
@@ -124,11 +161,8 @@ func TestRunStatsDeterministicExhaustive(t *testing.T) {
 		return runAt(t, "9sym", o, workers).ObsStats
 	}
 	ref, got := obsAt(1), obsAt(4)
-	for i := range ref.Outputs {
-		if ref.Outputs[i].Candidates != got.Outputs[i].Candidates {
-			t.Errorf("output %d candidates: %d at -j1, %d at -j4",
-				i, ref.Outputs[i].Candidates, got.Outputs[i].Candidates)
-		}
+	if !slices.Equal(ref.Outputs, got.Outputs) {
+		t.Errorf("search stats differ:\n-j1: %+v\n-j4: %+v", ref.Outputs, got.Outputs)
 	}
 }
 

@@ -91,9 +91,9 @@ func TestSynthesizeParallelDeterminism(t *testing.T) {
 	}
 }
 
-// Same property with the exhaustive polarity search, whose Gray-code
-// walk shards across idle workers: a single-output circuit gives the
-// sharded search all the workers, a multi-output one splits them.
+// Same property with the exhaustive polarity search: on a
+// single-output circuit only one derivation runs, whatever the worker
+// count, and on a multi-output one the outputs spread over the pool.
 func TestSynthesizeParallelDeterminismExhaustive(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.Polarity = core.PolarityExhaustive

@@ -36,12 +36,17 @@ func NewContext(opt Options) *Context {
 	return &Context{opt: opt, memo: make(map[string]*Expr)}
 }
 
-// Factor factors one output's FPRM cube list, reusing subfunctions already
-// factored for previous outputs through this context.
+// Factor implements Method 1 of Section 3 for one output: factor the
+// FPRM cube list directly. Steps: (2) split cubes into groups with
+// disjoint support, (3/4) factor each group recursively by dividing out
+// maximal common cubes (rule d), (5) join group subnetworks with a
+// balanced binary XOR tree. Reduction rules are applied when enabled.
+// Subfunctions already factored for previous outputs through this
+// context are reused.
 func (cx *Context) Factor(l *cube.List) *Expr {
 	e := cx.factorSub(l)
 	if cx.opt.ApplyRules {
-		e = ApplyRulesObs(e, cx.opt.maxPasses(), cx.opt.Obs)
+		e = ApplyRules(e, maxRulePasses, cx.opt.Obs)
 	}
 	return e
 }
@@ -77,7 +82,7 @@ func (cx *Context) factorGroup(l *cube.List) *Expr {
 	cx.opt.Budget.Step("factor")
 	e := cx.factorGroupUncached(l)
 	if cx.opt.ApplyRules {
-		e = ApplyRulesObs(e, cx.opt.maxPasses(), cx.opt.Obs)
+		e = ApplyRules(e, maxRulePasses, cx.opt.Obs)
 	}
 	cx.memo[key] = e
 	if len(cx.registry) < registryCap && l.Len() >= 2 && l.Len() <= maxDivisorCubes {

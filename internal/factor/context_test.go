@@ -52,7 +52,7 @@ func TestPairXorDivisor(t *testing.T) {
 	l.Add(cube.New(3, 0, 1))
 	l.Add(cube.New(3, 0, 2))
 	l.Add(cube.New(3, 1, 2))
-	e := CubeMethod(l, Options{ApplyRules: false})
+	e := NewContext(Options{ApplyRules: false}).Factor(l)
 	// ab ⊕ c(a⊕b): 5 literals, with a pair-XOR divisor as an AND factor.
 	if e.Literals() > 5 {
 		t.Errorf("carry factoring uses %d literals (%s), want ≤ 5 via a pair-XOR divisor", e.Literals(), e)

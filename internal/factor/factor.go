@@ -13,8 +13,6 @@ type Options struct {
 	// rule (e) as expression rewrites after algebraic factorization.
 	// The paper applies them iteratively until fixpoint.
 	ApplyRules bool
-	// MaxRulePasses bounds the fixpoint iteration (0 = default 8).
-	MaxRulePasses int
 	// Budget, when non-nil, meters the factoring recursion: each group
 	// factorization and OFDD node visit counts a step, and exhaustion
 	// unwinds with panic(*budget.Err) to be recovered by budget.Guard in
@@ -29,24 +27,8 @@ type Options struct {
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options { return Options{ApplyRules: true} }
 
-// CubeMethod implements Method 1 of Section 3: factor the FPRM cube list
-// directly. Steps: (2) split cubes into groups with disjoint support,
-// (3/4) factor each group recursively by dividing out maximal common
-// cubes (rule d), (5) join group subnetworks with a balanced binary XOR
-// tree. Reduction rules are applied afterwards when enabled.
-//
-// For multi-output functions, create one Context and call its Factor
-// method per output to share subfunctions across outputs.
-func CubeMethod(l *cube.List, opt Options) *Expr {
-	return NewContext(opt).Factor(l)
-}
-
-func (o Options) maxPasses() int {
-	if o.MaxRulePasses > 0 {
-		return o.MaxRulePasses
-	}
-	return 8
-}
+// maxRulePasses bounds the rules' fixpoint iteration.
+const maxRulePasses = 8
 
 // balancedXor joins expressions with a balanced binary XOR tree (the
 // shape the paper prescribes for Step 5).
@@ -134,12 +116,7 @@ func (cx *OFDDContext) Factor(f ofdd.Ref) *Expr {
 	}
 	e := rec(f)
 	if cx.opt.ApplyRules {
-		e = ApplyRulesObs(e, cx.opt.maxPasses(), cx.opt.Obs)
+		e = ApplyRules(e, maxRulePasses, cx.opt.Obs)
 	}
 	return e
-}
-
-// OFDDMethod is the single-function convenience form of OFDDContext.
-func OFDDMethod(m *ofdd.Manager, f ofdd.Ref, opt Options) *Expr {
-	return NewOFDDContext(m, opt).Factor(f)
 }

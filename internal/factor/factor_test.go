@@ -59,7 +59,7 @@ func evalExpr(e *Expr, n, a int) bool {
 func TestRuleA(t *testing.T) {
 	// A ⊕ AB = A·B̄ with A=x0, B=x1.
 	e := XorN(Lit(0), AndN(Lit(0), Lit(1)))
-	r := ApplyRules(e, 8)
+	r := ApplyRules(e, 8, nil)
 	want := AndN(Lit(0), Not(Lit(1)))
 	if r.Key() != want.Key() {
 		t.Errorf("rule (a): got %s, want %s", r, want)
@@ -69,7 +69,7 @@ func TestRuleA(t *testing.T) {
 func TestRuleB(t *testing.T) {
 	// AB ⊕ AC ⊕ ABC = A(B+C) with A=x0, B=x1, C=x2.
 	e := XorN(AndN(Lit(0), Lit(1)), AndN(Lit(0), Lit(2)), AndN(Lit(0), Lit(1), Lit(2)))
-	r := ApplyRules(e, 8)
+	r := ApplyRules(e, 8, nil)
 	want := AndN(Lit(0), OrN(Lit(1), Lit(2)))
 	if r.Key() != want.Key() {
 		t.Errorf("rule (b)+(e): got %s, want %s", r, want)
@@ -79,7 +79,7 @@ func TestRuleB(t *testing.T) {
 func TestRuleC(t *testing.T) {
 	// AB ⊕ B̄ = A + B̄ with A=x0, B=x1.
 	e := XorN(AndN(Lit(0), Lit(1)), Not(Lit(1)))
-	r := ApplyRules(e, 8)
+	r := ApplyRules(e, 8, nil)
 	want := OrN(Lit(0), Not(Lit(1)))
 	if r.Key() != want.Key() {
 		t.Errorf("rule (c): got %s, want %s", r, want)
@@ -89,7 +89,7 @@ func TestRuleC(t *testing.T) {
 func TestPaperReductionSequence(t *testing.T) {
 	// Section 4: (B ⊕ C) ⊕ BC = B + C.
 	e := XorN(XorN(Lit(0), Lit(1)), AndN(Lit(0), Lit(1)))
-	r := ApplyRules(e, 8)
+	r := ApplyRules(e, 8, nil)
 	want := OrN(Lit(0), Lit(1))
 	if r.Key() != want.Key() {
 		t.Errorf("(B⊕C)⊕BC: got %s, want %s", r, want)
@@ -111,7 +111,7 @@ func TestQuickRulesPreserveFunction(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(3)
 		e := randomExpr(rng, n, 3)
-		r := ApplyRules(e, 8)
+		r := ApplyRules(e, 8, nil)
 		for a := 0; a < 1<<n; a++ {
 			if evalExpr(e, n, a) != evalExpr(r, n, a) {
 				return false
@@ -160,14 +160,15 @@ func randomESOP(rng *rand.Rand, n, maxCubes int) *cube.List {
 	return l
 }
 
-// Property: CubeMethod produces an expression equal to the ESOP.
+// Property: Method 1 (Context.Factor) produces an expression equal to
+// the ESOP.
 func TestQuickCubeMethodCorrect(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(4)
 		l := randomESOP(rng, n, 10)
 		for _, rules := range []bool{false, true} {
-			e := CubeMethod(l, Options{ApplyRules: rules})
+			e := NewContext(Options{ApplyRules: rules}).Factor(l)
 			for a := 0; a < 1<<n; a++ {
 				assign := cube.NewBitSet(n)
 				for v := 0; v < n; v++ {
@@ -187,7 +188,8 @@ func TestQuickCubeMethodCorrect(t *testing.T) {
 	}
 }
 
-// Property: OFDDMethod produces an expression equal to the OFDD function.
+// Property: Method 2 (OFDDContext.Factor) produces an expression equal
+// to the OFDD function.
 func TestQuickOFDDMethodCorrect(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -195,7 +197,7 @@ func TestQuickOFDDMethodCorrect(t *testing.T) {
 		l := randomESOP(rng, n, 8)
 		m := ofdd.New(n, nil) // positive polarity: literal space = var space
 		g := m.FromCubes(l)
-		e := OFDDMethod(m, g, DefaultOptions())
+		e := NewOFDDContext(m, DefaultOptions()).Factor(g)
 		for a := 0; a < 1<<n; a++ {
 			assign := cube.NewBitSet(n)
 			for v := 0; v < n; v++ {
@@ -222,7 +224,7 @@ func TestCubeMethodZ4mlOutput(t *testing.T) {
 	l.Add(cube.New(7, 0, 3))
 	l.Add(cube.New(7, 0, 6))
 	l.Add(cube.New(7, 3, 6))
-	e := CubeMethod(l, DefaultOptions())
+	e := NewContext(DefaultOptions()).Factor(l)
 	// Function preserved.
 	for a := 0; a < 1<<7; a++ {
 		assign := cube.NewBitSet(7)
@@ -299,7 +301,7 @@ func TestBalancedXorTreeShape(t *testing.T) {
 	l.Add(cube.New(8, 2, 3))
 	l.Add(cube.New(8, 4, 5))
 	l.Add(cube.New(8, 6, 7))
-	e := CubeMethod(l, Options{ApplyRules: false})
+	e := NewContext(Options{ApplyRules: false}).Factor(l)
 	if e.Op != OpXor {
 		t.Fatalf("root should be XOR, got %v", e.Op)
 	}
@@ -316,7 +318,7 @@ func TestCubeMethodConstantCube(t *testing.T) {
 	l := cube.NewList(2)
 	l.Add(cube.One(2))
 	l.Add(cube.New(2, 0))
-	e := CubeMethod(l, DefaultOptions())
+	e := NewContext(DefaultOptions()).Factor(l)
 	want := Not(Lit(0))
 	if e.Key() != want.Key() {
 		t.Errorf("1 ^ x0: got %s, want %s", e, want)
@@ -339,7 +341,7 @@ func TestT481Factorization(t *testing.T) {
 	} {
 		l.Add(c)
 	}
-	e := CubeMethod(l, DefaultOptions())
+	e := NewContext(DefaultOptions()).Factor(l)
 	// Functional check against the cube list on random assignments.
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 2000; i++ {
@@ -372,7 +374,7 @@ func TestOFDDMethodSharing(t *testing.T) {
 	bm := bdd.New(3)
 	g := bm.Xor(bm.Var(1), bm.Var(2))
 	f := bm.Xor(bm.And(bm.Var(0), g), g)
-	e := OFDDMethod(m, m.FromBDD(bm, f), Options{ApplyRules: false})
+	e := NewOFDDContext(m, Options{ApplyRules: false}).Factor(m.FromBDD(bm, f))
 	for a := 0; a < 8; a++ {
 		assign := cube.NewBitSet(3)
 		lits := make([]bool, 3)

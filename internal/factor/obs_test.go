@@ -14,7 +14,7 @@ import (
 func TestObsRuleATrace(t *testing.T) {
 	// A ⊕ AB = A·B̄: one rule (a) firing, then a clean fixpoint pass.
 	var fo obs.Factor
-	r := ApplyRulesObs(XorN(Lit(0), AndN(Lit(0), Lit(1))), 8, &fo)
+	r := ApplyRules(XorN(Lit(0), AndN(Lit(0), Lit(1))), 8, &fo)
 	if want := AndN(Lit(0), Not(Lit(1))); r.Key() != want.Key() {
 		t.Fatalf("got %s, want %s", r, want)
 	}
@@ -27,7 +27,7 @@ func TestObsRuleBTrace(t *testing.T) {
 	// X ⊕ Y ⊕ XY = X + Y: one rule (b) firing. Pass 1 rewrites, pass 2
 	// confirms the fixpoint, so Passes is 2.
 	var fo obs.Factor
-	r := ApplyRulesObs(XorN(Lit(0), Lit(1), AndN(Lit(0), Lit(1))), 8, &fo)
+	r := ApplyRules(XorN(Lit(0), Lit(1), AndN(Lit(0), Lit(1))), 8, &fo)
 	if want := OrN(Lit(0), Lit(1)); r.Key() != want.Key() {
 		t.Fatalf("got %s, want %s", r, want)
 	}
@@ -41,7 +41,7 @@ func TestObsRuleCLiteralFormCountsAsRuleA(t *testing.T) {
 	// (x ⊕ ȳ = ¬(x ⊕ y)), so the engine reaches this result through the
 	// rule (a) block on AB ⊕ B — the trace must say rule (a), not (c).
 	var fo obs.Factor
-	r := ApplyRulesObs(XorN(AndN(Lit(0), Lit(1)), Not(Lit(1))), 8, &fo)
+	r := ApplyRules(XorN(AndN(Lit(0), Lit(1)), Not(Lit(1))), 8, &fo)
 	if want := OrN(Lit(0), Not(Lit(1))); r.Key() != want.Key() {
 		t.Fatalf("got %s, want %s", r, want)
 	}
@@ -56,7 +56,7 @@ func TestObsRuleCTrace(t *testing.T) {
 	// itself fires.
 	x := OrN(Lit(1), Lit(2))
 	var fo obs.Factor
-	r := ApplyRulesObs(XorN(AndN(Lit(0), Not(x)), x), 8, &fo)
+	r := ApplyRules(XorN(AndN(Lit(0), Not(x)), x), 8, &fo)
 	if want := OrN(Lit(0), Lit(1), Lit(2)); r.Key() != want.Key() {
 		t.Fatalf("got %s, want %s", r, want)
 	}
@@ -96,7 +96,7 @@ func TestObsPassCap(t *testing.T) {
 	// maxPasses caps the fixpoint loop, and the counter reports the
 	// passes actually executed.
 	var fo obs.Factor
-	ApplyRulesObs(XorN(Lit(0), AndN(Lit(0), Lit(1))), 1, &fo)
+	ApplyRules(XorN(Lit(0), AndN(Lit(0), Lit(1))), 1, &fo)
 	if got := fo.Snapshot().Passes; got != 1 {
 		t.Errorf("capped passes = %d, want 1", got)
 	}
@@ -112,7 +112,7 @@ func TestObsDivisorHitTrace(t *testing.T) {
 	l.Add(cube.New(4, 1, 2))
 	l.Add(cube.New(4, 1, 3))
 	var fo obs.Factor
-	e := CubeMethod(l, Options{Obs: &fo})
+	e := NewContext(Options{Obs: &fo}).Factor(l)
 	for a := 0; a < 16; a++ {
 		assign := cube.NewBitSet(4)
 		lits := make([]bool, 4)

@@ -4,14 +4,9 @@ import "repro/internal/obs"
 
 // ApplyRules rewrites the expression with the paper's Reduction rules
 // (a)-(c) at XOR nodes and the OR-factoring rule (e), bottom-up, repeating
-// whole passes until a fixpoint or maxPasses.
-func ApplyRules(e *Expr, maxPasses int) *Expr {
-	return ApplyRulesObs(e, maxPasses, nil)
-}
-
-// ApplyRulesObs is ApplyRules with rule-application counting. fo may be
-// nil, which disables collection.
-func ApplyRulesObs(e *Expr, maxPasses int, fo *obs.Factor) *Expr {
+// whole passes until a fixpoint or maxPasses. fo counts the passes and
+// rule applications; nil disables collection.
+func ApplyRules(e *Expr, maxPasses int, fo *obs.Factor) *Expr {
 	for pass := 0; pass < maxPasses; pass++ {
 		fo.Pass()
 		memo := make(map[string]*Expr)

@@ -13,7 +13,6 @@ package fprm
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/bdd"
 	"repro/internal/budget"
@@ -196,13 +195,6 @@ func butterfly(w []uint64, n, v int, positive bool) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // FromBDD computes the FPRM form of a BDD function under the given
 // polarity by building the OFDD and extracting its cubes. cubeLimit caps
 // extraction (≤0 = unlimited); it returns an error past the cap.
@@ -218,43 +210,25 @@ func FromBDD(m *bdd.Manager, f bdd.Ref, polarity []bool, cubeLimit int) (*Form, 
 	return form, nil
 }
 
-// CubeCountFromBDD returns the FPRM cube count for a polarity without
-// materializing the cubes.
-func CubeCountFromBDD(m *bdd.Manager, f bdd.Ref, polarity []bool) int64 {
-	om := ofdd.New(m.NumVars(), polarity)
-	return om.CubeCount(om.FromBDD(m, f))
-}
-
 // MaxExhaustiveVars bounds the exhaustive polarity search: the walk
 // visits 2ⁿ polarities, so anything past this is infeasible anyway, and
 // the guard keeps 1<<n from overflowing int on any platform.
 const MaxExhaustiveVars = 30
 
-// SearchExhaustive finds a polarity vector minimizing the cube count by
-// walking all 2ⁿ polarities in Gray-code order with incremental flips.
-// Intended for n ≤ MaxExhaustiveVars (larger n returns the start form
-// unchanged with complete=false); cost is O(2ⁿ · m) cube operations.
-func SearchExhaustive(start *Form) *Form {
-	best, _ := SearchExhaustiveBudget(start, nil)
-	return best
-}
-
-// SearchExhaustiveBudget is SearchExhaustive under a budget: the Gray-code
-// walk polls the budget every 64 steps and stops early when it is
+// SearchExhaustive finds a polarity vector minimizing the cube count
+// (ties broken by literal count) by walking all 2ⁿ polarities in
+// Gray-code order with incremental flips; cost is O(2ⁿ · m) cube
+// operations. The walk polls b every 64 steps and stops early when it is
 // exhausted, returning the best form seen so far and whether the walk
 // completed. The partial result is always a valid form of the function
 // (every step preserves it), so an early stop degrades quality, never
 // correctness. For n > MaxExhaustiveVars the walk is refused outright:
 // it returns (start, false) instead of overflowing 1<<n.
-func SearchExhaustiveBudget(start *Form, b *budget.Budget) (best *Form, complete bool) {
-	return SearchExhaustiveObs(start, b, nil)
-}
-
-// SearchExhaustiveObs is SearchExhaustiveBudget with polarity-search
-// progress reported to s (nil disables collection): every Gray index
-// evaluated counts a candidate — including the start form — and every
-// accepted strict improvement is counted.
-func SearchExhaustiveObs(start *Form, b *budget.Budget, s *obs.Search) (best *Form, complete bool) {
+//
+// Progress goes to s: every Gray index evaluated counts a candidate —
+// including the start form — and every accepted strict improvement is
+// counted. A nil b means unlimited and a nil s disables collection.
+func SearchExhaustive(start *Form, b *budget.Budget, s *obs.Search) (best *Form, complete bool) {
 	n := start.NumVars
 	if n > MaxExhaustiveVars {
 		return start.Clone(), false
@@ -280,145 +254,22 @@ func SearchExhaustiveObs(start *Form, b *budget.Budget, s *obs.Search) (best *Fo
 	return best, true
 }
 
-// SearchExhaustiveParallel shards the exhaustive Gray-code walk across
-// workers: shard k owns a contiguous index range [lo, hi) of the 2ⁿ
-// Gray sequence, seeds its form by flipping the start polarity to
-// gray(lo) = lo ^ (lo>>1), and walks its range with the same incremental
-// flips as the sequential search. The reduction picks the global best by
-// (cube count, literal count, Gray index) — the exact order in which the
-// sequential walk's strict-improvement rule accepts forms — so the
-// result is bit-identical to SearchExhaustiveBudget for any worker
-// count. Budget exhaustion stops each shard independently; complete
-// reports whether every shard finished its range.
-func SearchExhaustiveParallel(start *Form, b *budget.Budget, workers int) (best *Form, complete bool) {
-	return SearchExhaustiveParallelObs(start, b, workers, nil)
-}
-
-// SearchExhaustiveParallelObs is SearchExhaustiveParallel with progress
-// reported to s (nil disables collection). Candidates are counted per
-// shard and sum to the same total for any worker count (every Gray
-// index is evaluated exactly once); improvements are reported only by
-// the sequential walk, because a shard's local improvement count would
-// depend on the shard boundaries.
-func SearchExhaustiveParallelObs(start *Form, b *budget.Budget, workers int, s *obs.Search) (best *Form, complete bool) {
-	n := start.NumVars
-	if n > MaxExhaustiveVars {
-		return start.Clone(), false
-	}
-	total := 1 << uint(n)
-	if workers > total/64 {
-		// Too little work per shard to pay the seeding cost.
-		workers = total / 64
-	}
-	if workers <= 1 {
-		return SearchExhaustiveObs(start, b, s)
-	}
-	type shardResult struct {
-		best     *Form
-		idx      int // Gray index where best was first reached
-		complete bool
-	}
-	results := make([]shardResult, workers)
-	chunk := (total + workers - 1) / workers
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		lo, hi := k*chunk, (k+1)*chunk
-		if hi > total {
-			hi = total
-		}
-		if lo >= hi {
-			results[k] = shardResult{complete: true}
-			continue
-		}
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			f, idx, done := searchShard(start, b, lo, hi, s)
-			results[k] = shardResult{best: f, idx: idx, complete: done}
-		}(k, lo, hi)
-	}
-	wg.Wait()
-	complete = true
-	bestIdx := -1
-	for _, r := range results {
-		complete = complete && r.complete
-		if r.best == nil {
-			continue
-		}
-		if best == nil ||
-			r.best.Cubes.Len() < best.Cubes.Len() ||
-			(r.best.Cubes.Len() == best.Cubes.Len() && r.best.Cubes.Literals() < best.Cubes.Literals()) ||
-			(r.best.Cubes.Len() == best.Cubes.Len() && r.best.Cubes.Literals() == best.Cubes.Literals() && r.idx < bestIdx) {
-			best = r.best
-			bestIdx = r.idx
-		}
-	}
-	if best == nil {
-		// Every shard was cut before seeding (budget exhausted on entry).
-		return start.Clone(), false
-	}
-	return best, complete
-}
-
-// searchShard walks Gray indices [lo, hi) and returns the local best
-// with the index where it was first reached. The seed form at index lo
-// is built by flipping the variables set in gray(lo); FlipPolarity keeps
-// the cube list canonical, so the form at a given index is representa-
-// tion-identical no matter the flip path that reached it.
-func searchShard(start *Form, b *budget.Budget, lo, hi int, s *obs.Search) (best *Form, idx int, complete bool) {
-	idx = lo
-	if b.Exceeded() != nil {
-		return nil, idx, false
-	}
-	cur := start.Clone()
-	seed := uint(lo) ^ (uint(lo) >> 1)
-	for v := 0; v < cur.NumVars; v++ {
-		if seed&(1<<uint(v)) != 0 {
-			cur.FlipPolarity(v)
-		}
-	}
-	best = cur.Clone()
-	s.Candidate()
-	for g := lo + 1; g < hi; g++ {
-		if g&63 == 0 && b.Exceeded() != nil {
-			return best, idx, false
-		}
-		cur.FlipPolarity(bits.TrailingZeros(uint(g)))
-		s.Candidate()
-		if cur.Cubes.Len() < best.Cubes.Len() ||
-			(cur.Cubes.Len() == best.Cubes.Len() && cur.Cubes.Literals() < best.Cubes.Literals()) {
-			best = cur.Clone()
-			idx = g
-		}
-	}
-	return best, idx, true
-}
-
 // SearchGreedy improves the polarity by coordinate descent: repeatedly
 // flip the single variable whose flip most reduces the cube count (ties
-// broken by literal count) until no flip helps.
-func SearchGreedy(start *Form) *Form {
-	best, _ := SearchGreedyBudget(start, nil)
-	return best
-}
-
-// SearchGreedyBudget is SearchGreedy under a budget: the descent polls the
-// budget before every trial flip and stops early when exhausted, returning
-// the best form so far and whether the descent ran to a local optimum.
+// broken by literal count) until no flip helps. The descent polls b
+// before every trial flip and stops early when it is exhausted,
+// returning the best form so far and whether the descent ran to a local
+// optimum.
 //
 // Each trial flips the candidate variable in place and flips it back —
 // FlipPolarity is an involution on the canonical cube list, so the
 // restore is exact — which makes a descent round O(n) flips instead of
 // the O(n·m) full-form clones a trial-copy scheme would cost.
-func SearchGreedyBudget(start *Form, b *budget.Budget) (best *Form, complete bool) {
-	return SearchGreedyObs(start, b, nil)
-}
-
-// SearchGreedyObs is SearchGreedyBudget with polarity-search progress
-// reported to s (nil disables collection): every trial flip counts a
-// candidate, every accepted descent step an improvement. The descent is
-// sequential, so the counts are deterministic at any worker count.
-func SearchGreedyObs(start *Form, b *budget.Budget, s *obs.Search) (best *Form, complete bool) {
+//
+// Progress goes to s: every trial flip counts a candidate, every
+// accepted descent step an improvement. A nil b means unlimited and a
+// nil s disables collection.
+func SearchGreedy(start *Form, b *budget.Budget, s *obs.Search) (best *Form, complete bool) {
 	cur := start.Clone()
 	for {
 		bestV := -1

@@ -141,7 +141,7 @@ func TestParityPPRM(t *testing.T) {
 	}
 	// All polarities of parity have n cubes; exhaustive search must not
 	// do worse.
-	best := SearchGreedy(form)
+	best, _ := SearchGreedy(form, nil, nil)
 	if best.Cubes.Len() != n {
 		t.Errorf("greedy search changed parity cube count to %d", best.Cubes.Len())
 	}
@@ -153,7 +153,7 @@ func TestSearchExhaustiveFindsMinimum(t *testing.T) {
 		n := 2 + rng.Intn(3) // 2..4 vars
 		tt := randomTT(rng, n)
 		start := FromTruthTable(n, tt, nil)
-		best := SearchExhaustive(start)
+		best, _ := SearchExhaustive(start, nil, nil)
 		// Verify optimality by brute force over all polarity vectors.
 		for p := 0; p < 1<<uint(n); p++ {
 			pol := make([]bool, n)
@@ -184,7 +184,7 @@ func TestSearchGreedyNeverWorse(t *testing.T) {
 		n := 2 + rng.Intn(5)
 		tt := randomTT(rng, n)
 		start := FromTruthTable(n, tt, nil)
-		best := SearchGreedy(start)
+		best, _ := SearchGreedy(start, nil, nil)
 		if best.Cubes.Len() > start.Cubes.Len() {
 			return false
 		}
@@ -304,7 +304,7 @@ func TestConstantFunctions(t *testing.T) {
 }
 
 // greedyReference is the pre-optimization clone-per-trial implementation
-// of SearchGreedyBudget, kept as the behavioral oracle for the in-place
+// of SearchGreedy, kept as the behavioral oracle for the in-place
 // flip/flip-back version.
 func greedyReference(start *Form) *Form {
 	cur := start.Clone()
@@ -338,7 +338,7 @@ func TestGreedyInPlaceMatchesReference(t *testing.T) {
 		tt := randomTT(rng, n)
 		start := FromTruthTable(n, tt, nil)
 		want := greedyReference(start)
-		got := SearchGreedy(start)
+		got, _ := SearchGreedy(start, nil, nil)
 		if !got.Cubes.Equal(want.Cubes) {
 			return false
 		}
@@ -362,46 +362,12 @@ func TestExhaustiveOverflowGuard(t *testing.T) {
 		start := NewForm(n, nil)
 		start.Cubes.Add(cube.New(n, 0, n-1))
 		start.Cubes.Add(cube.One(n))
-		best, complete := SearchExhaustiveBudget(start, nil)
+		best, complete := SearchExhaustive(start, nil, nil)
 		if complete {
 			t.Fatalf("n=%d: walk reported complete", n)
 		}
 		if !best.Cubes.Equal(start.Cubes) || best.Cubes.Len() != 2 {
 			t.Fatalf("n=%d: start form not returned unchanged", n)
 		}
-		pbest, pcomplete := SearchExhaustiveParallel(start, nil, 4)
-		if pcomplete || !pbest.Cubes.Equal(start.Cubes) {
-			t.Fatalf("n=%d: parallel walk must refuse oversized n too", n)
-		}
-	}
-}
-
-// Property: the Gray-prefix sharded exhaustive search returns a form
-// bit-identical to the sequential walk for every worker count.
-func TestExhaustiveParallelMatchesSequential(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6) // 2..7 vars
-		tt := randomTT(rng, n)
-		start := FromTruthTable(n, tt, nil)
-		want, wantDone := SearchExhaustiveBudget(start, nil)
-		for _, workers := range []int{1, 2, 3, 4, 7, 16} {
-			got, done := SearchExhaustiveParallel(start, nil, workers)
-			if done != wantDone {
-				return false
-			}
-			if !got.Cubes.Equal(want.Cubes) {
-				return false
-			}
-			for v := 0; v < n; v++ {
-				if got.Polarity[v] != want.Polarity[v] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }

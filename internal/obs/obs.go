@@ -228,9 +228,7 @@ func (f *Factor) Snapshot() FactorStats {
 
 // Search tracks one output's polarity-search progress: candidate
 // polarity vectors evaluated, strict improvements accepted, and the
-// final best cube/literal counts. An exhaustive search's sharded walk
-// feeds one Search from several goroutines; the candidate total is the
-// same for any shard count (every index is evaluated exactly once).
+// final best cube/literal counts.
 type Search struct {
 	candidates   atomic.Int64
 	improvements atomic.Int64
@@ -247,9 +245,7 @@ func (s *Search) Candidate() {
 }
 
 // Improved counts one accepted strict improvement of the best-so-far
-// form. Only the sequential searches (greedy descent, unsharded
-// exhaustive walk) report improvements; a sharded walk counts local
-// improvements per shard, which would depend on the shard count.
+// form.
 func (s *Search) Improved() {
 	if s == nil {
 		return

@@ -38,23 +38,24 @@ type Options struct {
 	// restoring the network from a snapshot), and the fixpoint loop polls
 	// the budget between passes, stopping gracefully when exhausted.
 	Budget *budget.Budget
-	// Form is the FPRM source of a single-output network; its cubes
-	// generate the pattern sets. Provide either Form or Forms.
-	Form *fprm.Form
-	// Forms lists the per-output FPRM forms for multi-output networks;
-	// when non-nil it is used instead of Form.
+	// Forms lists the per-output FPRM forms; their cubes generate the
+	// pattern sets.
 	Forms []*fprm.Form
 	// Verify confirms every candidate reduction with a BDD equivalence
 	// check against the original network before committing it.
 	Verify bool
-	// MaxOCPatterns caps the per-cube pattern sets (0 = 4096). Very large
-	// FPRM forms (e.g. wide adder carries) are sampled.
-	MaxOCPatterns int
-	// MaxUnionPatterns caps the cube-support union set (0 = 1024).
-	MaxUnionPatterns int
-	// MaxPasses bounds the backward-propagation fixpoint (0 = 4).
-	MaxPasses int
 }
+
+// Caps of the pass.
+const (
+	// maxOCPatterns caps the per-cube pattern sets. Very large FPRM
+	// forms (e.g. wide adder carries) are sampled.
+	maxOCPatterns = 4096
+	// maxUnionPatterns caps the cube-support union set.
+	maxUnionPatterns = 1024
+	// maxPasses bounds the backward-propagation fixpoint.
+	maxPasses = 4
+)
 
 // Result reports what the pass did.
 type Result struct {
@@ -69,34 +70,6 @@ type Result struct {
 	// BudgetCut reports the fixpoint loop stopped early on an exhausted
 	// budget; the reductions committed before the cut are kept.
 	BudgetCut bool
-}
-
-func (o Options) maxOC() int {
-	if o.MaxOCPatterns > 0 {
-		return o.MaxOCPatterns
-	}
-	return 4096
-}
-
-func (o Options) maxUnion() int {
-	if o.MaxUnionPatterns > 0 {
-		return o.MaxUnionPatterns
-	}
-	return 1024
-}
-
-func (o Options) maxPasses() int {
-	if o.MaxPasses > 0 {
-		return o.MaxPasses
-	}
-	return 4
-}
-
-func (o Options) forms() []*fprm.Form {
-	if o.Forms != nil {
-		return o.Forms
-	}
-	return []*fprm.Form{o.Form}
 }
 
 // BuildPatterns generates the Section 4 pattern sets for the given FPRM
@@ -230,7 +203,7 @@ type engine struct {
 // when Verify is set, and by the pattern analysis otherwise).
 func Remove(net *network.Network, opt Options) Result {
 	e := &engine{net: net, verify: opt.Verify}
-	e.patterns = BuildPatterns(opt.forms(), opt.maxOC(), opt.maxUnion())
+	e.patterns = BuildPatterns(opt.Forms, maxOCPatterns, maxUnionPatterns)
 	e.res.Patterns = len(e.patterns)
 	e.packPatterns()
 	e.refresh()
@@ -240,7 +213,7 @@ func Remove(net *network.Network, opt Options) Result {
 		e.spec = net.ToBDDs(e.bm)
 	}
 
-	for pass := 0; pass < opt.maxPasses(); pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		if opt.Budget.Exceeded() != nil {
 			// Out of budget: keep the reductions committed so far, and
 			// report the cut so the caller's degradation trail stays

@@ -52,7 +52,7 @@ func formOf(n int, cubes ...[]int) *fprm.Form {
 // netFromForm factors the form WITHOUT the reduction rules (assumption 3
 // of Section 4) and emits the AND/XOR network.
 func netFromForm(f *fprm.Form) *network.Network {
-	e := factor.CubeMethod(f.Cubes, factor.Options{ApplyRules: false})
+	e := factor.NewContext(factor.Options{ApplyRules: false}).Factor(f.Cubes)
 	net := network.New("t")
 	pis := make([]int, f.NumVars)
 	for i := range pis {
@@ -89,7 +89,7 @@ func TestORReduction(t *testing.T) {
 	if before.XORs == 0 {
 		t.Fatal("test net should start with XOR gates")
 	}
-	res := Remove(net, Options{Form: f, Verify: true})
+	res := Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("function changed")
 	}
@@ -108,7 +108,7 @@ func TestParityIrreducible(t *testing.T) {
 	f := formOf(8, []int{0}, []int{1}, []int{2}, []int{3}, []int{4}, []int{5}, []int{6}, []int{7})
 	net := netFromForm(f)
 	before := net.CollectStats()
-	res := Remove(net, Options{Form: f, Verify: true})
+	res := Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
 	after := net.CollectStats()
 	if after.XORs != before.XORs {
 		t.Errorf("parity XORs changed: %d -> %d (%+v)", before.XORs, after.XORs, res)
@@ -121,7 +121,7 @@ func TestANDReduction(t *testing.T) {
 	f := formOf(2, []int{0}, []int{0, 1})
 	net := netFromForm(f)
 	m, spec := specOf(net)
-	Remove(net, Options{Form: f, Verify: true})
+	Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("function changed")
 	}
@@ -151,7 +151,7 @@ func TestT481Reduction(t *testing.T) {
 	net := netFromForm(f)
 	m, spec := specOf(net)
 	before := net.CollectStats()
-	res := Remove(net, Options{Form: f, Verify: true})
+	res := Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("function changed")
 	}
@@ -181,7 +181,7 @@ func TestPatternOnlyModeSoundOnArithmetic(t *testing.T) {
 	for i, f := range forms {
 		net := netFromForm(f)
 		m, spec := specOf(net)
-		Remove(net, Options{Form: f, Verify: false})
+		Remove(net, Options{Forms: []*fprm.Form{f}, Verify: false})
 		if !equalSpec(net, m, spec) {
 			t.Errorf("form %d: pattern-only removal changed the function", i)
 		}
@@ -211,7 +211,7 @@ func TestQuickRemovePreservesFunction(t *testing.T) {
 		net := netFromForm(form)
 		m, spec := specOf(net)
 		before := net.CollectStats()
-		Remove(net, Options{Form: form, Verify: true})
+		Remove(net, Options{Forms: []*fprm.Form{form}, Verify: true})
 		if !equalSpec(net, m, spec) {
 			return false
 		}
@@ -244,7 +244,7 @@ func TestQuickPatternOnlyPreserves(t *testing.T) {
 		}
 		net := netFromForm(form)
 		m, spec := specOf(net)
-		Remove(net, Options{Form: form, Verify: false})
+		Remove(net, Options{Forms: []*fprm.Form{form}, Verify: false})
 		return equalSpec(net, m, spec)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -262,7 +262,7 @@ func TestNegativePolarityForm(t *testing.T) {
 	f.Cubes.Add(cube.New(3, 2))
 	net := netFromForm(f)
 	m, spec := specOf(net)
-	Remove(net, Options{Form: f, Verify: true})
+	Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("function changed under mixed polarity")
 	}
@@ -322,8 +322,8 @@ func TestMultiOutputForms(t *testing.T) {
 	net := network.New("mo")
 	pis := []int{net.AddPI("a"), net.AddPI("b"), net.AddPI("c")}
 	em := factor.NewEmitter(net, pis, nil)
-	e0 := factor.CubeMethod(f0.Cubes, factor.Options{ApplyRules: false})
-	e1 := factor.CubeMethod(f1.Cubes, factor.Options{ApplyRules: false})
+	e0 := factor.NewContext(factor.Options{ApplyRules: false}).Factor(f0.Cubes)
+	e1 := factor.NewContext(factor.Options{ApplyRules: false}).Factor(f1.Cubes)
 	net.AddPO("f0", em.Emit(e0))
 	net.AddPO("f1", em.Emit(e1))
 	m, spec := specOf(net)

@@ -376,18 +376,6 @@ func (c *Cover) Intersect(d *Cover) *Cover {
 	return out
 }
 
-// IntersectsCover reports whether c and d share at least one minterm.
-func (c *Cover) IntersectsCover(d *Cover) bool {
-	for _, t := range c.Terms {
-		for _, u := range d.Terms {
-			if t.IntersectsTerm(u) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // TermIntersectsCover reports whether term t shares a minterm with cover d.
 func TermIntersectsCover(t Term, d *Cover) bool {
 	for _, u := range d.Terms {

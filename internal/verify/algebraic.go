@@ -86,10 +86,6 @@ type WordOptions struct {
 	// bounds produced terms and BDD ITE work, BDD node cap bounds the
 	// fallback manager). nil means unlimited.
 	Budget *budget.Budget
-	// SimVectors is the random-vector count for ModeSim (default 256).
-	SimVectors int
-	// Seed drives ModeSim's vector generator.
-	Seed int64
 }
 
 // WordResult reports a completed word-level check. Results are
@@ -201,7 +197,7 @@ func Word(net *network.Network, ws *wordgen.Spec, opt WordOptions) (*WordResult,
 	case ModeBDD:
 		return bddWord(net, ws, opt)
 	case ModeSim:
-		return simWord(net, ws, opt)
+		return simWord(net, ws)
 	case ModeAuto:
 		first, second := algebraicWord, bddWord
 		if net.NumPIs() <= autoBDDInputs || ws.Kind == wordgen.KindIntAdd {
@@ -765,18 +761,21 @@ func renderAssign(net *network.Network, assign cube.BitSet) string {
 	return s
 }
 
+// ModeSim's random operand vectors: how many, and the seed of their
+// generator.
+const (
+	simWordVectors = 256
+	simWordSeed    = 0
+)
+
 // simWord cross-checks the network against the word-level golden model
 // on random operand vectors. It is a smoke test, not a proof: used when
 // explicitly requested, and by the differential tests as the
 // independent oracle the algebraic verdicts are compared against.
-func simWord(net *network.Network, ws *wordgen.Spec, opt WordOptions) (*WordResult, error) {
-	vectors := opt.SimVectors
-	if vectors <= 0 {
-		vectors = 256
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+func simWord(net *network.Network, ws *wordgen.Spec) (*WordResult, error) {
+	rng := rand.New(rand.NewSource(simWordSeed))
 	res := &WordResult{OK: true, Mode: "sim", Shards: 1}
-	for v := 0; v < vectors; v++ {
+	for v := 0; v < simWordVectors; v++ {
 		in := make([]*big.Int, len(ws.In))
 		for i, w := range ws.In {
 			val := new(big.Int)
