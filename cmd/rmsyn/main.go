@@ -56,7 +56,7 @@ func main() {
 		dump      = flag.String("dump", "", "write the synthesized network as BLIF")
 		doMap     = flag.Bool("map", true, "technology-map the results")
 		list      = flag.Bool("list", false, "list built-in benchmarks")
-		doVerify  = flag.Bool("verify", true, "verify results against the specification")
+		doVerify  = flag.Bool("verify", true, "verify the result against the specification (redundancy removal checks its rewrites either way)")
 		showForms = flag.Bool("forms", false, "print per-output FPRM cube counts")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for synthesis (0 = none)")
 		maxNodes  = flag.Int("max-nodes", 0, "BDD/OFDD node budget (0 = none)")

@@ -2,8 +2,8 @@
 // combined synthesis flow: given the spec BDD of one output cone, it
 // decides whether the cone wants the GF(2) AND/XOR flow (the paper's
 // FPRM pipeline), the AND/OR SOP flow (the SIS-style baseline), or — when
-// the structure is ambiguous — a hedged race of both arms under one
-// shared budget slice.
+// the structure is ambiguous — both, each run to completion under the
+// run's budget, keeping the better verified result per cone.
 //
 // The paper's Table 2 shows the split the predictor models: FPRM wins on
 // arithmetic (XOR-rich) cones, SOP wins on random/control logic, and
@@ -30,8 +30,7 @@ const (
 	Xor Decision = iota
 	// Sop routes the cone to the SOP baseline flow only.
 	Sop
-	// Hedge races both flows as sibling arms and keeps the better
-	// verified result.
+	// Hedge runs both flows and keeps the better verified result.
 	Hedge
 )
 

@@ -31,16 +31,6 @@
 // interval consults the clock, so the per-step overhead stays an atomic
 // increment and a mask test.
 //
-// # Hedged sibling slices
-//
-// A Hedge couples two cancellable views ("arms") of one budget: both arms
-// draw steps from the same counter against the same caps, but each arm
-// carries its own derived context so one arm can be cancelled (the
-// loser-cancellation deadline of a hedged race) without poisoning the
-// sibling or the run. An arm observing its own cancellation trips with an
-// arm-local sticky memo; only the run-level slice publishes cancellation
-// to the shared memo.
-//
 // All methods are safe on a nil *Budget and cost a single nil check, so
 // unbudgeted callers pay nothing.
 package budget
@@ -49,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -100,19 +89,6 @@ type Budget struct {
 	ctx      context.Context
 	deadline time.Time
 	hasDL    bool
-	// arm marks a sibling slice handed out by Hedge: cancellation observed
-	// through an arm's context is that arm's private failure (the sibling
-	// keeps running), so it is memoized in local, never in the shared memo.
-	arm   bool
-	local atomic.Pointer[Err]
-	s     *shared
-}
-
-// shared is the state every view of one budget slice draws from: the
-// immutable caps, the step/poll counters, the sticky first trip, and the
-// chaos hooks. Hedge arms alias their parent's shared state, so a hedged
-// race spends one budget, not two.
-type shared struct {
 	lim      Limits
 	steps    atomic.Int64
 	tripped  atomic.Pointer[Err] // first sticky trip, memoized so later checks fail fast
@@ -143,21 +119,12 @@ func New(ctx context.Context, lim Limits) *Budget {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	b := &Budget{ctx: ctx, s: &shared{lim: lim}}
+	b := &Budget{ctx: ctx, lim: lim}
 	if dl, ok := ctx.Deadline(); ok {
 		b.deadline = dl
 		b.hasDL = true
 	}
 	return b
-}
-
-// Context returns the context governing this slice (an arm's derived
-// context for Hedge arms). Nil-safe: a nil budget reports Background.
-func (b *Budget) Context() context.Context {
-	if b == nil {
-		return context.Background()
-	}
-	return b.ctx
 }
 
 // SetStepHook installs a fault-injection step probe (nil removes it).
@@ -169,7 +136,7 @@ func (b *Budget) SetStepHook(h StepHook) {
 	if b == nil {
 		return
 	}
-	b.s.stepHook = h
+	b.stepHook = h
 }
 
 // SetPollHook installs a fault-injection poll probe (nil removes it).
@@ -181,7 +148,7 @@ func (b *Budget) SetPollHook(h PollHook) {
 	if b == nil {
 		return
 	}
-	b.s.pollHook = h
+	b.pollHook = h
 }
 
 // Limits returns the configured caps.
@@ -189,7 +156,7 @@ func (b *Budget) Limits() Limits {
 	if b == nil {
 		return Limits{}
 	}
-	return b.s.lim
+	return b.lim
 }
 
 // Steps returns the number of work steps consumed so far.
@@ -197,7 +164,7 @@ func (b *Budget) Steps() int64 {
 	if b == nil {
 		return 0
 	}
-	return b.s.steps.Load()
+	return b.steps.Load()
 }
 
 // Polls returns the number of graceful Exceeded polls taken so far.
@@ -206,7 +173,7 @@ func (b *Budget) Polls() int64 {
 	if b == nil {
 		return 0
 	}
-	return b.s.polls.Load()
+	return b.polls.Load()
 }
 
 // trip raises the budget error. The panic is a controlled non-local exit
@@ -220,22 +187,9 @@ func (b *Budget) Polls() int64 {
 // trip wins under concurrency; every worker that checks afterwards sees
 // the same *Err. Node and cube trips are per-phase — a fresh OFDD
 // manager for the next output starts below its cap again — and must not
-// poison the rest of the run. Cancellation seen through a Hedge arm's
-// context is sticky only for that arm: the sibling and the run are, by
-// construction, not cancelled with it.
+// poison the rest of the run.
 func (b *Budget) trip(phase, limit string, max, used int64) {
-	e := &Err{Phase: phase, Limit: limit, Max: max, Used: used}
-	switch limit {
-	case "deadline", "steps":
-		b.s.tripped.CompareAndSwap(nil, e)
-	case "canceled":
-		if b.arm {
-			b.local.CompareAndSwap(nil, e)
-		} else {
-			b.s.tripped.CompareAndSwap(nil, e)
-		}
-	}
-	panic(e)
+	b.inject(&Err{Phase: phase, Limit: limit, Max: max, Used: used})
 }
 
 // Step counts one unit of work (one memo miss in a hot recursion) and
@@ -245,39 +199,34 @@ func (b *Budget) Step(phase string) {
 	if b == nil {
 		return
 	}
-	if t := b.s.tripped.Load(); t != nil {
+	if t := b.tripped.Load(); t != nil {
 		// Fail fast with the memoized error itself: the trip is reported
 		// at the phase where the resource was first exhausted (matching
 		// what Exceeded returns), not wherever the next step happened.
 		panic(t)
 	}
-	if b.arm {
-		if t := b.local.Load(); t != nil {
-			panic(t)
-		}
-	}
-	s := b.s.steps.Add(1)
-	if b.s.stepHook != nil {
-		if e := b.s.stepHook(phase, s); e != nil {
+	s := b.steps.Add(1)
+	if b.stepHook != nil {
+		if e := b.stepHook(phase, s); e != nil {
 			b.inject(e)
 		}
 	}
-	if b.s.lim.Steps > 0 && s > b.s.lim.Steps {
-		b.trip(phase, "steps", b.s.lim.Steps, s)
+	if b.lim.Steps > 0 && s > b.lim.Steps {
+		b.trip(phase, "steps", b.lim.Steps, s)
 	}
 	if s&checkMask == 0 {
 		b.checkTime(phase)
 	}
 }
 
-// inject trips the budget with a hook-supplied error, applying the same
-// stickiness rules as trip: globally-spent limits are memoized so every
-// later check converges on the injected error, per-phase limits stay
-// transient (exactly what the retry rung recovers from).
+// inject trips the budget with e, which trip builds or a step hook
+// supplies: globally-spent limits are memoized so every later check
+// converges on the same error, per-phase limits stay transient (exactly
+// what the retry rung recovers from).
 func (b *Budget) inject(e *Err) {
 	switch e.Limit {
 	case "deadline", "canceled", "steps":
-		b.s.tripped.CompareAndSwap(nil, e)
+		b.tripped.CompareAndSwap(nil, e)
 	}
 	panic(e)
 }
@@ -294,31 +243,31 @@ func (b *Budget) checkTime(phase string) {
 
 // CheckBDDNodes trips when the BDD manager has grown past its node cap.
 func (b *Budget) CheckBDDNodes(used int) {
-	if b == nil || b.s.lim.BDDNodes <= 0 {
+	if b == nil || b.lim.BDDNodes <= 0 {
 		return
 	}
-	if used > b.s.lim.BDDNodes {
-		b.trip("bdd", "nodes", int64(b.s.lim.BDDNodes), int64(used))
+	if used > b.lim.BDDNodes {
+		b.trip("bdd", "nodes", int64(b.lim.BDDNodes), int64(used))
 	}
 }
 
 // CheckOFDDNodes trips when an OFDD manager has grown past its node cap.
 func (b *Budget) CheckOFDDNodes(used int) {
-	if b == nil || b.s.lim.OFDDNodes <= 0 {
+	if b == nil || b.lim.OFDDNodes <= 0 {
 		return
 	}
-	if used > b.s.lim.OFDDNodes {
-		b.trip("ofdd", "nodes", int64(b.s.lim.OFDDNodes), int64(used))
+	if used > b.lim.OFDDNodes {
+		b.trip("ofdd", "nodes", int64(b.lim.OFDDNodes), int64(used))
 	}
 }
 
 // CheckCubes trips when a materialized cube count exceeds the cube cap.
 func (b *Budget) CheckCubes(phase string, used int64) {
-	if b == nil || b.s.lim.Cubes <= 0 {
+	if b == nil || b.lim.Cubes <= 0 {
 		return
 	}
-	if used > b.s.lim.Cubes {
-		b.trip(phase, "cubes", b.s.lim.Cubes, used)
+	if used > b.lim.Cubes {
+		b.trip(phase, "cubes", b.lim.Cubes, used)
 	}
 }
 
@@ -326,10 +275,10 @@ func (b *Budget) CheckCubes(phase string, used int64) {
 // tripping. Callers use it to steer onto a cheaper path (sampling, the
 // OFDD method) before materializing.
 func (b *Budget) CubesAllowed(count int64) bool {
-	if b == nil || b.s.lim.Cubes <= 0 {
+	if b == nil || b.lim.Cubes <= 0 {
 		return true
 	}
-	return count <= b.s.lim.Cubes
+	return count <= b.lim.Cubes
 }
 
 // Relaxed returns a fresh budget over the same context with every
@@ -360,12 +309,12 @@ func (b *Budget) Relaxed(f float64) *Budget {
 		ctx:      b.ctx,
 		deadline: b.deadline,
 		hasDL:    b.hasDL,
-		s: &shared{lim: Limits{
-			BDDNodes:  int(scale(int64(b.s.lim.BDDNodes))),
-			OFDDNodes: int(scale(int64(b.s.lim.OFDDNodes))),
-			Cubes:     scale(b.s.lim.Cubes),
-			Steps:     scale(b.s.lim.Steps),
-		}},
+		lim: Limits{
+			BDDNodes:  int(scale(int64(b.lim.BDDNodes))),
+			OFDDNodes: int(scale(int64(b.lim.OFDDNodes))),
+			Cubes:     scale(b.lim.Cubes),
+			Steps:     scale(b.lim.Steps),
+		},
 	}
 }
 
@@ -380,121 +329,25 @@ func (b *Budget) Exceeded() error {
 	if b == nil {
 		return nil
 	}
-	if t := b.s.tripped.Load(); t != nil {
+	if t := b.tripped.Load(); t != nil {
 		return t
 	}
-	if b.arm {
-		if t := b.local.Load(); t != nil {
-			return t
-		}
-	}
-	poll := b.s.polls.Add(1)
-	if b.s.pollHook != nil {
-		if e := b.s.pollHook(poll); e != nil {
-			b.s.tripped.CompareAndSwap(nil, e)
-			return b.s.tripped.Load()
+	poll := b.polls.Add(1)
+	if b.pollHook != nil {
+		if e := b.pollHook(poll); e != nil {
+			b.tripped.CompareAndSwap(nil, e)
+			return b.tripped.Load()
 		}
 	}
 	if b.hasDL && !time.Now().Before(b.deadline) {
-		b.s.tripped.CompareAndSwap(nil, &Err{Phase: "poll", Limit: "deadline"})
-		return b.s.tripped.Load()
+		b.tripped.CompareAndSwap(nil, &Err{Phase: "poll", Limit: "deadline"})
+		return b.tripped.Load()
 	}
 	if b.ctx.Err() != nil {
-		e := &Err{Phase: "poll", Limit: "canceled"}
-		if b.arm {
-			b.local.CompareAndSwap(nil, e)
-			return b.local.Load()
-		}
-		b.s.tripped.CompareAndSwap(nil, e)
-		return b.s.tripped.Load()
+		b.tripped.CompareAndSwap(nil, &Err{Phase: "poll", Limit: "canceled"})
+		return b.tripped.Load()
 	}
 	return nil
-}
-
-// Hedge couples two sibling views ("arms") of one budget slice for a
-// hedged race: both arms draw work steps from the same counter against
-// the same caps — the race spends one budget, not two — but each arm has
-// its own derived context, so the loser can be cancelled without
-// touching the sibling or the run. Arm-observed cancellation trips are
-// arm-local (see trip); every other limit behaves exactly as on the
-// parent slice.
-type Hedge struct {
-	parent  *Budget
-	arms    [2]*Budget
-	cancels [2]context.CancelFunc
-	start   time.Time
-	mu      sync.Mutex
-	timer   *time.Timer
-	stopped bool
-}
-
-// Hedge returns a hedge over this budget, or nil for a nil budget (nil
-// hedges hand out nil arms, preserving the unbudgeted fast path).
-func (b *Budget) Hedge() *Hedge {
-	if b == nil {
-		return nil
-	}
-	h := &Hedge{parent: b, start: time.Now()}
-	for i := range h.arms {
-		ctx, cancel := context.WithCancel(b.ctx)
-		h.arms[i] = &Budget{ctx: ctx, deadline: b.deadline, hasDL: b.hasDL, arm: true, s: b.s}
-		h.cancels[i] = cancel
-	}
-	return h
-}
-
-// Arm returns sibling slice i (0 or 1). Both arms share the parent's
-// counters and caps; each carries its own cancellable context.
-func (h *Hedge) Arm(i int) *Budget {
-	if h == nil {
-		return nil
-	}
-	return h.arms[i]
-}
-
-// Win declares arm i finished and starts the loser-cancellation
-// countdown on the sibling: the loser gets as long again as the winner
-// took (floored at one millisecond) before its context is cancelled.
-//
-// The countdown arms only when the run has a wall-clock deadline.
-// Deadline-free runs are the repo's determinism domain — benchmarks and
-// bit-identity tests — and a timing-based cancellation there would make
-// results depend on scheduler luck; such runs let both arms finish, which
-// is also exactly what a never-worse comparison wants. Deadline runs are
-// already timing-governed, so trading the loser's tail for latency is
-// strictly consistent with their contract.
-func (h *Hedge) Win(i int) {
-	if h == nil || !h.parent.hasDL {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.stopped || h.timer != nil {
-		return
-	}
-	grace := time.Since(h.start)
-	if grace < time.Millisecond {
-		grace = time.Millisecond
-	}
-	h.timer = time.AfterFunc(grace, h.cancels[1-i])
-}
-
-// Stop releases the hedge: the countdown timer is stopped and both arm
-// contexts are cancelled (their work is done; the derived contexts must
-// not leak). Always call Stop once both arms have returned.
-func (h *Hedge) Stop() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.stopped = true
-	if h.timer != nil {
-		h.timer.Stop()
-	}
-	for _, cancel := range h.cancels {
-		cancel()
-	}
 }
 
 // Guard runs f and converts a budget trip into an ordinary error. Any

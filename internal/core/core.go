@@ -14,7 +14,8 @@
 //
 // The flow is specified by a gate network (any source: generated
 // benchmark, parsed BLIF/PLA); its functional behaviour is preserved
-// exactly, which Options.Verify double-checks per rewrite.
+// exactly: redundancy removal checks every rewrite with a BDD, and
+// Options.Verify double-checks the shipped network.
 package core
 
 import (
@@ -84,7 +85,8 @@ const (
 	// BasisSop runs the SOP baseline flow on every cone.
 	BasisSop
 	// BasisAuto lets the per-cone predictor pick the arm; ambiguous cones
-	// run both arms as a hedge and keep the better verified result.
+	// (its "hedge" verdict) run both arms and keep the better verified
+	// result.
 	BasisAuto
 	// BasisRace runs both arms on every cone and additionally arbitrates
 	// the final hybrid against the pure-XOR and pure-SOP assemblies, so
@@ -136,8 +138,10 @@ type Options struct {
 	Rules bool
 	// Redund runs the Section 4 redundancy removal.
 	Redund bool
-	// Verify confirms every redundancy-removal rewrite with an exact BDD
-	// check (see package redund).
+	// Verify checks the shipped network against the specification: by
+	// BDD in the final verify stage, by simulation on the swept-spec
+	// rung. Redundancy removal checks each of its rewrites exactly
+	// either way (see package redund).
 	Verify bool
 	// Basis selects the per-cone flow (see Basis). The zero value is
 	// BasisXor, the pure GF(2) flow; DefaultOptions selects BasisAuto.
@@ -452,7 +456,7 @@ func Synthesize(ctx context.Context, spec *network.Network, opt Options) (res *R
 	if verr := opt.Validate(); verr != nil {
 		return nil, verr
 	}
-	r := &run{spec: spec, opt: opt, start: time.Now(), res: &Result{Basis: opt.Basis.String()}}
+	r := &run{ctx: ctx, spec: spec, opt: opt, start: time.Now(), res: &Result{Basis: opt.Basis.String()}}
 	// Single residual-panic boundary: anything that escapes the per-phase
 	// budget.Guard wrappers (a genuine bug) is turned into a phase-tagged
 	// error instead of killing the process.
@@ -466,7 +470,7 @@ func Synthesize(ctx context.Context, spec *network.Network, opt Options) (res *R
 			err = fmt.Errorf("core: internal panic in %s: %v", r.phase, p)
 		}
 	}()
-	net, err := r.flow(ctx)
+	net, err := r.flow()
 	if err != nil {
 		return nil, err
 	}
@@ -476,10 +480,10 @@ func Synthesize(ctx context.Context, spec *network.Network, opt Options) (res *R
 // flow runs the stages in order and returns the network to ship: the
 // arbitration's winner, the cleaned specification when do-no-harm
 // prefers it, or the swept specification of the ladder's bottom rung.
-func (r *run) flow(ctx context.Context) (*network.Network, error) {
+func (r *run) flow() (*network.Network, error) {
 	opt := r.opt
 	r.enter("setup")
-	r.bud = budget.New(ctx, budget.Limits{
+	r.bud = budget.New(r.ctx, budget.Limits{
 		BDDNodes:  opt.MaxBDDNodes,
 		OFDDNodes: opt.MaxOFDDNodes,
 		Cubes:     opt.MaxCubes,
@@ -540,6 +544,7 @@ func (r *run) flow(ctx context.Context) (*network.Network, error) {
 // every network it ships, the swept-spec bottom rung included, leaves
 // through finalize.
 type run struct {
+	ctx   context.Context
 	spec  *network.Network
 	opt   Options
 	res   *Result
@@ -560,14 +565,12 @@ type run struct {
 }
 
 // cone is one output's routing and arm state. The derivation workers
-// write only their own cone, and the two arms of a hedged cone write
-// disjoint fields.
+// write only their own cone, and the two arms of a cone write disjoint
+// fields.
 type cone struct {
 	name             string
 	xor, sop         bool   // arms the router assigned
 	predicted, why   string // predictor verdict ("forced" when the basis decides) and reason
-	hedge            *budget.Hedge
-	xorBud, sopBud   *budget.Budget
 	xorFail, sopFail string // contained arm failures: the sibling arm covers the cone
 	specCone         bool   // the GF(2) arm fell down the ladder to the spec-cone copy
 	sopRes           *sisbase.Result
@@ -749,10 +752,9 @@ type armJob struct {
 // paper's derivation is independent per output (each gets its own OFDD
 // manager; the shared specification BDDs are read-only after ToBDDs,
 // and the one budget is race-safe), so the arms run on a bounded worker
-// pool. Hedged cones run both arms under sibling slices of the run
-// budget with loser-cancellation once a deadline exists (budget.Hedge).
-// Results land in per-cone slots and merge in output order, so the
-// network is bit-identical for every worker count.
+// pool. A cone routed to both arms runs each to completion on the run
+// budget. Results land in per-cone slots and merge in output order, so
+// the network is bit-identical for every worker count.
 func (r *run) deriveArms() {
 	nOut, nPI := len(r.cones), r.spec.NumPIs()
 	res := r.res
@@ -763,11 +765,8 @@ func (r *run) deriveArms() {
 	jobs := make([]armJob, 0, nOut)
 	for oi := range r.cones {
 		c := &r.cones[oi]
-		c.xorBud, c.sopBud = r.bud, r.bud
 		if c.xor && c.sop {
-			c.hedge = r.bud.Hedge()
-			c.xorBud, c.sopBud = c.hedge.Arm(0), c.hedge.Arm(1)
-			r.opt.Obs.Arbiter().HedgeStarted()
+			r.opt.Obs.Arbiter().BothArms()
 		}
 		if c.xor {
 			jobs = append(jobs, armJob{sop: false, oi: oi})
@@ -812,11 +811,6 @@ func (r *run) deriveArms() {
 		close(ch)
 		wg.Wait()
 	}
-	for i := range r.cones {
-		if h := r.cones[i].hedge; h != nil {
-			h.Stop()
-		}
-	}
 	// Deterministic merge: degradations in output order; a residual
 	// panic (a bug, not a budget trip) re-raises into the boundary above.
 	for oi := range r.cones {
@@ -845,13 +839,12 @@ func armFailure(p any) string {
 }
 
 // deriveXor runs one cone's GF(2) arm: the FPRM derivation under the
-// arm's budget slice, with the budgeted-retry rung. A failure goes to
+// run budget, with the budgeted-retry rung. A failure goes to
 // the sibling SOP arm when the cone has one, else down the spec-cone
 // ladder.
 func (r *run) deriveXor(w, oi int) {
 	c := &r.cones[oi]
 	nPI := r.spec.NumPIs()
-	abud := c.xorBud
 	contained := c.sop // a sibling arm exists to absorb failures
 	spanStart := time.Now()
 	// Residual (non-budget) panics cannot cross the goroutine boundary to
@@ -886,7 +879,7 @@ func (r *run) deriveXor(w, oi int) {
 		c.specCone = true
 		degrade(&c.degs, c.name, stage, "spec-cone", reason)
 	}
-	if perr := abud.Exceeded(); perr != nil {
+	if perr := r.bud.Exceeded(); perr != nil {
 		fail("fprm", perr.Error())
 		return
 	}
@@ -910,7 +903,7 @@ func (r *run) deriveXor(w, oi int) {
 		}
 		return "OFDD node cap exceeded"
 	}
-	if gerr := derive(abud, 1); gerr != nil || isHuge {
+	if gerr := derive(r.bud, 1); gerr != nil || isHuge {
 		if r.opt.RetryFactor <= 0 || !retryableTrip(gerr, isHuge) {
 			fail("fprm", reason(gerr))
 			return
@@ -919,7 +912,7 @@ func (r *run) deriveXor(w, oi int) {
 		// retry on a relaxed budget slice before the output falls all
 		// the way to the spec-cone copy.
 		degrade(&c.degs, c.name, "fprm", "retry", reason(gerr))
-		if rerr := derive(abud.Relaxed(r.opt.RetryFactor), r.opt.RetryFactor); rerr != nil || isHuge {
+		if rerr := derive(r.bud.Relaxed(r.opt.RetryFactor), r.opt.RetryFactor); rerr != nil || isHuge {
 			fail("retry", reason(rerr))
 			return
 		}
@@ -929,13 +922,10 @@ func (r *run) deriveXor(w, oi int) {
 	}
 	r.res.Forms[oi] = form
 	r.res.CubeCounts[oi] = count
-	if c.hedge != nil {
-		c.hedge.Win(0)
-	}
 }
 
 // deriveSop runs one cone's SOP arm: the SIS-style script on the
-// extracted spec cone, under the arm's budget slice and context. All
+// extracted spec cone, under the run's budget and context. All
 // failures are contained — the GF(2) arm or the spec-cone ladder covers
 // the cone — and the result is verified against the spec BDD at
 // selection time before it can win.
@@ -956,20 +946,16 @@ func (r *run) deriveSop(w, oi int) {
 	if r.opt.Hooks != nil && r.opt.Hooks.Arm != nil {
 		r.opt.Hooks.Arm("sop", oi)
 	}
-	abud := c.sopBud
-	if perr := abud.Exceeded(); perr != nil {
+	if perr := r.bud.Exceeded(); perr != nil {
 		c.sopFail = perr.Error()
 		return
 	}
-	sr, err := sisbase.RunCone(abud.Context(), r.spec, oi, sisbase.DefaultOptions(), abud)
+	sr, err := sisbase.RunCone(r.ctx, r.spec, oi, sisbase.DefaultOptions(), r.bud)
 	if err != nil {
 		c.sopFail = err.Error()
 		return
 	}
 	c.sopRes = sr
-	if c.hedge != nil {
-		c.hedge.Win(1)
-	}
 }
 
 // gf2Ready reports whether a cone has a GF(2) arm result to factor and
@@ -1325,7 +1311,7 @@ func (r *run) polish(cd *candidate) {
 		// mid-rewrite, and a half-applied candidate must not survive.
 		snap := net.Clone()
 		if guard(&cd.degs, "*", "redund", "skipped", func() {
-			cd.redund = redund.Remove(net, redund.Options{Forms: r.formsFor(cd.vec), Verify: opt.Verify, Budget: bud})
+			cd.redund = redund.Remove(net, redund.Options{Forms: r.formsFor(cd.vec), Budget: bud})
 		}) != nil {
 			*net = *snap
 			cd.redund = redund.Result{}

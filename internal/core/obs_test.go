@@ -1,11 +1,12 @@
 package core_test
 
 // End-to-end observability tests: stats collection through the whole
-// pipeline, worker-count independence of the report, and the golden
-// rmstats/v1 schema.
+// pipeline, independence of the report from the worker count and from a
+// deadline that does not expire, and the golden rmstats/v1 schema.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -226,5 +228,45 @@ func TestRunStatsGoldenSchema(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("rmstats/v1 serialization drifted from golden:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+}
+
+// A wall-clock deadline that does not expire must not change the result:
+// the arms of a two-arm cone both run to completion whether or not the
+// run has a deadline, at any worker count. The three circuits each have
+// cones the predictor sends to both arms.
+func TestDeadlineMatchesNoDeadline(t *testing.T) {
+	for _, name := range []string{"f51m", "9sym", "addm4"} {
+		c, ok := bench.ByName(name)
+		if !ok {
+			t.Fatalf("unknown bench circuit %q", name)
+		}
+		stats := func(deadline bool, workers int) []byte {
+			ctx := context.Background()
+			if deadline {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, time.Minute)
+				defer cancel()
+			}
+			opt := core.DefaultOptions()
+			opt.Obs = obs.NewCollector()
+			opt.Workers = workers
+			res, err := core.Synthesize(ctx, c.Build(), opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			b, err := json.Marshal(res.RunStats(name).StripVolatile())
+			if err != nil {
+				t.Fatalf("%s: marshal: %v", name, err)
+			}
+			return b
+		}
+		ref := stats(false, 1)
+		for _, workers := range []int{1, 4} {
+			if got := stats(true, workers); !bytes.Equal(ref, got) {
+				t.Errorf("%s: stripped RunStats under a deadline at -j%d differ from the deadline-free run:\nno deadline: %s\ndeadline:    %s",
+					name, workers, ref, got)
+			}
+		}
 	}
 }

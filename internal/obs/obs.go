@@ -284,11 +284,11 @@ func (s *Search) Snapshot() SearchStats {
 }
 
 // Arbiter counts the per-cone basis arbitration of the combined
-// GF(2)/SOP flow: predictor verdicts, hedged cones (both arms raced
-// under one budget), per-cone arm wins, and overrides (an arm failure
-// absorbed by its sibling's verified result instead of the degradation
-// ladder). The predict phase and selection are sequential, so every
-// counter is deterministic at any worker count.
+// GF(2)/SOP flow: predictor verdicts, cones that ran both arms, per-cone
+// arm wins, and overrides (an arm failure absorbed by its sibling's
+// verified result instead of the degradation ladder). The predict phase
+// and selection are sequential, so every counter is deterministic at any
+// worker count.
 type Arbiter struct {
 	predXor, predSop, predHedge atomic.Int64
 	hedges                      atomic.Int64
@@ -311,16 +311,15 @@ func (a *Arbiter) Prediction(verdict string) {
 	}
 }
 
-// HedgeStarted counts one cone racing both arms under sibling budget
-// slices.
-func (a *Arbiter) HedgeStarted() {
+// BothArms counts one cone routed to both arms (reported as "hedges").
+func (a *Arbiter) BothArms() {
 	if a == nil {
 		return
 	}
 	a.hedges.Add(1)
 }
 
-// ArmWin counts the selected arm of a hedged cone ("xor" or "sop").
+// ArmWin counts the selected arm of a two-arm cone ("xor" or "sop").
 func (a *Arbiter) ArmWin(basis string) {
 	if a == nil {
 		return

@@ -63,7 +63,9 @@ func EstimateMapped(res *techmap.Result) Report {
 	subj := res.Subject
 	m := bdd.New(len(subj.PIs))
 	funcs := subjectBDDs(subj, m)
-	load := make(map[int]int)
+	// Indexed by subject node and summed in node order, so the float
+	// total is the same on every call.
+	load := make([]int, len(subj.Nodes))
 	for _, c := range res.Cells {
 		for _, in := range c.Inputs {
 			load[in]++

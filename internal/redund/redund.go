@@ -15,11 +15,11 @@
 //
 // A candidate reduction must leave every primary output unchanged on every
 // pattern (this subsumes the controllability and observability conditions
-// of Properties 3-7 on the pattern set). Because the paper's §4 parity
-// enumeration is published only as a sketch, Options.Verify (default on in
-// the synthesis flow) additionally confirms each candidate with an exact
-// BDD equivalence check before committing it; Options.Verify=false runs
-// the pure pattern-based method.
+// of Properties 3-7 on the pattern set). The paper's §4 parity enumeration
+// is published only as a sketch, and the pattern set alone can miss a
+// distinguishing input (x0x2 ⊕ x2x3 ⊕ x0x1x2 ⊕ x1x2x3 ⊕ x1x2x3x4 is one
+// such form), so every candidate that passes the patterns is confirmed
+// with an exact BDD equivalence check before it is committed.
 package redund
 
 import (
@@ -41,9 +41,6 @@ type Options struct {
 	// Forms lists the per-output FPRM forms; their cubes generate the
 	// pattern sets.
 	Forms []*fprm.Form
-	// Verify confirms every candidate reduction with a BDD equivalence
-	// check against the original network before committing it.
-	Verify bool
 }
 
 // Caps of the pass.
@@ -65,7 +62,7 @@ type Result struct {
 	ConstFolded   int // untestable s-a-0 gates forced to constant
 	Patterns      int // primary-input patterns simulated
 	Candidates    int // reductions proposed by the pattern analysis
-	Reverted      int // candidates rejected by the exact verification
+	Reverted      int // pattern-screened candidates rejected by the exact check
 	Passes        int // fixpoint iterations executed (including the final no-change pass)
 	// BudgetCut reports the fixpoint loop stopped early on an exhausted
 	// budget; the reductions committed before the cut are kept.
@@ -190,28 +187,27 @@ type engine struct {
 	vals     [][]uint64 // [batch][gate] cached values for the current net
 	order    []int      // cached topological order
 	fanouts  [][]int
+	mark     []int         // mark[g] == walk: g was reached by the latest cone walk
+	walk     int           // number of cone walks so far
 	poIdx    map[int][]int // gate -> PO indices it drives
 	bm       *bdd.Manager
 	spec     []bdd.Ref
-	verify   bool
 	scratch  []uint64
 	res      Result
 }
 
 // Remove reduces redundant XOR gates and AND fanins in net per Section 4.
-// The network is modified in place; the function is preserved (guaranteed
-// when Verify is set, and by the pattern analysis otherwise).
+// The network is modified in place; every committed rewrite is checked
+// exactly, so the function is preserved.
 func Remove(net *network.Network, opt Options) Result {
-	e := &engine{net: net, verify: opt.Verify}
+	e := &engine{net: net}
 	e.patterns = BuildPatterns(opt.Forms, maxOCPatterns, maxUnionPatterns)
 	e.res.Patterns = len(e.patterns)
 	e.packPatterns()
 	e.refresh()
-	if opt.Verify {
-		e.bm = bdd.New(len(net.PIs))
-		e.bm.SetBudget(opt.Budget)
-		e.spec = net.ToBDDs(e.bm)
-	}
+	e.bm = bdd.New(len(net.PIs))
+	e.bm.SetBudget(opt.Budget)
+	e.spec = net.ToBDDs(e.bm)
 
 	for pass := 0; pass < maxPasses; pass++ {
 		if opt.Budget.Exceeded() != nil {
@@ -265,24 +261,33 @@ func (e *engine) refresh() {
 	if cap(e.scratch) < len(e.net.Gates) {
 		e.scratch = make([]uint64, len(e.net.Gates))
 	}
+	if len(e.mark) < len(e.net.Gates) {
+		e.mark = make([]int, len(e.net.Gates))
+	}
 }
 
 // cone returns the transitive fanout of gate id (including id), in
-// topological order, under the current cached structure.
+// topological order, under the cached structure. Every gate the walk
+// reaches, including fanouts outside the cached order, is marked until
+// the next walk (see reached).
 func (e *engine) cone(id int) []int {
-	in := make(map[int]bool)
-	in[id] = true
+	e.walk++
+	e.mark[id] = e.walk
 	var out []int
 	for _, g := range e.order {
-		if in[g] {
+		if e.reached(g) {
 			out = append(out, g)
 			for _, fo := range e.fanouts[g] {
-				in[fo] = true
+				e.mark[fo] = e.walk
 			}
 		}
 	}
 	return out
 }
+
+// reached reports whether the latest cone walk reached gate g, which
+// must predate the last refresh.
+func (e *engine) reached(g int) bool { return e.mark[g] == e.walk }
 
 // batchMask returns the valid-bit mask of batch b.
 func (e *engine) batchMask(b int) uint64 {
@@ -300,23 +305,14 @@ func (e *engine) batchMask(b int) uint64 {
 // back — have no cached value and are evaluated first. Only the fanout
 // cone of the rewritten gate is resimulated; cached values are not
 // modified.
+//
+// The cone is walked over the structure cached at the last refresh. The
+// rewrite changes only the fanins of `changed`, and none of its new
+// fanins can lie in the fanout of `changed` (the network is acyclic), so
+// the walk reaches the same old gates it would on the rewritten network;
+// gates added since the refresh are read from scratch either way.
 func (e *engine) screen(changed int) bool {
-	// Topological cone of `changed` over the pre-rewrite order (fanin
-	// rewrites never create edges among old gates, so the cached order
-	// remains valid; new gates only feed `changed` and are evaluated
-	// first, from cached fanin values).
-	fanouts := e.net.Fanouts()
-	inCone := make(map[int]bool)
-	inCone[changed] = true
-	var coneList []int
-	for _, g := range e.order {
-		if inCone[g] {
-			coneList = append(coneList, g)
-			for _, fo := range fanouts[g] {
-				inCone[fo] = true
-			}
-		}
-	}
+	coneList := e.cone(changed)
 	scratch := e.scratch
 	if cap(scratch) < len(e.net.Gates) {
 		scratch = make([]uint64, len(e.net.Gates))
@@ -328,7 +324,7 @@ func (e *engine) screen(changed int) bool {
 		vals := e.vals[b]
 		fresh := len(vals) // first gate without a cached value
 		read := func(f int) uint64 {
-			if f >= fresh || inCone[f] {
+			if f >= fresh || e.reached(f) {
 				return scratch[f]
 			}
 			return vals[f]
@@ -360,7 +356,7 @@ func (e *engine) screen(changed int) bool {
 }
 
 // verified reports whether the current network is exactly equivalent to
-// the specification (only called when verify is on).
+// the specification.
 func (e *engine) verified() bool {
 	got := e.net.ToBDDs(e.bm)
 	for i := range got {
@@ -397,8 +393,8 @@ func (e *engine) supports() []cube.BitSet {
 
 // tryCandidate applies fn (which mutates gate `changed` and may append new
 // gates), screens the change on the pattern set by cone resimulation, and
-// optionally verifies exactly; on failure it calls undo. On success the
-// cached values are refreshed. Returns whether the change was kept.
+// verifies exactly; on failure it calls undo. On success the cached values
+// are refreshed. Returns whether the change was kept.
 func (e *engine) tryCandidate(changed int, apply, undo func()) bool {
 	e.res.Candidates++
 	apply()
@@ -406,7 +402,7 @@ func (e *engine) tryCandidate(changed int, apply, undo func()) bool {
 		undo()
 		return false
 	}
-	if e.verify && !e.verified() {
+	if !e.verified() {
 		e.res.Reverted++
 		undo()
 		return false

@@ -89,7 +89,7 @@ func TestORReduction(t *testing.T) {
 	if before.XORs == 0 {
 		t.Fatal("test net should start with XOR gates")
 	}
-	res := Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
+	res := Remove(net, Options{Forms: []*fprm.Form{f}})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("function changed")
 	}
@@ -108,7 +108,7 @@ func TestParityIrreducible(t *testing.T) {
 	f := formOf(8, []int{0}, []int{1}, []int{2}, []int{3}, []int{4}, []int{5}, []int{6}, []int{7})
 	net := netFromForm(f)
 	before := net.CollectStats()
-	res := Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
+	res := Remove(net, Options{Forms: []*fprm.Form{f}})
 	after := net.CollectStats()
 	if after.XORs != before.XORs {
 		t.Errorf("parity XORs changed: %d -> %d (%+v)", before.XORs, after.XORs, res)
@@ -121,7 +121,7 @@ func TestANDReduction(t *testing.T) {
 	f := formOf(2, []int{0}, []int{0, 1})
 	net := netFromForm(f)
 	m, spec := specOf(net)
-	Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
+	Remove(net, Options{Forms: []*fprm.Form{f}})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("function changed")
 	}
@@ -151,7 +151,7 @@ func TestT481Reduction(t *testing.T) {
 	net := netFromForm(f)
 	m, spec := specOf(net)
 	before := net.CollectStats()
-	res := Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
+	res := Remove(net, Options{Forms: []*fprm.Form{f}})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("function changed")
 	}
@@ -169,21 +169,24 @@ func TestT481Reduction(t *testing.T) {
 	}
 }
 
-// TestPatternOnlyModeSoundOnArithmetic: with Verify off (the paper's pure
-// method) the function must still be preserved on arithmetic-style forms.
-func TestPatternOnlyModeSoundOnArithmetic(t *testing.T) {
+// TestRemovePreservesFixedForms: removal preserves the function on
+// arithmetic-style forms, and on a form whose pattern set misses a
+// distinguishing input: on the patterns alone, one of its XORs becomes
+// an OR and one fanin is removed, and only the exact check reverts them.
+func TestRemovePreservesFixedForms(t *testing.T) {
 	forms := []*fprm.Form{
 		formOf(2, []int{0}, []int{1}, []int{0, 1}),
 		formOf(3, []int{0, 1}, []int{0, 2}, []int{1, 2}), // carry
 		formOf(4, []int{0}, []int{1}, []int{2}, []int{3}),
 		formOf(5, []int{0, 1}, []int{0, 1, 2}, []int{3, 4}, []int{3}),
+		formOf(5, []int{0, 2}, []int{2, 3}, []int{0, 1, 2}, []int{1, 2, 3}, []int{1, 2, 3, 4}), // pattern miss
 	}
 	for i, f := range forms {
 		net := netFromForm(f)
 		m, spec := specOf(net)
-		Remove(net, Options{Forms: []*fprm.Form{f}, Verify: false})
+		Remove(net, Options{Forms: []*fprm.Form{f}})
 		if !equalSpec(net, m, spec) {
-			t.Errorf("form %d: pattern-only removal changed the function", i)
+			t.Errorf("form %d: removal changed the function", i)
 		}
 	}
 }
@@ -211,7 +214,7 @@ func TestQuickRemovePreservesFunction(t *testing.T) {
 		net := netFromForm(form)
 		m, spec := specOf(net)
 		before := net.CollectStats()
-		Remove(net, Options{Forms: []*fprm.Form{form}, Verify: true})
+		Remove(net, Options{Forms: []*fprm.Form{form}})
 		if !equalSpec(net, m, spec) {
 			return false
 		}
@@ -222,9 +225,10 @@ func TestQuickRemovePreservesFunction(t *testing.T) {
 	}
 }
 
-// Property: pattern-only mode also preserves the function on random ESOPs
-// (the pattern set plus union closure is strong enough at these sizes).
-func TestQuickPatternOnlyPreserves(t *testing.T) {
+// Property: removal preserves the function on random small ESOPs, where
+// the pattern screen alone occasionally misses a distinguishing input
+// (see TestRemovePreservesFixedForms).
+func TestQuickRemoveSmallFormsPreserves(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(3)
@@ -244,7 +248,7 @@ func TestQuickPatternOnlyPreserves(t *testing.T) {
 		}
 		net := netFromForm(form)
 		m, spec := specOf(net)
-		Remove(net, Options{Forms: []*fprm.Form{form}, Verify: false})
+		Remove(net, Options{Forms: []*fprm.Form{form}})
 		return equalSpec(net, m, spec)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -262,7 +266,7 @@ func TestNegativePolarityForm(t *testing.T) {
 	f.Cubes.Add(cube.New(3, 2))
 	net := netFromForm(f)
 	m, spec := specOf(net)
-	Remove(net, Options{Forms: []*fprm.Form{f}, Verify: true})
+	Remove(net, Options{Forms: []*fprm.Form{f}})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("function changed under mixed polarity")
 	}
@@ -327,7 +331,7 @@ func TestMultiOutputForms(t *testing.T) {
 	net.AddPO("f0", em.Emit(e0))
 	net.AddPO("f1", em.Emit(e1))
 	m, spec := specOf(net)
-	Remove(net, Options{Forms: []*fprm.Form{f0, f1}, Verify: true})
+	Remove(net, Options{Forms: []*fprm.Form{f0, f1}})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("multi-output removal changed a function")
 	}
@@ -355,7 +359,7 @@ func TestRemoveReusesOrphanedInverter(t *testing.T) {
 	for i := range forms {
 		forms[i] = fprm.NewForm(net.NumPIs(), nil)
 	}
-	Remove(net, Options{Forms: forms, Verify: true})
+	Remove(net, Options{Forms: forms})
 	if !equalSpec(net, m, spec) {
 		t.Fatal("removal changed a function")
 	}

@@ -9,6 +9,7 @@ package sop
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -210,31 +211,51 @@ func (c *Cover) CofactorTerm(u Term) *Cover {
 	return out
 }
 
-// mostBinateVar returns the variable appearing in the most terms, breaking
-// ties toward the most balanced pos/neg split; -1 if no literals remain.
+// mostBinateVar returns the splitting variable of the unate recursive
+// paradigm: a binate variable (both polarities occur) before a unate one,
+// then the one in the most terms, then the lowest index; -1 if no
+// literals remain. It allocates nothing: the counts are kept for one
+// 64-variable word at a time, and only the variables some term mentions
+// are scored, in ascending order.
 func (c *Cover) mostBinateVar() int {
-	pos := make([]int, c.NumVars)
-	neg := make([]int, c.NumVars)
+	words := 0
 	for _, t := range c.Terms {
-		t.Pos.ForEach(func(v int) { pos[v]++ })
-		t.Neg.ForEach(func(v int) { neg[v]++ })
+		words = max(words, len(t.Pos), len(t.Neg))
 	}
+	var pos, neg [64]int
 	best, bestScore := -1, -1
-	for v := 0; v < c.NumVars; v++ {
-		tot := pos[v] + neg[v]
-		if tot == 0 {
-			continue
+	for w := 0; w < words; w++ {
+		var union uint64
+		for _, t := range c.Terms {
+			union |= countBits(&pos, t.Pos, w) | countBits(&neg, t.Neg, w)
 		}
-		// Prefer binate (both polarities) variables, then high occurrence.
-		score := tot
-		if pos[v] > 0 && neg[v] > 0 {
-			score += 1 << 20
-		}
-		if score > bestScore {
-			best, bestScore = v, score
+		for ; union != 0; union &= union - 1 {
+			b := bits.TrailingZeros64(union)
+			// Prefer binate (both polarities) variables, then high occurrence.
+			score := pos[b] + neg[b]
+			if pos[b] > 0 && neg[b] > 0 {
+				score += 1 << 20
+			}
+			if score > bestScore {
+				best, bestScore = w*64+b, score
+			}
+			pos[b], neg[b] = 0, 0
 		}
 	}
 	return best
+}
+
+// countBits adds one to counts[b] for every bit b set in word w of s and
+// returns that word (zero past the end of s).
+func countBits(counts *[64]int, s cube.BitSet, w int) uint64 {
+	if w >= len(s) {
+		return 0
+	}
+	x := s[w]
+	for y := x; y != 0; y &= y - 1 {
+		counts[bits.TrailingZeros64(y)]++
+	}
+	return x
 }
 
 // IsTautology reports whether the cover is the constant-1 function,

@@ -300,3 +300,80 @@ func TestCofactor(t *testing.T) {
 		t.Errorf("cofactor x0=0 wrong: %s", n)
 	}
 }
+
+// mostBinateVarRef is the counting loop mostBinateVar replaced: two
+// NumVars-long count slices and a scan of every variable.
+func mostBinateVarRef(c *Cover) int {
+	pos := make([]int, c.NumVars)
+	neg := make([]int, c.NumVars)
+	for _, t := range c.Terms {
+		t.Pos.ForEach(func(v int) { pos[v]++ })
+		t.Neg.ForEach(func(v int) { neg[v]++ })
+	}
+	best, bestScore := -1, -1
+	for v := 0; v < c.NumVars; v++ {
+		tot := pos[v] + neg[v]
+		if tot == 0 {
+			continue
+		}
+		score := tot
+		if pos[v] > 0 && neg[v] > 0 {
+			score += 1 << 20
+		}
+		if score > bestScore {
+			best, bestScore = v, score
+		}
+	}
+	return best
+}
+
+// sparseCover draws a cover over n variables whose terms have a few
+// literals each, drawn from a small pool so that counts tie often.
+func sparseCover(rng *rand.Rand, n int) *Cover {
+	pool := make([]int, 1+rng.Intn(8))
+	for i := range pool {
+		pool[i] = rng.Intn(n)
+	}
+	c := NewCover(n)
+	for i := rng.Intn(12); i > 0; i-- {
+		t := NewTerm(n)
+		for j := rng.Intn(5); j > 0; j-- {
+			if v := pool[rng.Intn(len(pool))]; rng.Intn(2) == 0 {
+				t.SetPos(v)
+			} else {
+				t.SetNeg(v)
+			}
+		}
+		c.Add(t)
+	}
+	return c
+}
+
+func TestMostBinateVarMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		c := sparseCover(rng, 1+rng.Intn(300))
+		if i%4 == 0 {
+			c = randomCover(rng, 1+rng.Intn(70), rng.Intn(10))
+		}
+		if got, want := c.mostBinateVar(), mostBinateVarRef(c); got != want {
+			t.Fatalf("cover %d over %d vars: mostBinateVar = %d, reference %d\n%s", i, c.NumVars, got, want, c)
+		}
+	}
+}
+
+// mostBinateVar sits inside the tautology and complement recursions over
+// the wide signal spaces of sisbase covers; it must not allocate.
+func TestMostBinateVarAllocs(t *testing.T) {
+	n := 2*500 + 256
+	c := NewCover(n)
+	for _, v := range []int{3, 70, 700, n - 1} {
+		t := NewTerm(n)
+		t.SetPos(v)
+		t.SetNeg(v/2 + 1)
+		c.Add(t)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.mostBinateVar() }); allocs != 0 {
+		t.Errorf("mostBinateVar allocates %.0f times per call, want 0", allocs)
+	}
+}
