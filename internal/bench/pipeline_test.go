@@ -44,7 +44,6 @@ func TestQuickFullPipeline(t *testing.T) {
 		}
 		spec.AddPO("o1", len(spec.Gates)-1)
 		spec.AddPO("o2", rng.Intn(len(spec.Gates)))
-		spec.Sweep()
 
 		ours, err := core.Synthesize(context.Background(), spec, core.DefaultOptions())
 		if err != nil {

@@ -350,16 +350,17 @@ func (o Options) workers() int {
 // network-wide step), which pipeline stage hit its budget, what was used
 // instead, and why.
 type Degradation struct {
-	Output   string // PO name, or "*" for the whole network
-	Stage    string // pipeline stage: "spec-bdd", "predict", "fprm", "polarity-search", "cube-method", "factor", "retry", "xor-arm", "sop-arm", "redund", "merge", "do-no-harm"
-	Fallback string // what ran instead: "swept-spec", "spec-cone", "best-so-far", "ofdd-method", "skipped", "partial", "retry", "xor-arm", "sop-arm"
-	Reason   string // the budget error or condition that triggered it
+	Output   string `json:"output"`   // PO name, or "*" for the whole network
+	Stage    string `json:"stage"`    // pipeline stage: "spec-bdd", "predict", "fprm", "polarity-search", "cube-method", "factor", "retry", "xor-arm", "sop-arm", "redund", "merge", "do-no-harm"
+	Fallback string `json:"fallback"` // what ran instead: "swept-spec", "spec-cone", "best-so-far", "ofdd-method", "skipped", "partial", "retry", "xor-arm", "sop-arm"
+	Reason   string `json:"reason"`   // the budget error or condition that triggered it
 }
 
-// PhaseTime records the wall-clock time of one pipeline phase.
+// PhaseTime records the wall-clock time of one pipeline phase. Elapsed
+// encodes as integer nanoseconds.
 type PhaseTime struct {
-	Name    string // "spec-bdd", "predict", "fprm", "factor", "emit", "select", "redund", "merge", "cleanup", "verify"
-	Elapsed time.Duration
+	Name    string        `json:"name"` // "spec-bdd", "predict", "fprm", "factor", "emit", "select", "redund", "merge", "cleanup", "verify"
+	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
 // OutputSpan records one output's derivation span inside the parallel
@@ -368,10 +369,10 @@ type PhaseTime struct {
 // slice's structure (outputs, indices) is identical at any worker
 // count; Worker and Elapsed are the only schedule-dependent fields.
 type OutputSpan struct {
-	Output  string        // PO name
-	Index   int           // output index
-	Worker  int           // worker that ran the derivation
-	Elapsed time.Duration // wall-clock time of this output's derivation
+	Output  string        `json:"output"`     // PO name
+	Index   int           `json:"index"`      // output index
+	Worker  int           `json:"worker"`     // worker that ran the derivation
+	Elapsed time.Duration `json:"elapsed_ns"` // wall-clock time of this output's derivation
 }
 
 // BasisChoice records how one output cone was routed through the basis
@@ -403,10 +404,12 @@ type Result struct {
 	OutputTimes []OutputSpan
 	// Workers is the derivation worker count the fprm phase ran with.
 	Workers int
-	// Fallback reports that the FPRM result was larger than the (swept,
-	// hashed, merged) specification, which was returned instead — the
-	// do-no-harm rung for functions with unmanageable FPRM forms, the
-	// limitation Section 6 of the paper states.
+	// Fallback reports that the specification was shipped instead of a
+	// synthesized network: the FPRM result was larger than the (hashed,
+	// merged, cleaned) specification — the do-no-harm rung for functions
+	// with unmanageable FPRM forms, the limitation Section 6 of the paper
+	// states — or the budget ran out before the flow could start (the
+	// swept-spec rung).
 	Fallback bool
 	// Degradations lists every fallback the graceful-degradation ladder
 	// took, in the order they fired. Empty for a fully unconstrained run.
@@ -662,14 +665,13 @@ const simVectors = 4096
 // sweptSpec is the bottom rung of the degradation ladder: the budget
 // was exhausted before the flow could start (or the specification BDDs
 // blew it), so it ships a swept structural copy of the specification.
-// Sweep and Strash preserve the function by construction; when Verify is
-// on this is double-checked by simulation, since the BDD route is
-// exactly what just exceeded its budget.
+// Strash preserves the function by construction; when Verify is on this
+// is double-checked by simulation, since the BDD route is exactly what
+// just exceeded its budget.
 func (r *run) sweptSpec() (*network.Network, error) {
 	net := r.spec.Clone()
 	net.Name = r.spec.Name + "_rm"
 	net.Strash()
-	net.Sweep()
 	net.Compact()
 	if r.opt.Verify {
 		ok, err := verify.Simulate(r.spec, net, simVectors)
@@ -1140,7 +1142,6 @@ func (r *run) selectArms() {
 				r.net.AddPO(r.cones[oi].name, r.cones[oi].root)
 			}
 			r.net.Strash()
-			r.net.Sweep()
 			r.cands[i].net = r.net
 			break
 		}
@@ -1195,7 +1196,7 @@ func (r *run) choose() []int {
 		bc := BasisChoice{Output: c.name, Predicted: c.predicted, XorLits: -1, SopLits: -1, Reason: c.why}
 		var xs, ss network.Stats
 		if c.emitted {
-			xs = coneStats(r.net, c.root)
+			xs = r.net.ConeStats(c.root)
 			bc.XorLits = xs.Lits
 		}
 		if c.sopRes != nil {
@@ -1252,41 +1253,37 @@ func (r *run) choose() []int {
 func (r *run) assemble(vec []int) *network.Network {
 	spec := r.spec
 	cn := network.New(spec.Name + "_rm")
-	cpis := make([]int, len(spec.PIs))
-	for i, piID := range spec.PIs {
-		cpis[i] = cn.AddPI(spec.Gates[piID].Name)
+	for _, piID := range spec.PIs {
+		cn.AddPI(spec.Gates[piID].Name)
 	}
-	fromNet := newConeCopier(r.net, cn, cpis)
-	fromSpec := newConeCopier(spec, cn, cpis)
+	fromNet := network.NewCopier(r.net, cn, cn.PIs)
+	fromSpec := network.NewCopier(spec, cn, cn.PIs)
 	for oi, ch := range vec {
 		var root int
 		switch ch {
 		case chXor:
-			root = fromNet.copy(r.cones[oi].root)
+			root = fromNet.Copy(r.cones[oi].root)
 		case chSop:
 			sn := r.cones[oi].sopRes.Network
-			root = newConeCopier(sn, cn, cpis).copy(sn.POs[0].Gate)
+			root = network.NewCopier(sn, cn, cn.PIs).Copy(sn.POs[0].Gate)
 		default:
-			root = fromSpec.copy(spec.POs[oi].Gate)
+			root = fromSpec.Copy(spec.POs[oi].Gate)
 		}
 		cn.AddPO(spec.POs[oi].Name, root)
 	}
 	cn.Strash()
-	cn.Sweep()
 	return cn
 }
 
 // prepareReference builds the do-no-harm reference: the specification
-// swept, hashed, merged, and cleaned exactly like a candidate, so the
-// final comparison is between equally-polished networks.
+// hashed, merged, and cleaned exactly like a candidate, so the final
+// comparison is between equally-polished networks.
 func (r *run) prepareReference() {
 	so := r.spec.Clone()
-	so.Sweep()
 	so.Strash()
 	// MergeEquivalentGates only mutates after its signature loop
 	// completes, so a budget trip mid-loop leaves the copy intact.
 	guard(&r.res.Degradations, "*", "merge", "skipped", func() { MergeEquivalentGates(so, r.bm) })
-	so.Sweep()
 	cleanupNetwork(so)
 	r.specOpt = so
 }
@@ -1330,13 +1327,12 @@ func (r *run) polish(cd *candidate) {
 		// Safe without a snapshot: mutation happens only after the BDD
 		// signature loop, the sole place a budget trip can occur.
 		guard(&cd.degs, "*", "merge", "skipped", func() { MergeEquivalentGates(net, r.bm) })
-		net.Sweep()
 	})
-	// Structural cleanup after the optimization passes: cancel inverter
-	// pairs, rebalance XOR chains (deferred until after redund, whose
-	// Section 4 analysis depends on the factor-phase tree shapes),
-	// re-hash, and compact away everything the merges left dead. Runs
-	// before verify so the equivalence check covers it.
+	// Structural cleanup after the optimization passes: rebalance XOR
+	// chains (deferred until after redund, whose Section 4 analysis
+	// depends on the factor-phase tree shapes), re-hash, and compact
+	// away everything the merges left dead. Runs before verify so the
+	// equivalence check covers it.
 	r.stage("cleanup", func() { cleanupNetwork(net) })
 	cd.stats = net.CollectStats()
 }
@@ -1466,50 +1462,15 @@ func (r *run) doNoHarm(win *candidate) *network.Network {
 	return r.specOpt
 }
 
-// coneStats computes CollectStats' cost model over the cone rooted at
-// one gate — the whole-network metric restricted to a single output.
-func coneStats(n *network.Network, root int) network.Stats {
-	var s network.Stats
-	seen := make(map[int]bool)
-	var visit func(int)
-	visit = func(id int) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		g := &n.Gates[id]
-		for _, f := range g.Fanins {
-			visit(f)
-		}
-		switch g.Type {
-		case network.PI:
-		case network.And, network.Or, network.Nand, network.Nor:
-			s.Total++
-			s.Gates2 += len(g.Fanins) - 1
-		case network.Xor, network.Xnor:
-			s.Total++
-			s.XORs++
-			s.Gates2 += 3 * (len(g.Fanins) - 1)
-		default: // Const0/Const1/Buf/Not
-			s.Total++
-		}
-	}
-	visit(root)
-	s.Lits = 2 * s.Gates2
-	return s
-}
-
-// cleanupNetwork runs the cheap structural post-passes: inverter-pair
-// elimination, XOR-tree rebalancing, a re-hash of anything the rewrites
-// uncovered, and compaction of dead gates. None of the passes can
-// increase Gates2 (inverters are free, a rebalanced tree has the same
+// cleanupNetwork runs the cheap structural post-passes: XOR-tree
+// rebalancing, a re-hash that also cancels the inverter pairs, buffers
+// and constants the rewrites uncovered, and compaction of dead gates.
+// None of the passes can increase Gates2 (a rebalanced tree has the same
 // leaf count or fewer, hashing only removes), so running them is always
 // safe for the do-no-harm comparison.
 func cleanupNetwork(net *network.Network) {
-	net.ElimInvPairs()
 	net.RebalanceXorTrees()
 	net.Strash()
-	net.Sweep()
 	net.Compact()
 }
 
@@ -1622,40 +1583,6 @@ func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, rel
 	return form, int64(form.Cubes.Len()), false, searchCut
 }
 
-// coneCopier structurally copies gate cones from the specification into
-// the result network, sharing already-copied gates.
-type coneCopier struct {
-	spec, dst *network.Network
-	memo      map[int]int
-}
-
-func newConeCopier(spec, dst *network.Network, pis []int) *coneCopier {
-	c := &coneCopier{spec: spec, dst: dst, memo: make(map[int]int)}
-	for i, piID := range spec.PIs {
-		c.memo[piID] = pis[i]
-	}
-	return c
-}
-
-func (c *coneCopier) copy(id int) int {
-	if g, ok := c.memo[id]; ok {
-		return g
-	}
-	g := &c.spec.Gates[id]
-	fanins := make([]int, len(g.Fanins))
-	for i, f := range g.Fanins {
-		fanins[i] = c.copy(f)
-	}
-	var nid int
-	if len(fanins) == 0 {
-		nid = c.dst.AddGate(g.Type)
-	} else {
-		nid = c.dst.AddGate(g.Type, fanins...)
-	}
-	c.memo[id] = nid
-	return nid
-}
-
 // applyPolarity rewrites an expression over FPRM literals into PI space:
 // literals of negative-polarity variables become complemented variables.
 func applyPolarity(e *factor.Expr, pol []bool) *factor.Expr {
@@ -1718,25 +1645,21 @@ func MergeEquivalentGates(net *network.Network, bm *bdd.Manager) int {
 	}
 	canon := make(map[bdd.Ref]int)
 	merged := 0
+	var ins []bdd.Ref
 	for _, id := range net.TopoOrder() {
 		if bm.Size() > sizeCap {
 			return merged // give up gracefully on BDD blowup
 		}
 		g := &net.Gates[id]
 		var f bdd.Ref
-		switch g.Type {
-		case network.PI:
+		if g.Type == network.PI {
 			f = bm.Var(piIdx[id])
-		case network.Const0:
-			f = bdd.Zero
-		case network.Const1:
-			f = bdd.One
-		default:
-			ins := make([]bdd.Ref, len(g.Fanins))
-			for i, fi := range g.Fanins {
-				ins[i] = val[repl[fi]]
+		} else {
+			ins = ins[:0]
+			for _, fi := range g.Fanins {
+				ins = append(ins, val[repl[fi]])
 			}
-			f = evalBDD(bm, g.Type, ins)
+			f = network.GateBDD(bm, g.Type, ins)
 		}
 		val[id] = f
 		if g.Type == network.PI {
@@ -1759,43 +1682,4 @@ func MergeEquivalentGates(net *network.Network, bm *bdd.Manager) int {
 		net.POs[i].Gate = repl[net.POs[i].Gate]
 	}
 	return merged
-}
-
-func evalBDD(bm *bdd.Manager, t network.GateType, ins []bdd.Ref) bdd.Ref {
-	switch t {
-	case network.Buf:
-		return ins[0]
-	case network.Not:
-		return bm.Not(ins[0])
-	case network.And, network.Nand:
-		v := bdd.One
-		for _, f := range ins {
-			v = bm.And(v, f)
-		}
-		if t == network.Nand {
-			v = bm.Not(v)
-		}
-		return v
-	case network.Or, network.Nor:
-		v := bdd.Zero
-		for _, f := range ins {
-			v = bm.Or(v, f)
-		}
-		if t == network.Nor {
-			v = bm.Not(v)
-		}
-		return v
-	case network.Xor, network.Xnor:
-		v := bdd.Zero
-		for _, f := range ins {
-			v = bm.Xor(v, f)
-		}
-		if t == network.Xnor {
-			v = bm.Not(v)
-		}
-		return v
-	}
-	// Programmer invariant: GateType is a closed enum; PI/Const cases are
-	// handled by the caller and every logic type is covered above.
-	panic("core: bad gate type")
 }

@@ -243,9 +243,9 @@ func TestMergeEquivalentGates(t *testing.T) {
 	if merged < 1 {
 		t.Errorf("merged = %d, want ≥ 1", merged)
 	}
-	n.Sweep()
+	n.Strash()
 	if n.Gates[n.POs[0].Gate].Type != network.Const0 {
-		t.Error("after merging, g1^g2 should sweep to const 0")
+		t.Error("after merging, g1^g2 should strash to const 0")
 	}
 }
 

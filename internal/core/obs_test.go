@@ -19,6 +19,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/redund"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -172,6 +173,19 @@ func TestRunStatsDeterministicExhaustive(t *testing.T) {
 // as testdata/runstats_golden.json. A failure means the rmstats/v1
 // wire format changed — bump StatsSchema and regenerate deliberately
 // with go test ./internal/core -run Golden -update.
+// TestStripVolatileLeavesResult: the report owns copies of the result's
+// slices, so stripping it leaves the Result's times intact.
+func TestStripVolatileLeavesResult(t *testing.T) {
+	res := &core.Result{
+		PhaseTimes:  []core.PhaseTime{{Name: "fprm", Elapsed: 5}},
+		OutputTimes: []core.OutputSpan{{Output: "o", Worker: 1, Elapsed: 7}},
+	}
+	res.RunStats("x").StripVolatile()
+	if res.PhaseTimes[0].Elapsed != 5 || res.OutputTimes[0].Worker != 1 || res.OutputTimes[0].Elapsed != 7 {
+		t.Errorf("StripVolatile wrote through to the Result: %+v %+v", res.PhaseTimes, res.OutputTimes)
+	}
+}
+
 func TestRunStatsGoldenSchema(t *testing.T) {
 	rs := &core.RunStats{
 		Schema:     core.StatsSchema,
@@ -185,10 +199,10 @@ func TestRunStatsGoldenSchema(t *testing.T) {
 		GatesTotal: 36,
 		CubeCounts: []int64{9, 17},
 		Fallback:   true,
-		Degradations: []core.DegradationStat{{
+		Degradations: []core.Degradation{{
 			Output: "s1", Stage: "fprm", Fallback: "greedy", Reason: "node budget",
 		}},
-		Redund: core.RedundStat{
+		Redund: redund.Result{
 			XorToOr: 1, XorToAnd: 2, FaninsRemoved: 3, ConstFolded: 4,
 			Patterns: 5, Candidates: 6, Reverted: 7, Passes: 2, BudgetCut: true,
 		},
@@ -202,13 +216,13 @@ func TestRunStatsGoldenSchema(t *testing.T) {
 				{Candidates: 8, Improvements: 1, BestCubes: 17, BestLits: 40},
 			},
 		},
-		Phases: []core.PhaseStat{
-			{Name: "bdd", ElapsedNS: 1000},
-			{Name: "fprm", ElapsedNS: 2000},
+		Phases: []core.PhaseTime{
+			{Name: "bdd", Elapsed: 1000},
+			{Name: "fprm", Elapsed: 2000},
 		},
-		Outputs: []core.OutputStat{
-			{Output: "s0", Index: 0, Worker: 1, ElapsedNS: 900},
-			{Output: "s1", Index: 1, Worker: 0, ElapsedNS: 1100},
+		Outputs: []core.OutputSpan{
+			{Output: "s0", Index: 0, Worker: 1, Elapsed: 900},
+			{Output: "s1", Index: 1, Worker: 0, Elapsed: 1100},
 		},
 		ElapsedNS: int64(3 * time.Millisecond),
 	}

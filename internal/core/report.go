@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/obs"
+	"repro/internal/redund"
 )
 
 // StatsSchema identifies the RunStats JSON layout; bump on any
@@ -31,12 +32,12 @@ type RunStats struct {
 	XORs       int `json:"xors"`
 	GatesTotal int `json:"gates_total"`
 
-	CubeCounts   []int64           `json:"cube_counts"`
-	Fallback     bool              `json:"fallback"`
-	Degradations []DegradationStat `json:"degradations"`
-	Redund       RedundStat        `json:"redund"`
-	Budget       BudgetStat        `json:"budget"`
-	Obs          *obs.Stats        `json:"obs,omitempty"`
+	CubeCounts   []int64       `json:"cube_counts"`
+	Fallback     bool          `json:"fallback"`
+	Degradations []Degradation `json:"degradations"`
+	Redund       redund.Result `json:"redund"`
+	Budget       BudgetStat    `json:"budget"`
+	Obs          *obs.Stats    `json:"obs,omitempty"`
 
 	// Basis is the requested synthesis basis ("xor", "sop", "auto",
 	// "race"); BasisChoices records the arbiter's per-cone routing.
@@ -45,30 +46,9 @@ type RunStats struct {
 	Basis        string        `json:"basis,omitempty"`
 	BasisChoices []BasisChoice `json:"basis_choices,omitempty"`
 
-	Phases    []PhaseStat  `json:"phases"`
-	Outputs   []OutputStat `json:"outputs"`
+	Phases    []PhaseTime  `json:"phases"`
+	Outputs   []OutputSpan `json:"outputs"`
 	ElapsedNS int64        `json:"elapsed_ns"`
-}
-
-// DegradationStat mirrors Degradation with JSON tags.
-type DegradationStat struct {
-	Output   string `json:"output"`
-	Stage    string `json:"stage"`
-	Fallback string `json:"fallback"`
-	Reason   string `json:"reason"`
-}
-
-// RedundStat mirrors redund.Result with JSON tags.
-type RedundStat struct {
-	XorToOr       int  `json:"xor_to_or"`
-	XorToAnd      int  `json:"xor_to_and"`
-	FaninsRemoved int  `json:"fanins_removed"`
-	ConstFolded   int  `json:"const_folded"`
-	Patterns      int  `json:"patterns"`
-	Candidates    int  `json:"candidates"`
-	Reverted      int  `json:"reverted"`
-	Passes        int  `json:"passes"`
-	BudgetCut     bool `json:"budget_cut"`
 }
 
 // BudgetStat reports the run budget's activity.
@@ -77,22 +57,9 @@ type BudgetStat struct {
 	Polls int64 `json:"polls"`
 }
 
-// PhaseStat is one pipeline phase's wall-clock time.
-type PhaseStat struct {
-	Name      string `json:"name"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-}
-
-// OutputStat is one output's derivation span in the fprm phase.
-type OutputStat struct {
-	Output    string `json:"output"`
-	Index     int    `json:"index"`
-	Worker    int    `json:"worker"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-}
-
 // RunStats assembles the serializable report for this result. circuit
-// names the run (the network name is used when empty).
+// names the run (the network name is used when empty). The report owns
+// copies of the result's slices, so StripVolatile leaves r intact.
 func (r *Result) RunStats(circuit string) *RunStats {
 	if circuit == "" && r.Network != nil {
 		circuit = r.Network.Name
@@ -107,37 +74,19 @@ func (r *Result) RunStats(circuit string) *RunStats {
 		GatesTotal:   r.Stats.Total,
 		CubeCounts:   r.CubeCounts,
 		Fallback:     r.Fallback,
+		Degradations: append([]Degradation(nil), r.Degradations...),
+		Redund:       r.Redund,
 		Budget:       BudgetStat{Steps: r.BudgetSteps, Polls: r.BudgetPolls},
 		Obs:          r.ObsStats,
 		Basis:        r.Basis,
 		BasisChoices: append([]BasisChoice(nil), r.BasisChoices...),
+		Phases:       append([]PhaseTime(nil), r.PhaseTimes...),
+		Outputs:      append([]OutputSpan(nil), r.OutputTimes...),
 		ElapsedNS:    r.Elapsed.Nanoseconds(),
 	}
 	if r.Network != nil {
 		rs.PIs = r.Network.NumPIs()
 		rs.POs = len(r.Network.POs)
-	}
-	for _, d := range r.Degradations {
-		rs.Degradations = append(rs.Degradations, DegradationStat(d))
-	}
-	rs.Redund = RedundStat{
-		XorToOr:       r.Redund.XorToOr,
-		XorToAnd:      r.Redund.XorToAnd,
-		FaninsRemoved: r.Redund.FaninsRemoved,
-		ConstFolded:   r.Redund.ConstFolded,
-		Patterns:      r.Redund.Patterns,
-		Candidates:    r.Redund.Candidates,
-		Reverted:      r.Redund.Reverted,
-		Passes:        r.Redund.Passes,
-		BudgetCut:     r.Redund.BudgetCut,
-	}
-	for _, p := range r.PhaseTimes {
-		rs.Phases = append(rs.Phases, PhaseStat{Name: p.Name, ElapsedNS: p.Elapsed.Nanoseconds()})
-	}
-	for _, s := range r.OutputTimes {
-		rs.Outputs = append(rs.Outputs, OutputStat{
-			Output: s.Output, Index: s.Index, Worker: s.Worker, ElapsedNS: s.Elapsed.Nanoseconds(),
-		})
 	}
 	return rs
 }
@@ -151,11 +100,11 @@ func (rs *RunStats) StripVolatile() *RunStats {
 	rs.Workers = 0
 	rs.ElapsedNS = 0
 	for i := range rs.Phases {
-		rs.Phases[i].ElapsedNS = 0
+		rs.Phases[i].Elapsed = 0
 	}
 	for i := range rs.Outputs {
 		rs.Outputs[i].Worker = 0
-		rs.Outputs[i].ElapsedNS = 0
+		rs.Outputs[i].Elapsed = 0
 	}
 	return rs
 }

@@ -67,9 +67,8 @@ var passes = []struct {
 	apply func(n *Network)
 }{
 	{"strash", func(n *Network) { n.Strash() }},
-	{"elim-inv-pairs", func(n *Network) { n.ElimInvPairs() }},
 	{"rebalance-xor", func(n *Network) { n.RebalanceXorTrees() }},
-	{"sweep", func(n *Network) { n.Sweep() }},
+	{"strash-again", func(n *Network) { n.Strash() }},
 	{"compact", func(n *Network) { n.Compact() }},
 	{"canonical", func(n *Network) { *n = *n.Canonical() }},
 }

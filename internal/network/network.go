@@ -1,7 +1,7 @@
 // Package network provides the multilevel Boolean gate network used by the
 // synthesis flows: an in-memory netlist of primitive gates (AND, OR, XOR
 // and friends), with topological traversal, 64-way parallel bit
-// simulation, structural cleanup (sweep, constant propagation, structural
+// simulation, structural cleanup (constant propagation, structural
 // hashing), cost metrics, BDD extraction, and BLIF text I/O.
 //
 // The network is hash-consed at construction: AddGate canonicalizes its
@@ -9,9 +9,10 @@
 // double-negation applied) and returns the existing gate on a structural
 // hit, so an equivalent (type, fanins) gate is created exactly once — the
 // same unique-table discipline package bdd applies to decision-diagram
-// nodes. Strash and Sweep remain as thin repair passes for networks that
-// were mutated in place (redundancy removal, sweeps, deserialization
-// followed by editing). See DESIGN.md §12 for the invariants.
+// nodes. Strash, which runs every gate through the same rules, is the one
+// repair pass for networks that were mutated in place (redundancy
+// removal, functional merging, deserialization followed by editing). See
+// DESIGN.md §12 for the invariants.
 //
 // The pre-technology-mapping cost metric follows the paper's convention:
 // circuits are measured in 2-input AND/OR gates, an XOR counting as three
@@ -85,9 +86,10 @@ type Network struct {
 	// strash is the hash-consing table: canonical (type, fanins) hash →
 	// candidate gate IDs. Entries are verified against the gate's current
 	// contents on lookup, so a table left stale by an in-place mutation
-	// (Sweep, redundancy removal) can only miss, never alias the wrong
-	// gate. nil means "rebuild lazily on next use" — the zero value, a
-	// Clone, or a struct-literal network all work unchanged.
+	// (redundancy removal, functional merging) can only miss, never
+	// alias the wrong gate. nil means "rebuild lazily on next use" — the
+	// zero value, a Clone, or a struct-literal network all work
+	// unchanged.
 	strash map[uint64][]int
 }
 
@@ -390,27 +392,50 @@ func (n *Network) Clone() *Network {
 // are safe.
 func (n *Network) ExtractCone(po int) *Network {
 	out := New(fmt.Sprintf("%s_cone%d", n.Name, po))
-	memo := make(map[int]int, len(n.PIs)*2)
 	for _, pi := range n.PIs {
-		memo[pi] = out.AddPI(n.Gates[pi].Name)
-	}
-	var copyGate func(id int) int
-	copyGate = func(id int) int {
-		if g, ok := memo[id]; ok {
-			return g
-		}
-		g := &n.Gates[id]
-		fan := make([]int, len(g.Fanins))
-		for i, f := range g.Fanins {
-			fan[i] = copyGate(f)
-		}
-		ng := out.AddGate(g.Type, fan...)
-		memo[id] = ng
-		return ng
+		out.AddPI(n.Gates[pi].Name)
 	}
 	p := n.POs[po]
-	out.AddPO(p.Name, copyGate(p.Gate))
+	out.AddPO(p.Name, NewCopier(n, out, out.PIs).Copy(p.Gate))
 	return out
+}
+
+// Copier copies gate cones of a source network into a destination
+// network through AddGate, so the copy is hash-consed: each source gate
+// is copied once, and logic shared between copied cones (or already
+// present in the destination) is shared in the copy. Copying a cone
+// visits its gates in the order TopoOrder would.
+type Copier struct {
+	src, dst *Network
+	memo     []int // source gate ID → destination gate ID, -1 until copied
+}
+
+// NewCopier returns a Copier from src into dst that maps src's i-th PI
+// onto dst's gate pis[i]. src must not grow while the Copier is in use.
+func NewCopier(src, dst *Network, pis []int) *Copier {
+	c := &Copier{src: src, dst: dst, memo: make([]int, len(src.Gates))}
+	for i := range c.memo {
+		c.memo[i] = -1
+	}
+	for i, id := range src.PIs {
+		c.memo[id] = pis[i]
+	}
+	return c
+}
+
+// Copy returns the destination gate computing source gate id, copying
+// its cone on first use.
+func (c *Copier) Copy(id int) int {
+	if g := c.memo[id]; g >= 0 {
+		return g
+	}
+	g := &c.src.Gates[id]
+	fanins := make([]int, len(g.Fanins))
+	for i, f := range g.Fanins {
+		fanins[i] = c.Copy(f)
+	}
+	c.memo[id] = c.dst.AddGate(g.Type, fanins...)
+	return c.memo[id]
 }
 
 // TopoOrder returns the IDs of all gates in the transitive fanin of the
@@ -446,7 +471,7 @@ func (n *Network) TopoOrder() []int {
 }
 
 // Fanouts returns, for each gate ID, the IDs of gates that list it as a
-// fanin (POs are not included; see POsOf).
+// fanin. POs are not included.
 func (n *Network) Fanouts() [][]int {
 	out := make([][]int, len(n.Gates))
 	for _, g := range n.Gates {
@@ -563,184 +588,54 @@ type Stats struct {
 func (n *Network) CollectStats() Stats {
 	var s Stats
 	for _, id := range n.TopoOrder() {
-		g := &n.Gates[id]
-		switch g.Type {
-		case PI, Const0, Const1, Buf, Not:
-			if g.Type != PI {
-				s.Total++
-			}
-		case And, Or, Nand, Nor:
-			s.Total++
-			s.Gates2 += len(g.Fanins) - 1
-		case Xor, Xnor:
-			s.Total++
-			s.XORs++
-			s.Gates2 += 3 * (len(g.Fanins) - 1)
-		}
+		s.add(&n.Gates[id])
 	}
 	s.Lits = 2 * s.Gates2
 	return s
 }
 
-// Sweep simplifies the network structurally without changing its
-// function: constants are propagated, single-input AND/OR/XOR collapse to
-// buffers, buffer chains are bypassed, double negations cancel, and
-// duplicate XOR fanins cancel pairwise. Gates outside the PO cone remain
-// but are ignored by metrics. Returns the number of rewrites applied.
-func (n *Network) Sweep() int {
-	changed := 0
-	// resolve follows Buf chains to the real driver.
-	resolve := func(id int) int {
-		for n.Gates[id].Type == Buf {
-			id = n.Gates[id].Fanins[0]
+// ConeStats computes CollectStats' cost model over the cone rooted at
+// one gate: the whole-network metric restricted to a single output.
+func (n *Network) ConeStats(root int) Stats {
+	var s Stats
+	seen := make(map[int]bool)
+	var visit func(int)
+	visit = func(id int) {
+		if seen[id] {
+			return
 		}
-		return id
-	}
-	for _, id := range n.TopoOrder() {
+		seen[id] = true
 		g := &n.Gates[id]
-		if g.Type == PI || g.Type == Const0 || g.Type == Const1 {
-			continue
+		for _, f := range g.Fanins {
+			visit(f)
 		}
-		for i, f := range g.Fanins {
-			if r := resolve(f); r != f {
-				g.Fanins[i] = r
-				changed++
-			}
-		}
-		switch g.Type {
-		case Not:
-			f := &n.Gates[g.Fanins[0]]
-			switch f.Type {
-			case Const0:
-				g.Type, g.Fanins = Const1, nil
-				changed++
-			case Const1:
-				g.Type, g.Fanins = Const0, nil
-				changed++
-			case Not:
-				g.Type = Buf
-				g.Fanins = []int{f.Fanins[0]}
-				changed++
-			}
-		case And, Nand, Or, Nor:
-			isAnd := g.Type == And || g.Type == Nand
-			neg := g.Type == Nand || g.Type == Nor
-			kept := g.Fanins[:0]
-			killed := false
-			seen := map[int]bool{}
-			for _, f := range g.Fanins {
-				ft := n.Gates[f].Type
-				if isAnd && ft == Const1 || !isAnd && ft == Const0 {
-					changed++
-					continue // identity element
-				}
-				if isAnd && ft == Const0 || !isAnd && ft == Const1 {
-					killed = true // dominating element
-					break
-				}
-				if seen[f] {
-					changed++
-					continue // idempotent duplicate
-				}
-				seen[f] = true
-				kept = append(kept, f)
-			}
-			if killed {
-				if isAnd != neg { // And killed -> 0; Nor killed -> 0
-					g.Type, g.Fanins = Const0, nil
-				} else {
-					g.Type, g.Fanins = Const1, nil
-				}
-				changed++
-				continue
-			}
-			g.Fanins = kept
-			if len(g.Fanins) == 0 {
-				if isAnd != neg {
-					g.Type, g.Fanins = Const1, nil
-				} else {
-					g.Type, g.Fanins = Const0, nil
-				}
-				changed++
-			} else if len(g.Fanins) == 1 {
-				if neg {
-					g.Type = Not
-				} else {
-					g.Type = Buf
-				}
-				changed++
-			}
-		case Xor, Xnor:
-			// Cancel duplicate fanins pairwise; absorb constants.
-			invert := g.Type == Xnor
-			count := map[int]int{}
-			for _, f := range g.Fanins {
-				ft := n.Gates[f].Type
-				if ft == Const0 {
-					changed++
-					continue
-				}
-				if ft == Const1 {
-					invert = !invert
-					changed++
-					continue
-				}
-				count[f]++
-			}
-			var kept []int
-			for _, f := range g.Fanins {
-				if count[f] <= 0 {
-					continue
-				}
-				if count[f]%2 == 1 {
-					kept = append(kept, f)
-				} else {
-					changed++
-				}
-				count[f] = 0
-			}
-			g.Fanins = kept
-			switch len(g.Fanins) {
-			case 0:
-				if invert {
-					g.Type, g.Fanins = Const1, nil
-				} else {
-					g.Type, g.Fanins = Const0, nil
-				}
-				changed++
-			case 1:
-				if invert {
-					g.Type = Not
-				} else {
-					g.Type = Buf
-				}
-				changed++
-			default:
-				if invert {
-					g.Type = Xnor
-				} else {
-					g.Type = Xor
-				}
-			}
-		}
+		s.add(g)
 	}
-	// Redirect POs through buffers.
-	for i := range n.POs {
-		if r := resolve(n.POs[i].Gate); r != n.POs[i].Gate {
-			n.POs[i].Gate = r
-			changed++
-		}
+	visit(root)
+	s.Lits = 2 * s.Gates2
+	return s
+}
+
+// add counts one gate under the cost model; the caller sets Lits.
+func (s *Stats) add(g *Gate) {
+	switch g.Type {
+	case PI:
+	case And, Or, Nand, Nor:
+		s.Total++
+		s.Gates2 += len(g.Fanins) - 1
+	case Xor, Xnor:
+		s.Total++
+		s.XORs++
+		s.Gates2 += 3 * (len(g.Fanins) - 1)
+	default: // Const0, Const1, Buf, Not
+		s.Total++
 	}
-	if changed > 0 {
-		n.strash = nil // in-place rewrites; rebuild the table lazily
-	}
-	return changed
 }
 
 // Strash re-canonicalizes and merges structurally identical gates (same
 // type, same set of fanins, commutativity respected) across the whole
 // network, bottom-up. Hash-consed construction makes this a no-op on a
-// freshly built network; it remains the repair pass for networks
+// freshly built network; it is the one rewrite pass for networks
 // deserialized from BLIF or mutated in place (redundancy removal,
 // functional merging). Unlike the constructors it also simplifies gates
 // whose fanins *become* equal or constant after a replacement —
@@ -813,59 +708,6 @@ func (n *Network) Strash() int {
 	// those stale entries verify-and-miss, so the table stays usable.
 	n.strash = table
 	return merged
-}
-
-// ElimInvPairs cancels inverter pairs: every fanin (and PO) reference is
-// resolved through chains of Not gates two at a time (and through Bufs),
-// so Not(Not(x)) consumers read x directly. The intermediate inverters
-// go dead and are removed by Compact. Returns the number of references
-// rewritten.
-func (n *Network) ElimInvPairs() int {
-	// resolve follows Buf edges and cancels Not-Not pairs (with Bufs
-	// allowed between the two inverters) until a fixed point. Chains are
-	// short in practice; memoization isn't worth it. No gates are
-	// created — an odd-length inverter chain resolves to its deepest
-	// surviving Not.
-	var resolve func(int) int
-	resolve = func(id int) int {
-		g := &n.Gates[id]
-		switch g.Type {
-		case Buf:
-			return resolve(g.Fanins[0])
-		case Not:
-			f := g.Fanins[0]
-			for n.Gates[f].Type == Buf {
-				f = n.Gates[f].Fanins[0]
-			}
-			if n.Gates[f].Type == Not {
-				return resolve(n.Gates[f].Fanins[0])
-			}
-		}
-		return id
-	}
-	changed := 0
-	for _, id := range n.TopoOrder() {
-		g := &n.Gates[id]
-		if g.Type == PI || g.Type == Const0 || g.Type == Const1 {
-			continue
-		}
-		for i, f := range g.Fanins {
-			if r := resolve(f); r != f {
-				g.Fanins[i] = r
-				changed++
-			}
-		}
-	}
-	for i := range n.POs {
-		if r := resolve(n.POs[i].Gate); r != n.POs[i].Gate {
-			n.POs[i].Gate = r
-			changed++
-		}
-	}
-	if changed > 0 {
-		n.strash = nil
-	}
-	return changed
 }
 
 // RebalanceXorTrees flattens chains of single-fanout XOR gates into one
@@ -1013,26 +855,12 @@ func (n *Network) Compact() int {
 // preserved. The receiver is not modified.
 func (n *Network) Canonical() *Network {
 	out := New(n.Name)
-	remap := make([]int, len(n.Gates))
-	for i := range remap {
-		remap[i] = -1
-	}
 	for _, pi := range n.PIs {
-		remap[pi] = out.AddPI(n.Gates[pi].Name)
+		out.AddPI(n.Gates[pi].Name)
 	}
-	for _, id := range n.TopoOrder() {
-		g := &n.Gates[id]
-		if g.Type == PI {
-			continue
-		}
-		fins := make([]int, len(g.Fanins))
-		for i, f := range g.Fanins {
-			fins[i] = remap[f]
-		}
-		remap[id] = out.AddGate(g.Type, fins...)
-	}
+	c := NewCopier(n, out, out.PIs)
 	for _, po := range n.POs {
-		out.AddPO(po.Name, remap[po.Gate])
+		out.AddPO(po.Name, c.Copy(po.Gate))
 	}
 	// A collapse (e.g. a rebuilt Not(Not(x))) can strand the intermediate
 	// gate it was built from; compact so the result is dead-gate-free.
@@ -1069,47 +897,64 @@ func (n *Network) GateBDDs(m *bdd.Manager, level []int) []bdd.Ref {
 		}
 		val[id] = m.Var(v)
 	}
+	var ins []bdd.Ref
 	for _, id := range n.TopoOrder() {
 		g := &n.Gates[id]
-		switch g.Type {
-		case Const0:
-			val[id] = bdd.Zero
-		case Const1:
-			val[id] = bdd.One
-		case Buf:
-			val[id] = val[g.Fanins[0]]
-		case Not:
-			val[id] = m.Not(val[g.Fanins[0]])
-		case And, Nand:
-			v := bdd.One
-			for _, f := range g.Fanins {
-				v = m.And(v, val[f])
-			}
-			if g.Type == Nand {
-				v = m.Not(v)
-			}
-			val[id] = v
-		case Or, Nor:
-			v := bdd.Zero
-			for _, f := range g.Fanins {
-				v = m.Or(v, val[f])
-			}
-			if g.Type == Nor {
-				v = m.Not(v)
-			}
-			val[id] = v
-		case Xor, Xnor:
-			v := bdd.Zero
-			for _, f := range g.Fanins {
-				v = m.Xor(v, val[f])
-			}
-			if g.Type == Xnor {
-				v = m.Not(v)
-			}
-			val[id] = v
+		if g.Type == PI {
+			continue
 		}
+		ins = ins[:0]
+		for _, f := range g.Fanins {
+			ins = append(ins, val[f])
+		}
+		val[id] = GateBDD(m, g.Type, ins)
 	}
 	return val
+}
+
+// GateBDD returns the BDD of one gate of type t whose fanins have the
+// BDDs ins. t must not be PI.
+func GateBDD(m *bdd.Manager, t GateType, ins []bdd.Ref) bdd.Ref {
+	switch t {
+	case Const0:
+		return bdd.Zero
+	case Const1:
+		return bdd.One
+	case Buf:
+		return ins[0]
+	case Not:
+		return m.Not(ins[0])
+	case And, Nand:
+		v := bdd.One
+		for _, f := range ins {
+			v = m.And(v, f)
+		}
+		if t == Nand {
+			v = m.Not(v)
+		}
+		return v
+	case Or, Nor:
+		v := bdd.Zero
+		for _, f := range ins {
+			v = m.Or(v, f)
+		}
+		if t == Nor {
+			v = m.Not(v)
+		}
+		return v
+	case Xor, Xnor:
+		v := bdd.Zero
+		for _, f := range ins {
+			v = m.Xor(v, f)
+		}
+		if t == Xnor {
+			v = m.Not(v)
+		}
+		return v
+	}
+	// Programmer invariant: GateType is a closed enum and PI is handled by
+	// every caller before dispatching here.
+	panic("network: GateBDD on PI")
 }
 
 // BalancedTree builds a balanced tree of 2-input gates of type t over the

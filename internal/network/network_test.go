@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -115,56 +116,6 @@ func TestStatsIgnoresDanglingGates(t *testing.T) {
 	}
 }
 
-func TestSweepConstants(t *testing.T) {
-	n := New("s")
-	a := n.AddPI("a")
-	one := n.AddGate(Const1)
-	zero := n.AddGate(Const0)
-	and := n.AddGate(And, a, one)  // = a
-	or := n.AddGate(Or, and, zero) // = a
-	x := n.AddGate(Xor, or, zero)  // = a
-	n.AddPO("o", x)
-	n.Sweep()
-	if n.POs[0].Gate != a {
-		t.Errorf("sweep did not reduce to the PI; PO gate = %d (%v)", n.POs[0].Gate, n.Gates[n.POs[0].Gate].Type)
-	}
-}
-
-func TestSweepDominatingConstant(t *testing.T) {
-	n := New("s")
-	a := n.AddPI("a")
-	zero := n.AddGate(Const0)
-	and := n.AddGate(And, a, zero)
-	n.AddPO("o", and)
-	n.Sweep()
-	if n.Gates[n.POs[0].Gate].Type != Const0 {
-		t.Errorf("AND with 0 should become Const0, got %v", n.Gates[n.POs[0].Gate].Type)
-	}
-}
-
-func TestSweepXorCancellation(t *testing.T) {
-	n := New("s")
-	a := n.AddPI("a")
-	b := n.AddPI("b")
-	x := n.AddGate(Xor, a, b, a) // = b
-	n.AddPO("o", x)
-	n.Sweep()
-	if n.POs[0].Gate != b {
-		t.Errorf("a^b^a should sweep to b")
-	}
-}
-
-func TestSweepDoubleNegation(t *testing.T) {
-	n := New("s")
-	a := n.AddPI("a")
-	nn := n.AddGate(Not, n.AddGate(Not, a))
-	n.AddPO("o", nn)
-	n.Sweep()
-	if n.POs[0].Gate != a {
-		t.Error("double negation should sweep to the PI")
-	}
-}
-
 // rawGate appends a gate without AddGate's canonicalization/consing —
 // the way a deserializer or an in-place optimization pass leaves the
 // gate list. Tests use it to hand Strash real work.
@@ -172,6 +123,108 @@ func rawGate(n *Network, t GateType, fanins ...int) int {
 	id := len(n.Gates)
 	n.Gates = append(n.Gates, Gate{ID: id, Type: t, Fanins: append([]int(nil), fanins...)})
 	return id
+}
+
+// shape renders the cone of gate id with PI names, e.g. "and(a,b)".
+func shape(n *Network, id int) string {
+	g := &n.Gates[id]
+	if g.Type == PI {
+		return g.Name
+	}
+	if len(g.Fanins) == 0 {
+		return g.Type.String()
+	}
+	parts := make([]string, len(g.Fanins))
+	for i, f := range g.Fanins {
+		parts[i] = shape(n, f)
+	}
+	return g.Type.String() + "(" + strings.Join(parts, ",") + ")"
+}
+
+// TestStrashRules checks each rewrite rule of canonGate through Strash,
+// on networks built with rawGate so that the rule, not the constructor,
+// does the work. Each case builds the PO driver over PIs a and b and
+// names the driver's shape after Strash.
+func TestStrashRules(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(n *Network, a, b int) int
+		want  string
+	}{
+		{"buffer-look-through", func(n *Network, a, b int) int {
+			return rawGate(n, And, rawGate(n, Buf, a), b)
+		}, "and(a,b)"},
+		{"and-identity-constant", func(n *Network, a, b int) int {
+			return rawGate(n, And, a, rawGate(n, Const1))
+		}, "a"},
+		{"or-identity-constant", func(n *Network, a, b int) int {
+			return rawGate(n, Or, rawGate(n, Const0), a, b)
+		}, "or(a,b)"},
+		{"and-dominating-constant", func(n *Network, a, b int) int {
+			return rawGate(n, And, a, rawGate(n, Const0))
+		}, "const0"},
+		{"nor-dominating-constant", func(n *Network, a, b int) int {
+			return rawGate(n, Nor, a, rawGate(n, Const1))
+		}, "const0"},
+		{"nand-identity-constants-only", func(n *Network, a, b int) int {
+			return rawGate(n, Nand, rawGate(n, Const1))
+		}, "const0"},
+		{"and-duplicate-fanins", func(n *Network, a, b int) int {
+			return rawGate(n, And, b, a, b)
+		}, "and(a,b)"},
+		{"or-duplicate-fanins", func(n *Network, a, b int) int {
+			return rawGate(n, Or, a, a)
+		}, "a"},
+		{"single-fanin-and", func(n *Network, a, b int) int {
+			return rawGate(n, And, a)
+		}, "a"},
+		{"single-fanin-nor", func(n *Network, a, b int) int {
+			return rawGate(n, Nor, b)
+		}, "not(b)"},
+		{"xor-pairwise-cancellation", func(n *Network, a, b int) int {
+			return rawGate(n, Xor, a, b, a)
+		}, "b"},
+		{"xor-const0-absorbed", func(n *Network, a, b int) int {
+			return rawGate(n, Xor, a, rawGate(n, Const0), b)
+		}, "xor(a,b)"},
+		{"xor-const1-flips-polarity", func(n *Network, a, b int) int {
+			return rawGate(n, Xor, a, rawGate(n, Const1), b)
+		}, "xnor(a,b)"},
+		{"xnor-const1-flips-to-single-fanin", func(n *Network, a, b int) int {
+			return rawGate(n, Xnor, rawGate(n, Const1), a)
+		}, "a"},
+		{"not-const0", func(n *Network, a, b int) int {
+			return rawGate(n, Not, rawGate(n, Const0))
+		}, "const1"},
+		{"not-const1", func(n *Network, a, b int) int {
+			return rawGate(n, Not, rawGate(n, Const1))
+		}, "const0"},
+		{"double-negation-in-fanin", func(n *Network, a, b int) int {
+			return rawGate(n, And, rawGate(n, Not, rawGate(n, Not, a)), b)
+		}, "and(a,b)"},
+		{"double-negation-through-buffer", func(n *Network, a, b int) int {
+			return rawGate(n, Not, rawGate(n, Buf, rawGate(n, Not, a)))
+		}, "a"},
+		{"po-through-buffer", func(n *Network, a, b int) int {
+			return rawGate(n, Buf, rawGate(n, Buf, rawGate(n, Or, a, b)))
+		}, "or(a,b)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New(tc.name)
+			a := n.AddPI("a")
+			b := n.AddPI("b")
+			n.AddPO("o", tc.build(n, a, b))
+			m := bdd.New(2)
+			before := n.ToBDDs(m)[0]
+			n.Strash()
+			if got := shape(n, n.POs[0].Gate); got != tc.want {
+				t.Errorf("PO driver after Strash = %s, want %s", got, tc.want)
+			}
+			if n.ToBDDs(m)[0] != before {
+				t.Error("Strash changed the function")
+			}
+		})
+	}
 }
 
 func TestAddGateConsesDuplicates(t *testing.T) {
@@ -198,6 +251,9 @@ func TestAddGateConsesDuplicates(t *testing.T) {
 	one := n.AddGate(Const1)
 	if g := n.AddGate(And, a, one, b); g != g1 {
 		t.Errorf("And(a,1,b) should fold onto And(a,b)=%d, got %d", g1, g)
+	}
+	if g := n.AddGate(And, rawGate(n, Buf, a), b); g != g1 {
+		t.Errorf("And(Buf(a),b) should fold onto And(a,b)=%d, got %d", g1, g)
 	}
 	if id, ok := n.FindGate(And, b, a); !ok || id != g1 {
 		t.Errorf("FindGate(And,b,a) = %d,%v; want %d,true", id, ok, g1)
@@ -331,33 +387,6 @@ func TestCompactRemovesDeadGates(t *testing.T) {
 	}
 }
 
-func TestElimInvPairs(t *testing.T) {
-	n := New("i")
-	a := n.AddPI("a")
-	b := n.AddPI("b")
-	n1 := rawGate(n, Not, a)
-	n2 := rawGate(n, Not, n1)
-	g := rawGate(n, And, n2, b) // And(Not(Not(a)), b) = And(a, b)
-	n.AddPO("o", g)
-	if changed := n.ElimInvPairs(); changed == 0 {
-		t.Fatal("ElimInvPairs found nothing to rewrite")
-	}
-	if got := n.Gates[g].Fanins[0]; got != a {
-		t.Errorf("fanin after inverter-pair elimination = %d, want PI %d", got, a)
-	}
-	// Buf between the two inverters must not hide the pair.
-	m := New("ib")
-	p := m.AddPI("p")
-	i1 := rawGate(m, Not, p)
-	bf := rawGate(m, Buf, i1)
-	i2 := rawGate(m, Not, bf)
-	m.AddPO("o", i2)
-	m.ElimInvPairs()
-	if m.POs[0].Gate != p {
-		t.Errorf("Not(Buf(Not(p))) should resolve to p, got %d", m.POs[0].Gate)
-	}
-}
-
 func TestRebalanceXorTrees(t *testing.T) {
 	n := New("x")
 	var pis []int
@@ -401,7 +430,7 @@ func TestRebalanceXorTrees(t *testing.T) {
 	c2 := rawGate(m, Xor, c1, x)
 	m.AddPO("o", c2)
 	m.RebalanceXorTrees()
-	m.Sweep()
+	m.Strash()
 	if m.POs[0].Gate != a {
 		t.Errorf("x^a^x should rebalance to a, got gate %d (%v)", m.POs[0].Gate, m.Gates[m.POs[0].Gate].Type)
 	}
@@ -549,7 +578,7 @@ func randomNetwork(rng *rand.Rand, nPIs, nGates int) *Network {
 	return n
 }
 
-// Property: Sweep and Strash preserve the network function.
+// Property: Strash preserves the network function.
 func TestQuickSweepStrashPreserve(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -557,9 +586,7 @@ func TestQuickSweepStrashPreserve(t *testing.T) {
 		n := randomNetwork(rng, nPIs, 5+rng.Intn(15))
 		m := bdd.New(nPIs)
 		before := n.ToBDDs(m)
-		n.Sweep()
 		n.Strash()
-		n.Sweep()
 		after := n.ToBDDs(m)
 		for i := range before {
 			if before[i] != after[i] {

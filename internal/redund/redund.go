@@ -56,17 +56,17 @@ const (
 
 // Result reports what the pass did.
 type Result struct {
-	XorToOr       int // Property 3 reductions
-	XorToAnd      int // Property 4 reductions (either phase)
-	FaninsRemoved int // untestable s-a-1 fanins removed
-	ConstFolded   int // untestable s-a-0 gates forced to constant
-	Patterns      int // primary-input patterns simulated
-	Candidates    int // reductions proposed by the pattern analysis
-	Reverted      int // pattern-screened candidates rejected by the exact check
-	Passes        int // fixpoint iterations executed (including the final no-change pass)
+	XorToOr       int `json:"xor_to_or"`      // Property 3 reductions
+	XorToAnd      int `json:"xor_to_and"`     // Property 4 reductions (either phase)
+	FaninsRemoved int `json:"fanins_removed"` // untestable s-a-1 fanins removed
+	ConstFolded   int `json:"const_folded"`   // untestable s-a-0 gates forced to constant
+	Patterns      int `json:"patterns"`       // primary-input patterns simulated
+	Candidates    int `json:"candidates"`     // reductions proposed by the pattern analysis
+	Reverted      int `json:"reverted"`       // pattern-screened candidates rejected by the exact check
+	Passes        int `json:"passes"`         // fixpoint iterations executed (including the final no-change pass)
 	// BudgetCut reports the fixpoint loop stopped early on an exhausted
 	// budget; the reductions committed before the cut are kept.
-	BudgetCut bool
+	BudgetCut bool `json:"budget_cut"`
 }
 
 // BuildPatterns generates the Section 4 pattern sets for the given FPRM
@@ -198,7 +198,8 @@ type engine struct {
 
 // Remove reduces redundant XOR gates and AND fanins in net per Section 4.
 // The network is modified in place; every committed rewrite is checked
-// exactly, so the function is preserved.
+// exactly, so the function is preserved. A gate reduced to a buffer or a
+// constant keeps its ID; network.Strash propagates it into its fanout.
 func Remove(net *network.Network, opt Options) Result {
 	e := &engine{net: net}
 	e.patterns = BuildPatterns(opt.Forms, maxOCPatterns, maxUnionPatterns)
@@ -224,7 +225,6 @@ func Remove(net *network.Network, opt Options) Result {
 			break
 		}
 	}
-	net.Sweep()
 	return e.res
 }
 

@@ -344,16 +344,15 @@ func TestMultiOutputForms(t *testing.T) {
 // crash: a rejected XOR → AND-with-complement candidate leaves its new
 // inverter behind, a later candidate's hash-consed AddGate(Not, x)
 // hands that orphan back, and the screen must evaluate it instead of
-// reading a cached value it does not have. The swept gfmul4
-// specification with empty forms (what SOP and spec-cone cones pass)
-// runs exactly that sequence.
+// reading a cached value it does not have. The gfmul4 specification
+// with empty forms (what SOP and spec-cone cones pass) runs exactly
+// that sequence.
 func TestRemoveReusesOrphanedInverter(t *testing.T) {
 	s, err := wordgen.ByName("gfmul4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	net := s.Net.Clone()
-	net.Sweep()
 	m, spec := specOf(net)
 	forms := make([]*fprm.Form, net.NumPOs())
 	for i := range forms {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,11 +46,11 @@ func goldenCompare(t *testing.T, name string, got []byte) {
 	}
 }
 
-func cm82aBLIF(t *testing.T) []byte {
+func benchBLIF(t *testing.T, name string) []byte {
 	t.Helper()
-	c, ok := bench.ByName("cm82a")
+	c, ok := bench.ByName(name)
 	if !ok {
-		t.Fatal("bench circuit cm82a missing")
+		t.Fatalf("bench circuit %s missing", name)
 	}
 	var b bytes.Buffer
 	if err := c.Build().WriteBLIF(&b); err != nil {
@@ -84,7 +85,7 @@ func TestGoldenSuccess(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	spec := cm82aBLIF(t)
+	spec := benchBLIF(t, "cm82a")
 	// Workers pinned to 1 for a scheduling-independent body (the stats
 	// are volatile-stripped anyway; this is belt and braces).
 	hdrs := map[string]string{"X-Rmsynd-Workers": "1"}
@@ -111,6 +112,34 @@ func TestGoldenSuccess(t *testing.T) {
 	}
 }
 
+// TestModelNameKeysCache: adr4 and radd compute the same functions over
+// the same PI and PO names. The body embeds the model name, so radd must
+// not be served adr4's cached body.
+func TestModelNameKeysCache(t *testing.T) {
+	srv := server.New(server.Config{Workers: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, name := range []string{"adr4", "radd"} {
+		resp, body := postBLIF(t, ts, benchBLIF(t, name), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", name, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Rmsynd-Cache"); got != "miss" {
+			t.Errorf("%s: X-Rmsynd-Cache = %q, want miss", name, got)
+		}
+		var r server.Response
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Circuit != name {
+			t.Errorf("%s: body reads circuit %q", name, r.Circuit)
+		}
+		if model := ".model " + name + "_rm\n"; !strings.Contains(r.NetworkBLIF, model) {
+			t.Errorf("%s: network BLIF lacks %q", name, model)
+		}
+	}
+}
+
 func TestGoldenDegraded(t *testing.T) {
 	srv := server.New(server.Config{Workers: 2})
 	ts := httptest.NewServer(srv)
@@ -118,7 +147,7 @@ func TestGoldenDegraded(t *testing.T) {
 
 	// A one-cube budget trips the ladder deterministically; one worker
 	// keeps the degradation record order fixed.
-	resp, body := postBLIF(t, ts, cm82aBLIF(t), map[string]string{
+	resp, body := postBLIF(t, ts, benchBLIF(t, "cm82a"), map[string]string{
 		"X-Rmsynd-Max-Cubes": "1",
 		"X-Rmsynd-Workers":   "1",
 	})
@@ -154,7 +183,7 @@ func TestGoldenShed(t *testing.T) {
 		t.Fatalf("QueueCapacity = %d, want 1", got)
 	}
 
-	spec := cm82aBLIF(t)
+	spec := benchBLIF(t, "cm82a")
 	first := make(chan struct{})
 	go func() {
 		defer close(first)

@@ -54,7 +54,7 @@ func TestReadyzLifecycle(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/synthesize", "text/blif", strings.NewReader(string(cm82aBLIF(t))))
+			resp, err := http.Post(ts.URL+"/v1/synthesize", "text/blif", strings.NewReader(string(benchBLIF(t, "cm82a"))))
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()

@@ -55,7 +55,7 @@ type Response struct {
 	// Degradations is the graceful-degradation ladder's record for this
 	// run — empty for a clean run, truthful for a budgeted one. Degraded
 	// results are served but never cached.
-	Degradations []core.DegradationStat `json:"degradations"`
+	Degradations []core.Degradation `json:"degradations"`
 
 	// Stats is the volatile-stripped rmstats/v1 pipeline report.
 	Stats *core.RunStats `json:"stats"`
@@ -182,7 +182,7 @@ func buildBody(circuit string, spec *network.Network, res *core.Result, g grant,
 	resp.Stats = rs
 	resp.Degradations = rs.Degradations
 	if resp.Degradations == nil {
-		resp.Degradations = []core.DegradationStat{}
+		resp.Degradations = []core.Degradation{}
 	}
 	b, err := json.MarshalIndent(resp, "", "  ")
 	if err != nil {

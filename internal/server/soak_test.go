@@ -35,7 +35,7 @@ func TestSoakBinary(t *testing.T) {
 
 		// The concurrent duplicates coalesce onto one flight; a sequential
 		// resubmission after the storm is the genuine cache hit.
-		resp, err := http.Post(inst.url+"/v1/synthesize", "text/blif", bytes.NewReader(cm82aBLIF(t)))
+		resp, err := http.Post(inst.url+"/v1/synthesize", "text/blif", bytes.NewReader(benchBLIF(t, "cm82a")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestRestartSoak(t *testing.T) {
 	}
 	bin := buildRmsynd(t)
 	cacheDir := t.TempDir()
-	blif := cm82aBLIF(t)
+	blif := benchBLIF(t, "cm82a")
 
 	inst := startRmsynd(t, bin, "-addr", "127.0.0.1:0", "-workers", "2", "-cache-dir", cacheDir)
 
@@ -299,7 +299,7 @@ func (in *instance) drain(t *testing.T) {
 // 5xx — both are contract-conforming; an unstructured response is not.
 func soakTraffic(t *testing.T, url string, chaosMode bool) {
 	t.Helper()
-	blif := cm82aBLIF(t)
+	blif := benchBLIF(t, "cm82a")
 	pla := []byte(".i 2\n.o 1\n.p 3\n11 1\n10 1\n01 1\n.e\n")
 	malformed := []byte(".model bad\n.inputs a\n.outputs y\n.names a y\nz 1\n.end\n")
 	oversized := bytes.Repeat([]byte("# padding line to push the body over the configured cap\n"), 2000)

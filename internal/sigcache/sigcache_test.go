@@ -71,6 +71,23 @@ func TestSignatureFunctionalIdentity(t *testing.T) {
 	}
 }
 
+// TestSignatureKeysModelName: adr4 and radd compute the same functions
+// over the same PI and PO names, but the served body embeds the model
+// name, so the two must not share a signature under either scheme.
+func TestSignatureKeysModelName(t *testing.T) {
+	adr4, radd := buildSpec(t, "adr4"), buildSpec(t, "radd")
+	for _, nodeCap := range []int{0, 1} {
+		if Signature(adr4, nodeCap) == Signature(radd, nodeCap) {
+			t.Errorf("node cap %d: adr4 and radd share a signature", nodeCap)
+		}
+	}
+	renamed := buildSpec(t, "adr4")
+	renamed.Name = "radd"
+	if Signature(renamed, 0) != Signature(radd, 0) {
+		t.Errorf("adr4 renamed to radd should share radd's functional signature")
+	}
+}
+
 // TestSignatureStructuralFallback: an impossible node cap forces the
 // structural scheme, which must still be stable and prefix-distinct.
 func TestSignatureStructuralFallback(t *testing.T) {
@@ -82,7 +99,7 @@ func TestSignatureStructuralFallback(t *testing.T) {
 	if s2 := Signature(buildSpec(t, "adr4"), 1); s2 != s {
 		t.Fatalf("structural signature not stable: %s vs %s", s, s2)
 	}
-	// The spec must come back unmutated (Signature clones before Sweep).
+	// The spec must come back unmutated (Canonical builds a fresh copy).
 	if got := Signature(spec, 0); !strings.HasPrefix(got, "f:") {
 		t.Fatalf("spec mutated by structural pass: %s", got)
 	}

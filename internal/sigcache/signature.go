@@ -12,16 +12,17 @@
 // Keying on the canonical BDD of every output (the discipline Yu &
 // Ciesielski apply to Galois-field verification, where the function —
 // not the netlist — is the identity) makes all of those hit the same
-// entry. PI and PO names and their order are part of the signature,
-// because the cached response embeds them; two specs that compute the
-// same functions under different interface names are different requests.
+// entry. The model name and the PI and PO names and their order are
+// part of the signature, because the cached response embeds them; two
+// specs that compute the same functions under different names are
+// different requests.
 //
 // # Blowup fallback
 //
 // Building spec BDDs can blow up (wide multipliers — the failure shape
 // the budget package exists for), so Signature runs the BDD build under
-// a node cap and falls back to a structural signature of the swept,
-// strashed netlist when the cap trips. The two schemes are prefixed
+// a node cap and falls back to a structural signature of the canonical
+// hash-consed netlist when the cap trips. The two schemes are prefixed
 // ("f:" vs "s:") so a functional and a structural signature can never
 // collide; a structural signature still deduplicates resubmissions of
 // the same file and of structurally equal variants.
@@ -120,10 +121,11 @@ func structuralSignature(spec *network.Network) string {
 	return "s:" + hex.EncodeToString(h.Sum(nil))
 }
 
-// hashInterface feeds the spec's external interface — PI and PO counts,
-// names, and order — into the hash. The cached response embeds these
-// names, so they are identity, not noise.
+// hashInterface feeds the spec's external interface — the model name,
+// and the PI and PO counts, names, and order — into the hash. The cached
+// response embeds these names, so they are identity, not noise.
 func hashInterface(h hash.Hash, n *network.Network) {
+	writeStr(h, n.Name)
 	writeU32(h, uint32(n.NumPIs()), uint32(n.NumPOs()))
 	for _, pi := range n.PIs {
 		writeStr(h, n.Gates[pi].Name)

@@ -165,11 +165,9 @@ func run(ctx context.Context, spec *network.Network, opt Options, bud *budget.Bu
 	}
 	out := net.Decompose()
 	// Hash-consed construction already keeps Decompose's output canonical;
-	// Sweep+Strash mop up the PO-level indirections and Compact reclaims
+	// Strash mops up the PO-level indirections and Compact reclaims
 	// anything the merges left dead.
-	out.Sweep()
 	out.Strash()
-	out.Sweep()
 	out.Compact()
 	res := &Result{Network: out, Stats: out.CollectStats(), Elapsed: time.Since(start), Stopped: stopped}
 	return res, nil

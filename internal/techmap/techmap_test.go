@@ -277,7 +277,6 @@ func TestQuickMapPreserves(t *testing.T) {
 			net.AddGate(ty, fanins...)
 		}
 		net.AddPO("o", len(net.Gates)-1)
-		net.Sweep()
 		res, err := Map(net, Library())
 		if err != nil {
 			return false
