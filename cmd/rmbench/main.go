@@ -70,7 +70,7 @@ func fail(err error) {
 
 func main() {
 	var (
-		only     = flag.String("only", "", "comma-separated circuit names")
+		only     = flag.String("only", "", "comma-separated Table 2 circuit names")
 		arith    = flag.Bool("arith", false, "arithmetic circuits only")
 		csvPath  = flag.String("csv", "", "also write CSV to this file")
 		method   = flag.Int("method", 1, "factorization method: 1 = cube, 2 = OFDD")
@@ -125,13 +125,27 @@ func main() {
 	opt.Core.RetryFactor = *retry
 	opt.Ctx = sigCtx
 	opt.Timeout = *timeout
-	opt.MaxBDDNodes = *maxNodes
-	opt.Workers = *jobs
+	if *maxNodes > 0 {
+		opt.Core.MaxBDDNodes = *maxNodes
+		opt.Core.MaxOFDDNodes = *maxNodes
+	}
+	opt.Core.Workers = *jobs
 	opt.Stats = *jsonPath != "" || baseRep != nil
 	if *only != "" {
 		names := map[string]bool{}
+		var unknown []string
 		for _, n := range strings.Split(*only, ",") {
-			names[strings.TrimSpace(n)] = true
+			n = strings.TrimSpace(n)
+			if n == "" {
+				continue
+			}
+			if _, ok := bench.ByName(n); !ok {
+				unknown = append(unknown, n)
+			}
+			names[n] = true
+		}
+		if len(unknown) > 0 {
+			fail(fmt.Errorf("-only: not a Table 2 circuit: %s", strings.Join(unknown, ", ")))
 		}
 		opt.Include = func(c bench.Circuit) bool { return names[c.Name] }
 	} else if *arith {

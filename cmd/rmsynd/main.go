@@ -66,7 +66,6 @@ func main() {
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "result cache byte bound")
 		cacheDir     = flag.String("cache-dir", "", "directory for the crash-safe persistent cache tier (empty = memory only)")
 		diskBytes    = flag.Int64("disk-cache-bytes", 0, "persistent cache byte bound (0 = 256 MiB default)")
-		adaptive     = flag.Bool("adaptive", true, "AIMD admission limiter (false = static Workers+queue token gate)")
 		grace        = flag.Duration("grace", 15*time.Second, "drain grace before in-flight work is force-degraded")
 		chaosPlan    = flag.String("chaos-plan", "", "inject the named core chaos plan into every request (soak testing only)")
 	)
@@ -100,7 +99,6 @@ func main() {
 		CacheBytes:     *cacheBytes,
 		CacheDir:       *cacheDir,
 		DiskCacheBytes: *diskBytes,
-		Adaptive:       *adaptive,
 		Hooks:          hooks,
 	})
 

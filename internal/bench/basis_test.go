@@ -2,8 +2,9 @@ package bench
 
 // Basis-arbiter acceptance tests over the benchmark table: the
 // predictor must be deterministic (same predictions at any worker
-// count, run after run), and the hedged race flow must never be worse
-// than either pure basis — the arbiter's whole contract.
+// count, run after run), and the race flow, which runs both arms on
+// every cone, must never be worse than either pure basis — the
+// arbiter's whole contract.
 
 import (
 	"context"
@@ -58,9 +59,9 @@ func TestPredictorDeterminism(t *testing.T) {
 	}
 }
 
-// The never-worse proof of the issue: for every baseline circuit the
-// hedged race flow costs no more than the pure GF(2) flow and no more
-// than the pure SOP flow, lexicographically in (pre-map literals,
+// The never-worse proof: for every baseline circuit the two-arm race
+// flow costs no more than the pure GF(2) flow and no more than the
+// pure SOP flow, lexicographically in (pre-map literals,
 // mapped gates) — the arbitration order of core's candidate selection.
 // The two metrics can genuinely conflict between the pure flows (a
 // single-output cone whose SOP form has fewer literals but whose GF(2)

@@ -73,11 +73,11 @@ func renderPhases(pts []core.PhaseTime) string {
 	return strings.Join(parts, " ")
 }
 
-// Options configure a Table 2 run.
+// Options configure a Table 2 run. Both flows' results are always
+// verified against the specification; the SIS baseline runs
+// sisbase.DefaultOptions().
 type Options struct {
-	Core    core.Options    // the paper's flow configuration
-	SIS     sisbase.Options // baseline configuration
-	Verify  bool            // check both results against the specification
+	Core    core.Options // the paper's flow configuration
 	Include func(c Circuit) bool
 
 	// Ctx is the base context every per-circuit deadline derives from;
@@ -91,12 +91,6 @@ type Options struct {
 	// row — the budgeted flow degrades instead of failing — and the row's
 	// Note records what fired.
 	Timeout time.Duration
-	// MaxBDDNodes caps the decision-diagram managers of the paper's flow
-	// (both BDD and OFDD); 0 means no cap.
-	MaxBDDNodes int
-	// Workers bounds the per-output derivation fan-out of the paper's
-	// flow (see core.Options.Workers); 0 means GOMAXPROCS.
-	Workers int
 	// Stats collects the observability report per circuit (Row.Report),
 	// the payload of the JSON artifact and the regression gate.
 	Stats bool
@@ -104,7 +98,7 @@ type Options struct {
 
 // DefaultOptions mirrors the paper's experiment.
 func DefaultOptions() Options {
-	return Options{Core: core.DefaultOptions(), SIS: sisbase.DefaultOptions(), Verify: true}
+	return Options{Core: core.DefaultOptions()}
 }
 
 // RunCircuit produces one Table 2 row.
@@ -122,18 +116,11 @@ func RunCircuit(c Circuit, opt Options) Row {
 		defer cancel()
 	}
 	coreOpt := opt.Core
-	if opt.MaxBDDNodes > 0 {
-		coreOpt.MaxBDDNodes = opt.MaxBDDNodes
-		coreOpt.MaxOFDDNodes = opt.MaxBDDNodes
-	}
-	if opt.Workers != 0 {
-		coreOpt.Workers = opt.Workers
-	}
 	if opt.Stats {
 		coreOpt.Obs = obs.NewCollector()
 	}
 
-	sisRes, err := sisbase.Run(ctx, spec, opt.SIS)
+	sisRes, err := sisbase.Run(ctx, spec, sisbase.DefaultOptions())
 	if err != nil {
 		row.Err = "sis: " + err.Error()
 		return row
@@ -163,14 +150,12 @@ func RunCircuit(c Circuit, opt Options) Row {
 		row.Report = oursRes.RunStats(c.Name).StripVolatile()
 	}
 
-	if opt.Verify {
-		for _, res := range []*network.Network{sisRes.Network, oursRes.Network} {
-			eq, verr := verify.Equivalent(spec, res)
-			if verr != nil || !eq {
-				row.Verified = false
-				row.Err = fmt.Sprintf("verification failed (%v)", verr)
-				return row
-			}
+	for _, res := range []*network.Network{sisRes.Network, oursRes.Network} {
+		eq, verr := verify.Equivalent(spec, res)
+		if verr != nil || !eq {
+			row.Verified = false
+			row.Err = fmt.Sprintf("verification failed (%v)", verr)
+			return row
 		}
 	}
 

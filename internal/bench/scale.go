@@ -50,8 +50,9 @@ func Generated(name string) (Circuit, *wordgen.Spec, error) {
 }
 
 // Resolve returns the named circuit from the fixed Table 2 set or,
-// failing that, from the generated families. The chaos harness and the
-// benchmark -only filter both accept either namespace through this.
+// failing that, from the generated families. The chaos harness accepts
+// either namespace through this; rmbench -only takes Table 2 names
+// only.
 func Resolve(name string) (Circuit, bool) {
 	if c, ok := ByName(name); ok {
 		return c, true

@@ -4,9 +4,9 @@ package chaos
 // behaviors layered onto rmsynd. Each gets a fresh server behind a real
 // listener, like every other server-level scenario, and asserts the
 // same contract — every response truthful, the process alive — plus
-// the adaptive bits: the AIMD cap converges down under storm and
-// regrows after, and the persistent cache survives corruption without
-// serving it.
+// the AIMD limiter's cap converging down under storm and regrowing
+// after, and the persistent cache surviving corruption without serving
+// it.
 
 import (
 	"bytes"
@@ -25,7 +25,7 @@ import (
 )
 
 // runOverloadStorm: under a storm — a burst past capacity whose
-// admitted requests then burn their whole wall clock — the adaptive
+// admitted requests then burn their whole wall clock — the AIMD
 // limiter shrinks the effective cap below the static capacity; once
 // healthy traffic resumes, additive regrowth returns it to capacity
 // within a bounded window.
@@ -38,7 +38,6 @@ func runOverloadStorm(spec []byte, bad func(string, string)) {
 	srv, ts := newTestServer(server.Config{
 		Workers:    1,
 		QueueDepth: 5,
-		Adaptive:   true,
 		Hooks: &server.Hooks{JobStart: func(string) {
 			if gateArmed.Load() {
 				<-gate
@@ -48,7 +47,7 @@ func runOverloadStorm(spec []byte, bad func(string, string)) {
 	defer ts.Close()
 	capacity := srv.QueueCapacity()
 	if srv.EffectiveLimit() != capacity {
-		bad("limiter", fmt.Sprintf("fresh adaptive limiter at %d, want the static capacity %d", srv.EffectiveLimit(), capacity))
+		bad("limiter", fmt.Sprintf("fresh limiter at %d, want the static capacity %d", srv.EffectiveLimit(), capacity))
 	}
 
 	// The storm: 2x capacity requests, 300ms deadlines, the worker gated
@@ -188,7 +187,7 @@ func runCacheCrashRecovery(spec []byte, bad func(string, string)) {
 	}
 }
 
-// runDrainUnderLoad: hedged (basis race) requests in flight when the
+// runDrainUnderLoad: two-arm (basis race) requests in flight when the
 // drain begins finish — cleanly or force-degraded within the grace —
 // and the persistent cache directory is left with zero partially
 // written or corrupt entries.
@@ -211,7 +210,7 @@ func runDrainUnderLoad(spec []byte, bad func(string, string)) {
 	})
 	defer ts.Close()
 
-	// Two hedged requests in flight (distinct flow keys so they are
+	// Two race requests in flight (distinct flow keys so they are
 	// separate flights), parked at the pool.
 	inflight := make(chan srvResp, 2)
 	// One worker each so both fit the pool at once (the default grant
@@ -225,7 +224,7 @@ func runDrainUnderLoad(spec []byte, bad func(string, string)) {
 		select {
 		case <-entered:
 		case <-time.After(10 * time.Second):
-			bad("drain", fmt.Sprintf("hedged request %d never started", i))
+			bad("drain", fmt.Sprintf("race request %d never started", i))
 			return
 		}
 	}
@@ -247,7 +246,7 @@ func runDrainUnderLoad(spec []byte, bad func(string, string)) {
 
 	for i := 0; i < 2; i++ {
 		r := <-inflight
-		resp := verifiedResponse(r, bad, fmt.Sprintf("drained hedged request %d", i))
+		resp := verifiedResponse(r, bad, fmt.Sprintf("drained race request %d", i))
 		if resp == nil {
 			continue
 		}

@@ -20,19 +20,20 @@ import (
 	"repro/internal/server"
 )
 
-// ServerSweepOptions configures a server-level chaos sweep. The zero
-// value runs every scenario against cm82a-sized traffic.
+// ServerSweepOptions configures a server-level chaos sweep, which runs
+// every scenario against serverSweepCircuit traffic.
 type ServerSweepOptions struct {
-	// Circuit is the bench circuit driving the scenarios (default
-	// cm82a: multi-output, fast, small enough for exhaustive
-	// verification).
-	Circuit string
-	// ShedBurst is the N in "queue capacity + N requests shed exactly
-	// N" (default 3).
-	ShedBurst int
 	// Logf receives one line per scenario when set.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// serverSweepCircuit is the bench circuit driving the scenarios:
+	// multi-output, fast, small enough for exhaustive verification.
+	serverSweepCircuit = "cm82a"
+	// shedBurst is the N in "queue capacity + N requests shed exactly N".
+	shedBurst = 3
+)
 
 // ServerSweep drives the rmsynd request path through every server-level
 // fault class — worker-pool trips, cache poisoning attempts, client
@@ -47,23 +48,12 @@ type ServerSweepOptions struct {
 // listener, so the asserted path is the production one: HTTP parsing,
 // read deadlines, admission, the pool, the cache.
 func ServerSweep(opt ServerSweepOptions) []Violation {
-	circuit := opt.Circuit
-	if circuit == "" {
-		circuit = "cm82a"
-	}
-	burst := opt.ShedBurst
-	if burst <= 0 {
-		burst = 3
-	}
 	logf := opt.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 
-	c, ok := bench.ByName(circuit)
-	if !ok {
-		return []Violation{{Circuit: circuit, Plan: "server", Invariant: "setup", Detail: "unknown bench circuit"}}
-	}
+	c, _ := bench.ByName(serverSweepCircuit)
 	spec := blifBody(c.Build())
 
 	var vs []Violation
@@ -79,7 +69,7 @@ func ServerSweep(opt ServerSweepOptions) []Violation {
 		{"core-fault-degrade", runCoreFaultDegrade},
 		{"core-fault-panic", runCoreFaultPanic},
 		{"malformed", runMalformed},
-		{"overload-shed", func(b []byte, bad func(string, string)) { runOverload(b, burst, bad) }},
+		{"overload-shed", runOverload},
 		{"drain", runDrain},
 		{"overload-storm", runOverloadStorm},
 		{"cache-crash-recovery", runCacheCrashRecovery},
@@ -87,7 +77,7 @@ func ServerSweep(opt ServerSweepOptions) []Violation {
 	}
 	for _, sc := range scenarios {
 		bad := func(invariant, detail string) {
-			vs = append(vs, Violation{Circuit: circuit, Plan: "server/" + sc.name, Invariant: invariant, Detail: detail})
+			vs = append(vs, Violation{Circuit: serverSweepCircuit, Plan: "server/" + sc.name, Invariant: invariant, Detail: detail})
 		}
 		func() {
 			defer func() {
@@ -486,9 +476,10 @@ func runMalformed(spec []byte, bad func(string, string)) {
 	verifiedResponse(post(client, ts.URL, spec, nil), bad, "after malformed barrage")
 }
 
-// runOverload: with the admission pipe full, a burst of capacity+N
-// requests sheds exactly N with 429 and serves every admitted one.
-func runOverload(spec []byte, extra int, bad func(string, string)) {
+// runOverload: with the admission pipe full, a burst of
+// capacity+shedBurst requests sheds exactly shedBurst with 429 and
+// serves every admitted one.
+func runOverload(spec []byte, bad func(string, string)) {
 	release := make(chan struct{})
 	var once sync.Once
 	defer once.Do(func() { close(release) })
@@ -511,7 +502,7 @@ func runOverload(spec []byte, extra int, bad func(string, string)) {
 		return blifBody(n)
 	}
 
-	total := capacity + extra
+	total := capacity + shedBurst
 	results := make(chan srvResp, total)
 	var wg sync.WaitGroup
 	for i := 0; i < total; i++ {
@@ -553,8 +544,8 @@ func runOverload(spec []byte, extra int, bad func(string, string)) {
 			bad("status", fmt.Sprintf("burst request: err=%v status=%d body=%.120s", r.err, r.status, r.body))
 		}
 	}
-	if shed != extra {
-		bad("shed", fmt.Sprintf("shed %d of a capacity+%d burst, want exactly %d", shed, extra, extra))
+	if shed != shedBurst {
+		bad("shed", fmt.Sprintf("shed %d of a capacity+%d burst, want exactly %d", shed, shedBurst, shedBurst))
 	}
 	if ok != capacity {
 		bad("shed", fmt.Sprintf("served %d, want all %d admitted", ok, capacity))

@@ -12,28 +12,29 @@ import (
 )
 
 // SweepOptions configures a chaos sweep. The zero value runs the
-// default deterministic plan set over a small, fast circuit subset at
-// one and four workers.
+// default deterministic plan set over a small, fast circuit subset.
+// Every plan runs at each of sweepWorkers, under core's default retry
+// factor.
 type SweepOptions struct {
 	// Circuits are Table 2 bench circuit names or generated word-level
 	// instances like add4/gfmul8 (bench.Resolve). Empty means a small
 	// default subset chosen to keep the sweep fast while covering
 	// single- and multi-output circuits.
 	Circuits []string
-	// Workers are the worker counts every plan runs at; identity is
-	// asserted across all of them. Empty means {1, 4}.
-	Workers []int
-	// RandomPlans adds n seeded plans per circuit on top of the
-	// deterministic set; Seed (default 1) makes them reproducible.
+	// RandomPlans adds n plans per circuit on top of the deterministic
+	// set, drawn from the fixed sweepSeed so they are reproducible.
 	RandomPlans int
-	Seed        int64
-	// RetryFactor overrides the synthesis retry budget factor when
-	// non-zero (negative disables the retry rung).
-	RetryFactor float64
 	// Logf, when set, receives one line per (circuit, plan, workers)
 	// run — the sweep's progress trace.
 	Logf func(format string, args ...any)
 }
+
+// sweepWorkers are the worker counts every plan runs at; identity is
+// asserted across all of them.
+var sweepWorkers = []int{1, 4}
+
+// sweepSeed seeds the random plans.
+const sweepSeed = 1
 
 // Violation is one invariant breach found by Sweep. The sweep never
 // stops at the first breach: it returns every violation so a failure
@@ -83,14 +84,6 @@ func Sweep(opt SweepOptions) []Violation {
 	if len(circuits) == 0 {
 		circuits = []string{"f2", "cm82a", "adr4"}
 	}
-	workersList := opt.Workers
-	if len(workersList) == 0 {
-		workersList = []int{1, 4}
-	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	logf := opt.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -108,7 +101,7 @@ func Sweep(opt SweepOptions) []Violation {
 		for i := range spec.POs {
 			poNames[i] = spec.POs[i].Name
 		}
-		plans := append(Plans(len(spec.POs)), RandomPlans(opt.RandomPlans, seed, len(spec.POs))...)
+		plans := append(Plans(len(spec.POs)), RandomPlans(opt.RandomPlans, sweepSeed, len(spec.POs))...)
 
 		// Uninjected baselines, one per (workers, method, basis) triple a
 		// plan can run under. Their cross-worker identity is itself an
@@ -133,9 +126,9 @@ func Sweep(opt SweepOptions) []Violation {
 			}
 		}
 		base := map[bkey]outcome{}
-		for _, w := range workersList {
+		for _, w := range sweepWorkers {
 			for _, cb := range comboList {
-				out := runOne(c, Plan{Name: "baseline", Basis: cb.basis}, w, cb.ofddMethod, opt.RetryFactor)
+				out := runOne(c, Plan{Name: "baseline", Basis: cb.basis}, w, cb.ofddMethod)
 				if out.escaped != "" {
 					vs = append(vs, Violation{name, "baseline", w, "no-panic", out.escaped})
 				}
@@ -149,19 +142,19 @@ func Sweep(opt SweepOptions) []Violation {
 			}
 		}
 		for _, cb := range comboList {
-			ref := base[bkey{workersList[0], cb.ofddMethod, cb.basis}].fp
-			for _, w := range workersList[1:] {
+			ref := base[bkey{sweepWorkers[0], cb.ofddMethod, cb.basis}].fp
+			for _, w := range sweepWorkers[1:] {
 				if base[bkey{w, cb.ofddMethod, cb.basis}].fp != ref {
 					vs = append(vs, Violation{name, "baseline", w, "identical",
-						fmt.Sprintf("baseline differs from -j%d baseline", workersList[0])})
+						fmt.Sprintf("baseline differs from -j%d baseline", sweepWorkers[0])})
 				}
 			}
 		}
 
 		for _, p := range plans {
-			fps := make([]fingerprint, 0, len(workersList))
-			for _, w := range workersList {
-				out := runOne(c, p, w, p.UseOFDDMethod, opt.RetryFactor)
+			fps := make([]fingerprint, 0, len(sweepWorkers))
+			for _, w := range sweepWorkers {
+				out := runOne(c, p, w, p.UseOFDDMethod)
 				logf("chaos: %s/%s/-j%d: err=%q degradations=%d", name, p.Name, w, out.err, len(out.degs))
 				vs = append(vs, checkRun(name, p, w, poNames, out, base[bkey{w, p.UseOFDDMethod, p.Basis}])...)
 				fps = append(fps, out.fp)
@@ -169,8 +162,8 @@ func Sweep(opt SweepOptions) []Violation {
 			if p.ScheduleIndependent() {
 				for i := 1; i < len(fps); i++ {
 					if fps[i] != fps[0] {
-						vs = append(vs, Violation{name, p.Name, workersList[i], "identical",
-							fmt.Sprintf("result differs from -j%d run under the same injection schedule", workersList[0])})
+						vs = append(vs, Violation{name, p.Name, sweepWorkers[i], "identical",
+							fmt.Sprintf("result differs from -j%d run under the same injection schedule", sweepWorkers[0])})
 					}
 				}
 			}
@@ -183,7 +176,7 @@ func Sweep(opt SweepOptions) []Violation {
 // the invariants need. The specification is rebuilt per run, and the
 // equivalence check uses a second fresh build on a fresh BDD manager —
 // fully independent of anything the injected run touched.
-func runOne(c bench.Circuit, p Plan, workers int, ofddMethod bool, retryFactor float64) (out outcome) {
+func runOne(c bench.Circuit, p Plan, workers int, ofddMethod bool) (out outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			out.escaped = fmt.Sprintf("%v", r)
@@ -206,12 +199,6 @@ func runOne(c bench.Circuit, p Plan, workers int, ofddMethod bool, retryFactor f
 	}
 	if ofddMethod {
 		opt.Method = core.MethodOFDD
-	}
-	if retryFactor != 0 {
-		opt.RetryFactor = retryFactor
-		if retryFactor < 0 {
-			opt.RetryFactor = 0
-		}
 	}
 	opt.Hooks = p.Hooks(cancel)
 	spec := c.Build()

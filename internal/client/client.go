@@ -33,10 +33,6 @@ type Config struct {
 	// the server knows its queue better than our exponent does.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-
-	// HTTPClient overrides the transport (default http.DefaultClient
-	// semantics with no client-side timeout — deadlines travel by ctx).
-	HTTPClient *http.Client
 }
 
 // Options tunes one Synthesize call.
@@ -92,10 +88,8 @@ func New(cfg Config) (*Client, error) {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = 10 * time.Second
 	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{}
-	}
-	return &Client{cfg: cfg, http: cfg.HTTPClient}, nil
+	// No client-side timeout: deadlines travel by ctx.
+	return &Client{cfg: cfg, http: &http.Client{}}, nil
 }
 
 // retryable reports whether a failure is worth re-submitting: overload

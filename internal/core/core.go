@@ -952,7 +952,7 @@ func (r *run) deriveSop(w, oi int) {
 		c.sopFail = perr.Error()
 		return
 	}
-	sr, err := sisbase.RunCone(r.ctx, r.spec, oi, sisbase.DefaultOptions(), r.bud)
+	sr, err := sisbase.RunCone(r.ctx, r.spec, oi, r.bud)
 	if err != nil {
 		c.sopFail = err.Error()
 		return
@@ -1032,7 +1032,7 @@ func (r *run) factor() {
 			}
 			// Rewrite literal space into PI space so one emitter serves all
 			// outputs even when their polarity vectors differ.
-			c.expr = applyPolarity(e, form.Polarity)
+			c.expr = factor.ApplyPolarity(e, form.Polarity)
 		}
 		gerr := budget.Guard(func() { factorOne(fopt, bud, cubeCtxs, ofddCtxs) })
 		if gerr == nil {
@@ -1075,15 +1075,15 @@ func polKey(pol []bool) string {
 // so the big cones create the shared gates the smaller cones reuse (a
 // sum reuses its carry's a⊕b). One emitter serves the whole network:
 // structurally identical subexpressions are shared across outputs.
-// Polarity is handled per literal inside expressions, so the emitter
-// itself is polarity-free.
+// factor.ApplyPolarity has already put every expression in PI space, so
+// outputs with different polarity vectors share one emitter.
 func (r *run) emit() {
 	r.net = network.New(r.spec.Name + "_rm")
 	pis := make([]int, len(r.spec.PIs))
 	for i, piID := range r.spec.PIs {
 		pis[i] = r.net.AddPI(r.spec.Gates[piID].Name)
 	}
-	em := factor.NewEmitter(r.net, pis, nil)
+	em := factor.NewEmitter(r.net, pis)
 	for i := len(r.order) - 1; i >= 0; i-- {
 		c := &r.cones[r.order[i]]
 		if c.gf2Ready() {
@@ -1581,47 +1581,6 @@ func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, rel
 		searchCut = !complete
 	}
 	return form, int64(form.Cubes.Len()), false, searchCut
-}
-
-// applyPolarity rewrites an expression over FPRM literals into PI space:
-// literals of negative-polarity variables become complemented variables.
-func applyPolarity(e *factor.Expr, pol []bool) *factor.Expr {
-	memo := make(map[string]*factor.Expr)
-	var rec func(*factor.Expr) *factor.Expr
-	rec = func(e *factor.Expr) *factor.Expr {
-		if r, ok := memo[e.Key()]; ok {
-			return r
-		}
-		var r *factor.Expr
-		switch e.Op {
-		case factor.OpLit:
-			if pol == nil || pol[e.Var] {
-				r = e
-			} else {
-				r = factor.Not(factor.Lit(e.Var))
-			}
-		case factor.OpConst0, factor.OpConst1:
-			r = e
-		default:
-			kids := make([]*factor.Expr, len(e.Kids))
-			for i, k := range e.Kids {
-				kids[i] = rec(k)
-			}
-			switch e.Op {
-			case factor.OpNot:
-				r = factor.Not(kids[0])
-			case factor.OpAnd:
-				r = factor.AndN(kids...)
-			case factor.OpOr:
-				r = factor.OrN(kids...)
-			case factor.OpXor:
-				r = factor.XorN(kids...)
-			}
-		}
-		memo[e.Key()] = r
-		return r
-	}
-	return rec(e)
 }
 
 // MergeEquivalentGates merges internal gates computing identical global

@@ -5,31 +5,74 @@ import (
 	"repro/internal/network"
 )
 
-// Emitter turns expression DAGs into gates of a network, applying the FPRM
-// polarity to literals and sharing structurally identical subexpressions
-// across all emitted expressions (the cross-output sharing the paper
-// obtains with SIS resub). The network itself hash-conses gates at
-// construction, so the same (type, fanins) gate is never emitted twice —
-// across expressions, outputs, and anything else already in the network —
-// and XOR trees prefer operand pairs whose XOR gate already exists
-// (network.FindGate, the former hasGate linear probe).
+// Emitter turns expression DAGs over PI-space literals (see
+// ApplyPolarity) into gates of a network, sharing structurally
+// identical subexpressions across all emitted expressions (the
+// cross-output sharing the paper obtains with SIS resub). The network
+// itself hash-conses gates at construction, so the same (type, fanins)
+// gate is never emitted twice — across expressions, outputs, and
+// anything else already in the network — and XOR trees prefer operand
+// pairs whose XOR gate already exists (network.FindGate, the former
+// hasGate linear probe).
 type Emitter struct {
-	Net      *network.Network
-	PIGates  []int  // gate ID of each variable's primary input
-	Polarity []bool // literal polarity per variable (nil = all positive)
+	Net     *network.Network
+	PIGates []int // gate ID of each variable's primary input
 
 	memo     map[string]int
 	supCache map[string]cube.BitSet
 }
 
 // NewEmitter returns an emitter into net whose variable v literal is
-// piGates[v] (positive polarity) or its complement (negative).
-func NewEmitter(net *network.Network, piGates []int, polarity []bool) *Emitter {
+// piGates[v].
+func NewEmitter(net *network.Network, piGates []int) *Emitter {
 	return &Emitter{
-		Net: net, PIGates: piGates, Polarity: polarity,
+		Net: net, PIGates: piGates,
 		memo:     make(map[string]int),
 		supCache: make(map[string]cube.BitSet),
 	}
+}
+
+// ApplyPolarity rewrites an expression over FPRM literals into PI space:
+// literals of negative-polarity variables become complemented variables.
+// A nil pol is all-positive. It is the one way an FPRM polarity vector
+// reaches the Emitter.
+func ApplyPolarity(e *Expr, pol []bool) *Expr {
+	memo := make(map[string]*Expr)
+	var rec func(*Expr) *Expr
+	rec = func(e *Expr) *Expr {
+		if r, ok := memo[e.key]; ok {
+			return r
+		}
+		var r *Expr
+		switch e.Op {
+		case OpLit:
+			if pol == nil || pol[e.Var] {
+				r = e
+			} else {
+				r = Not(Lit(e.Var))
+			}
+		case OpConst0, OpConst1:
+			r = e
+		default:
+			kids := make([]*Expr, len(e.Kids))
+			for i, k := range e.Kids {
+				kids[i] = rec(k)
+			}
+			switch e.Op {
+			case OpNot:
+				r = Not(kids[0])
+			case OpAnd:
+				r = AndN(kids...)
+			case OpOr:
+				r = OrN(kids...)
+			case OpXor:
+				r = XorN(kids...)
+			}
+		}
+		memo[e.key] = r
+		return r
+	}
+	return rec(e)
 }
 
 // Emit adds gates computing e and returns the driving gate ID.
@@ -45,9 +88,6 @@ func (em *Emitter) Emit(e *Expr) int {
 		id = em.Net.AddGate(network.Const1)
 	case OpLit:
 		id = em.PIGates[e.Var]
-		if em.Polarity != nil && !em.Polarity[e.Var] {
-			id = em.Net.AddGate(network.Not, id)
-		}
 	case OpNot:
 		id = em.Net.AddGate(network.Not, em.Emit(e.Kids[0]))
 	case OpAnd, OpOr:

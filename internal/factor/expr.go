@@ -8,8 +8,8 @@
 //	Factorization: (d) AB ⊕ AC ⊕ … = A(B ⊕ C ⊕ …)
 //	               (e) AB + AC + … = A(B + C + …)
 //
-// Factored results are expression DAGs over positive literals; polarity is
-// applied when the expression is emitted into a gate network.
+// Factored results are expression DAGs over FPRM literals; ApplyPolarity
+// maps them into PI space before they are emitted into a gate network.
 package factor
 
 import (
@@ -25,7 +25,7 @@ type Op int
 const (
 	OpConst0 Op = iota
 	OpConst1
-	OpLit // a literal in FPRM space (polarity applied at emission)
+	OpLit // a literal, in FPRM space until ApplyPolarity maps it to PI space
 	OpNot
 	OpAnd
 	OpOr

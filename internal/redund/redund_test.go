@@ -58,8 +58,8 @@ func netFromForm(f *fprm.Form) *network.Network {
 	for i := range pis {
 		pis[i] = net.AddPI("")
 	}
-	em := factor.NewEmitter(net, pis, f.Polarity)
-	net.AddPO("f", em.Emit(e))
+	em := factor.NewEmitter(net, pis)
+	net.AddPO("f", em.Emit(factor.ApplyPolarity(e, f.Polarity)))
 	return net
 }
 
@@ -325,7 +325,7 @@ func TestMultiOutputForms(t *testing.T) {
 	f1 := formOf(3, []int{0, 1}, []int{2})
 	net := network.New("mo")
 	pis := []int{net.AddPI("a"), net.AddPI("b"), net.AddPI("c")}
-	em := factor.NewEmitter(net, pis, nil)
+	em := factor.NewEmitter(net, pis)
 	e0 := factor.NewContext(factor.Options{ApplyRules: false}).Factor(f0.Cubes)
 	e1 := factor.NewContext(factor.Options{ApplyRules: false}).Factor(f1.Cubes)
 	net.AddPO("f0", em.Emit(e0))

@@ -10,10 +10,7 @@ package server
 // effective cap instead: congestion signals (a shed, a request that
 // burned its whole wall clock, a synthesis far above the moving latency
 // baseline) shrink it multiplicatively; every healthy completion earns
-// additive regrowth. The static gate remains available — and remains
-// the default for the zero Config — by constructing the limiter with
-// adaptive=false, in which case the cap is pinned to max and the
-// control loop is inert.
+// additive regrowth.
 
 import (
 	"math/rand/v2"
@@ -43,10 +40,8 @@ const (
 
 // limiter gates admission to the request path: one slot per request in
 // the system (queued or synthesizing), with an effective cap that AIMD
-// moves between 1 and the static capacity when adaptive, and that is
-// pinned to the static capacity otherwise.
+// moves between 1 and the static capacity.
 type limiter struct {
-	adaptive bool
 	max      int
 	cooldown time.Duration
 
@@ -59,11 +54,11 @@ type limiter struct {
 	shrinks    int64 // total multiplicative decreases, for /metrics
 }
 
-func newLimiter(max int, adaptive bool) *limiter {
+func newLimiter(max int) *limiter {
 	if max < 1 {
 		max = 1
 	}
-	return &limiter{adaptive: adaptive, max: max, limit: float64(max), cooldown: limiterCooldown}
+	return &limiter{max: max, limit: float64(max), cooldown: limiterCooldown}
 }
 
 // tryAcquire claims an in-system slot if the effective cap allows it.
@@ -133,11 +128,8 @@ func (l *limiter) Baseline() time.Duration {
 
 // onShed records an admission refusal — the overload signal that exists
 // even when no request completes — and shrinks the cap (cooldown-
-// limited) when adaptive.
+// limited).
 func (l *limiter) onShed() {
-	if !l.adaptive {
-		return
-	}
 	l.mu.Lock()
 	l.shrinkLocked(time.Now())
 	l.mu.Unlock()
@@ -151,9 +143,6 @@ func (l *limiter) onShed() {
 // regrowth: +1/limit per success, i.e. about one slot per "round" of
 // limit successes — classic AIMD.
 func (l *limiter) observe(latency time.Duration, deadlineMiss, sample bool) {
-	if !l.adaptive {
-		return
-	}
 	now := time.Now()
 	ms := float64(latency) / float64(time.Millisecond)
 	l.mu.Lock()

@@ -5,33 +5,10 @@ import (
 	"time"
 )
 
-// TestLimiterStatic: with adaptive off the limiter is exactly the old
-// token gate — the cap never moves, whatever signals arrive.
-func TestLimiterStatic(t *testing.T) {
-	l := newLimiter(3, false)
-	for i := 0; i < 3; i++ {
-		if !l.tryAcquire() {
-			t.Fatalf("acquire %d refused below the cap", i)
-		}
-	}
-	if l.tryAcquire() {
-		t.Fatal("acquire beyond the cap succeeded")
-	}
-	l.onShed()
-	l.observe(time.Hour, true, true) // deadline miss, absurd latency
-	if got := l.Effective(); got != 3 {
-		t.Fatalf("static cap moved to %d", got)
-	}
-	l.release()
-	if !l.tryAcquire() {
-		t.Fatal("released slot not reusable")
-	}
-}
-
 // TestLimiterAIMD: congestion signals shrink the cap multiplicatively
 // (never below 1), healthy completions regrow it additively back to max.
 func TestLimiterAIMD(t *testing.T) {
-	l := newLimiter(10, true)
+	l := newLimiter(10)
 	l.cooldown = 0 // every signal counts; production paces via cooldown
 
 	l.onShed()
@@ -66,7 +43,7 @@ func TestLimiterAIMD(t *testing.T) {
 // above it is a congestion signal — and is excluded from the baseline,
 // so sustained overload cannot normalize itself.
 func TestLimiterLatencyTrip(t *testing.T) {
-	l := newLimiter(8, true)
+	l := newLimiter(8)
 	l.cooldown = 0
 	for i := 0; i < limiterWarmup; i++ {
 		l.observe(10*time.Millisecond, false, true)
@@ -87,7 +64,7 @@ func TestLimiterLatencyTrip(t *testing.T) {
 // TestLimiterCooldown: one overload burst costs one multiplicative
 // decrease, not one per shed.
 func TestLimiterCooldown(t *testing.T) {
-	l := newLimiter(10, true)
+	l := newLimiter(10)
 	l.cooldown = time.Hour
 	l.onShed()
 	l.onShed()

@@ -92,7 +92,6 @@ type statsSnapshot struct {
 	limEffective int
 	limInSystem  int
 	limMax       int
-	limAdaptive  bool
 	limShrinks   int64
 }
 
@@ -122,14 +121,9 @@ func (m *metrics) write(w io.Writer, snap statsSnapshot) {
 
 	// Admission limiter: how many slots exist right now vs the static
 	// ceiling, and how often the AIMD loop has cut capacity.
-	gauge("rmsynd_admission_limit", "current effective in-system cap (AIMD-moved when adaptive)", int64(snap.limEffective))
+	gauge("rmsynd_admission_limit", "current effective in-system cap (AIMD-moved)", int64(snap.limEffective))
 	gauge("rmsynd_admission_in_system", "requests currently holding an admission slot", int64(snap.limInSystem))
 	gauge("rmsynd_admission_capacity", "static admission ceiling (workers+queue depth)", int64(snap.limMax))
-	adaptive := int64(0)
-	if snap.limAdaptive {
-		adaptive = 1
-	}
-	gauge("rmsynd_admission_adaptive", "1 when the AIMD limiter is enabled", adaptive)
 	counter("rmsynd_admission_shrinks_total", "multiplicative decreases of the effective cap", snap.limShrinks)
 
 	counter("rmsynd_shed_total", "requests refused with 429 at admission", m.shed.Load())

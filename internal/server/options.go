@@ -12,36 +12,34 @@ import (
 
 // Policy is the server-side clamp on what a request may ask for. Every
 // per-request knob arrives in an X-Rmsynd-* header from an untrusted
-// client; the grant is min(requested, policy ceiling), never the raw
-// request. Zero ceilings mean "unlimited" for budgets and "server
-// default" for the rest. A request's worker count is clamped to the
-// pool size.
+// client; the grant is min(requested, ceiling), never the raw request.
+// The wall clock is the one policy an operator sets (rmsynd's
+// -default-timeout and -max-timeout); the budget ceilings below are
+// constants. A zero MaxTimeout means no wall-clock ceiling. A request's
+// worker count is clamped to the pool size.
 type Policy struct {
 	DefaultTimeout time.Duration // granted when the client asks for none
 	MaxTimeout     time.Duration // hard per-request wall-clock ceiling
-	MinTimeout     time.Duration // grants are raised to this floor
-
-	MaxBDDNodes  int   // ceiling on X-Rmsynd-Max-Bdd-Nodes
-	MaxOFDDNodes int   // ceiling on X-Rmsynd-Max-Ofdd-Nodes
-	MaxCubes     int64 // ceiling on X-Rmsynd-Max-Cubes
-	MaxSteps     int64 // ceiling on X-Rmsynd-Max-Steps
-
-	MaxRetryFactor float64 // clamp on X-Rmsynd-Retry-Factor
 }
 
-// DefaultPolicy returns conservative service defaults: 30s granted by
-// default, 2min ceiling, budgets capped roughly where the bench suite's
-// heavy circuits live, 16x retry at most.
+// The ceilings every grant is clamped to: budgets roughly where the
+// bench suite's heavy circuits live, a 10ms wall-clock floor, 16x retry
+// at most.
+const (
+	minTimeout     = 10 * time.Millisecond // grants are raised to this floor
+	maxBDDNodes    = 4_000_000             // ceiling on X-Rmsynd-Max-Bdd-Nodes
+	maxOFDDNodes   = 4_000_000             // ceiling on X-Rmsynd-Max-Ofdd-Nodes
+	maxCubes       = 10_000_000            // ceiling on X-Rmsynd-Max-Cubes
+	maxSteps       = 2_000_000_000         // ceiling on X-Rmsynd-Max-Steps
+	maxRetryFactor = 16                    // clamp on X-Rmsynd-Retry-Factor
+)
+
+// DefaultPolicy returns the service defaults: 30s granted by default,
+// 2min ceiling.
 func DefaultPolicy() Policy {
 	return Policy{
 		DefaultTimeout: 30 * time.Second,
 		MaxTimeout:     2 * time.Minute,
-		MinTimeout:     10 * time.Millisecond,
-		MaxBDDNodes:    4_000_000,
-		MaxOFDDNodes:   4_000_000,
-		MaxCubes:       10_000_000,
-		MaxSteps:       2_000_000_000,
-		MaxRetryFactor: 16,
 	}
 }
 
@@ -97,22 +95,22 @@ func parseGrant(h http.Header, pol Policy, poolSize int) (grant, error) {
 	if pol.MaxTimeout > 0 && g.Timeout > pol.MaxTimeout {
 		g.Timeout = pol.MaxTimeout
 	}
-	if pol.MinTimeout > 0 && g.Timeout < pol.MinTimeout {
-		g.Timeout = pol.MinTimeout
+	if g.Timeout < minTimeout {
+		g.Timeout = minTimeout
 	}
 
 	// Node/cube/step budgets: absent or 0 means "the ceiling".
 	var err error
-	if g.BDDNodes, err = intBudget(h, "X-Rmsynd-Max-Bdd-Nodes", pol.MaxBDDNodes); err != nil {
+	if g.BDDNodes, err = intBudget(h, "X-Rmsynd-Max-Bdd-Nodes", maxBDDNodes); err != nil {
 		return g, err
 	}
-	if g.OFDDNodes, err = intBudget(h, "X-Rmsynd-Max-Ofdd-Nodes", pol.MaxOFDDNodes); err != nil {
+	if g.OFDDNodes, err = intBudget(h, "X-Rmsynd-Max-Ofdd-Nodes", maxOFDDNodes); err != nil {
 		return g, err
 	}
-	if g.Cubes, err = int64Budget(h, "X-Rmsynd-Max-Cubes", pol.MaxCubes); err != nil {
+	if g.Cubes, err = int64Budget(h, "X-Rmsynd-Max-Cubes", maxCubes); err != nil {
 		return g, err
 	}
-	if g.Steps, err = int64Budget(h, "X-Rmsynd-Max-Steps", pol.MaxSteps); err != nil {
+	if g.Steps, err = int64Budget(h, "X-Rmsynd-Max-Steps", maxSteps); err != nil {
 		return g, err
 	}
 
@@ -140,8 +138,8 @@ func parseGrant(h http.Header, pol Policy, poolSize int) (grant, error) {
 		}
 		g.RetryFactor = f
 	}
-	if pol.MaxRetryFactor > 0 && g.RetryFactor > pol.MaxRetryFactor {
-		g.RetryFactor = pol.MaxRetryFactor
+	if g.RetryFactor > maxRetryFactor {
+		g.RetryFactor = maxRetryFactor
 	}
 
 	// Flow selection.
@@ -195,7 +193,7 @@ func intBudget(h http.Header, header string, ceiling int) (int, error) {
 	if n == 0 {
 		return ceiling, nil
 	}
-	if ceiling > 0 && n > ceiling {
+	if n > ceiling {
 		return ceiling, nil
 	}
 	return n, nil
@@ -213,7 +211,7 @@ func int64Budget(h http.Header, header string, ceiling int64) (int64, error) {
 	if n == 0 {
 		return ceiling, nil
 	}
-	if ceiling > 0 && n > ceiling {
+	if n > ceiling {
 		return ceiling, nil
 	}
 	return n, nil
@@ -250,20 +248,4 @@ func (g grant) flowKey() string {
 func (g grant) flightKey() string {
 	return fmt.Sprintf("%s|t%d|b%d|o%d|c%d|s%d|r%g",
 		g.flowKey(), g.Timeout, g.BDDNodes, g.OFDDNodes, g.Cubes, g.Steps, g.RetryFactor)
-}
-
-// flowString is the human-readable flow record stored with cache entries.
-func (g grant) flowString() string {
-	m := "cube"
-	if g.Method == core.MethodOFDD {
-		m = "ofdd"
-	}
-	p := "greedy"
-	switch g.Polarity {
-	case core.PolarityPositive:
-		p = "positive"
-	case core.PolarityExhaustive:
-		p = "exhaustive"
-	}
-	return "method=" + m + " polarity=" + p + " basis=" + g.Basis.String()
 }

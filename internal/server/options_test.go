@@ -25,7 +25,7 @@ func TestParseGrantDefaults(t *testing.T) {
 	if g.Timeout != pol.DefaultTimeout {
 		t.Errorf("Timeout = %v, want policy default %v", g.Timeout, pol.DefaultTimeout)
 	}
-	if g.BDDNodes != pol.MaxBDDNodes || g.Cubes != pol.MaxCubes || g.Steps != pol.MaxSteps {
+	if g.BDDNodes != maxBDDNodes || g.Cubes != maxCubes || g.Steps != maxSteps {
 		t.Errorf("budgets = (%d,%d,%d), want policy ceilings", g.BDDNodes, g.Cubes, g.Steps)
 	}
 	if g.Workers != 8 {
@@ -56,17 +56,17 @@ func TestParseGrantClamps(t *testing.T) {
 	if g.Timeout != pol.MaxTimeout {
 		t.Errorf("Timeout = %v, want clamp %v", g.Timeout, pol.MaxTimeout)
 	}
-	if g.BDDNodes != pol.MaxBDDNodes {
-		t.Errorf("BDDNodes = %d, want ceiling %d", g.BDDNodes, pol.MaxBDDNodes)
+	if g.BDDNodes != maxBDDNodes {
+		t.Errorf("BDDNodes = %d, want ceiling %d", g.BDDNodes, maxBDDNodes)
 	}
-	if g.Cubes != pol.MaxCubes {
-		t.Errorf("Cubes = %d, want ceiling %d", g.Cubes, pol.MaxCubes)
+	if g.Cubes != maxCubes {
+		t.Errorf("Cubes = %d, want ceiling %d", g.Cubes, maxCubes)
 	}
 	if g.Workers != 4 {
 		t.Errorf("Workers = %d, want pool size 4", g.Workers)
 	}
-	if g.RetryFactor != pol.MaxRetryFactor {
-		t.Errorf("RetryFactor = %g, want clamp %g", g.RetryFactor, pol.MaxRetryFactor)
+	if g.RetryFactor != maxRetryFactor {
+		t.Errorf("RetryFactor = %g, want clamp %d", g.RetryFactor, maxRetryFactor)
 	}
 
 	// Sub-floor timeouts are raised, not rejected: a 1ns budget is a
@@ -75,8 +75,8 @@ func TestParseGrantClamps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseGrant(1ns): %v", err)
 	}
-	if g.Timeout != pol.MinTimeout {
-		t.Errorf("Timeout = %v, want floor %v", g.Timeout, pol.MinTimeout)
+	if g.Timeout != minTimeout {
+		t.Errorf("Timeout = %v, want floor %v", g.Timeout, minTimeout)
 	}
 
 	// In-range values pass through untouched.

@@ -70,10 +70,12 @@ type Config struct {
 	// sigcache.New).
 	CacheEntries int
 	CacheBytes   int64
-	// Adaptive enables the AIMD admission limiter (DESIGN.md §14): the
-	// effective in-system cap moves between 1 and Workers+QueueDepth on
-	// congestion signals. False — the zero value — preserves the static
-	// token gate exactly.
+	// Adaptive has no effect: admission always runs the AIMD limiter
+	// (DESIGN.md §14), whose effective in-system cap moves between 1 and
+	// Workers+QueueDepth on congestion signals. The field stays only
+	// because the repository benchmark sets it.
+	//
+	// Deprecated: the AIMD limiter is the only admission path.
 	Adaptive bool
 	// CacheDir, when set, attaches the crash-safe persistent cache tier
 	// rooted there. The warm scan runs asynchronously; /readyz reports
@@ -137,7 +139,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		pool:       newSem(cfg.Workers),
-		lim:        newLimiter(cfg.Workers+cfg.QueueDepth, cfg.Adaptive),
+		lim:        newLimiter(cfg.Workers + cfg.QueueDepth),
 		cache:      sigcache.New(cfg.CacheEntries, cfg.CacheBytes),
 		metrics:    newMetrics(),
 		mux:        http.NewServeMux(),
@@ -268,8 +270,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	defer s.jobs.Done()
 
 	// Admission: one in-system slot per request (queued or running),
-	// gated by the limiter's effective cap — the static capacity, or
-	// the AIMD-moved cap when adaptive. A refusal is the overload
+	// gated by the limiter's AIMD-moved cap. A refusal is the overload
 	// signal: shed loudly, feed the control loop, and jitter the
 	// retry horizon so the shed wave does not return in lockstep.
 	if !s.lim.tryAcquire() {
@@ -459,12 +460,7 @@ func (s *Server) runFlight(circuit string, spec *network.Network, g grant) (entr
 	if berr != nil {
 		return nil, 0, failCode(codeInternal, "serializing response: %v", berr)
 	}
-	return &sigcache.Entry{
-		Body:     bodyBytes,
-		Flow:     g.flowString(),
-		Gates2:   res.Stats.Gates2,
-		Literals: res.Stats.Lits,
-	}, len(res.Degradations), nil
+	return &sigcache.Entry{Body: bodyBytes}, len(res.Degradations), nil
 }
 
 // simVectors is the random-vector count of the server's re-verification
@@ -571,7 +567,6 @@ func (s *Server) snapshot() statsSnapshot {
 		limEffective: s.lim.Effective(),
 		limInSystem:  s.lim.InSystem(),
 		limMax:       s.lim.max,
-		limAdaptive:  s.lim.adaptive,
 		limShrinks:   s.lim.Shrinks(),
 	}
 	if d := s.cache.Disk(); d != nil {
@@ -585,8 +580,8 @@ func (s *Server) snapshot() statsSnapshot {
 // bound, which the overload tests size their bursts against.
 func (s *Server) QueueCapacity() int { return s.lim.max }
 
-// EffectiveLimit reports the limiter's current cap — equal to
-// QueueCapacity when static, AIMD-moved when adaptive.
+// EffectiveLimit reports the limiter's current AIMD-moved cap, between
+// 1 and QueueCapacity.
 func (s *Server) EffectiveLimit() int { return s.lim.Effective() }
 
 var _ fmt.Stringer = sigcache.Source(0) // metrics.cache relies on this

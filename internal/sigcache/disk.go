@@ -43,7 +43,7 @@ import (
 
 // diskMagic opens every entry file; bump on layout change so an old
 // binary quarantines (rather than misparses) a new file and vice versa.
-var diskMagic = []byte("rmsc1\n")
+var diskMagic = []byte("rmsc2\n")
 
 const (
 	entrySuffix      = ".entry"
@@ -355,8 +355,7 @@ func entryFileName(key string) string {
 
 // encodeEntry serializes key+entry with the integrity footer.
 //
-//	magic | u32 keyLen | key | u32 flowLen | flow |
-//	u32 gates2 | u32 literals | u32 bodyLen | body | sha256(prefix)
+//	magic | u32 keyLen | key | u32 bodyLen | body | sha256(prefix)
 func encodeEntry(key string, e *Entry) []byte {
 	var b bytes.Buffer
 	b.Write(diskMagic)
@@ -367,10 +366,6 @@ func encodeEntry(key string, e *Entry) []byte {
 	}
 	putU32(uint32(len(key)))
 	b.WriteString(key)
-	putU32(uint32(len(e.Flow)))
-	b.WriteString(e.Flow)
-	putU32(uint32(e.Gates2))
-	putU32(uint32(e.Literals))
 	putU32(uint32(len(e.Body)))
 	b.Write(e.Body)
 	sum := sha256.Sum256(b.Bytes())
@@ -410,28 +405,11 @@ func decodeEntry(data []byte) (key string, e *Entry, err error) {
 	if !ok {
 		return "", nil, errCorrupt
 	}
-	flow, ok := getBytes()
-	if !ok {
-		return "", nil, errCorrupt
-	}
-	gates2, ok := getU32()
-	if !ok {
-		return "", nil, errCorrupt
-	}
-	lits, ok := getU32()
-	if !ok {
-		return "", nil, errCorrupt
-	}
 	body, ok := getBytes()
 	if !ok || len(p) != 0 {
 		return "", nil, errCorrupt
 	}
-	return string(kb), &Entry{
-		Body:     append([]byte(nil), body...),
-		Flow:     string(flow),
-		Gates2:   int(gates2),
-		Literals: int(lits),
-	}, nil
+	return string(kb), &Entry{Body: append([]byte(nil), body...)}, nil
 }
 
 // readEntryFile loads, verifies, and decodes one entry file.

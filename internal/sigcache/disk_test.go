@@ -14,10 +14,7 @@ import (
 func testEntry(i int) (string, *Entry) {
 	key := fmt.Sprintf("f:%040x|m0|p0|B0", i)
 	return key, &Entry{
-		Body:     []byte(fmt.Sprintf(`{"schema":"rmsynd/v1","circuit":"c%d","padding":"%s"}`, i, strings.Repeat("x", 100))),
-		Flow:     "method=cube polarity=greedy basis=auto",
-		Gates2:   10 + i,
-		Literals: 20 + i,
+		Body: []byte(fmt.Sprintf(`{"schema":"rmsynd/v1","circuit":"c%d","padding":"%s"}`, i, strings.Repeat("x", 100))),
 	}
 }
 
@@ -33,7 +30,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("Get after Put returned nil")
 	}
-	if !bytes.Equal(got.Body, e.Body) || got.Flow != e.Flow || got.Gates2 != e.Gates2 || got.Literals != e.Literals {
+	if !bytes.Equal(got.Body, e.Body) {
 		t.Errorf("round-trip mismatch: got %+v want %+v", got, e)
 	}
 	if d.Get("f:unknown") != nil {

@@ -14,21 +14,13 @@ import (
 var ErrFlightPanicked = errors.New("sigcache: flight leader panicked")
 
 // Entry is one cached synthesis result: the exact serialized response
-// body served on the miss (hits replay it byte for byte), plus the flow
-// record — which configuration produced it — so future basis-selection
-// work can reuse cached results per flow (Kushch's per-block basis
-// argument applied to the cache).
+// body served on the miss (hits replay it byte for byte).
 type Entry struct {
 	Body []byte // exact rmsynd/v1 response body bytes
-	Flow string // flow fingerprint, e.g. "method=cube polarity=greedy"
-
-	// Result cost summary, for metrics and cache introspection.
-	Gates2   int
-	Literals int
 }
 
 func (e *Entry) size() int64 {
-	return int64(len(e.Body)+len(e.Flow)) + 64
+	return int64(len(e.Body)) + 64
 }
 
 // Source classifies how a GetOrDo call was served.

@@ -55,20 +55,22 @@ type PO struct {
 	Node int
 }
 
-// Options configure the baseline flow.
-type Options struct {
-	// EliminateValue collapses nodes whose elimination grows the network
-	// by at most this many literals (SIS `eliminate` threshold; default 0,
-	// set -1 to disable).
-	EliminateValue int
-	// MaxIters bounds the simplify/fx/resub/eliminate iteration (default 8).
-	MaxIters int
-	// SkipResub disables the resubstitution pass.
-	SkipResub bool
-}
+// Options is empty: the script's parameters are the constants below.
+// The type stays because Run's callers, among them the examples and
+// perfbench, pass DefaultOptions().
+type Options struct{}
 
 // DefaultOptions mirrors "script.algebraic".
-func DefaultOptions() Options { return Options{EliminateValue: 0, MaxIters: 8} }
+func DefaultOptions() Options { return Options{} }
+
+// The "script.algebraic" parameters.
+const (
+	// eliminateValue collapses nodes whose elimination grows the network
+	// by at most this many literals (the SIS `eliminate` threshold).
+	eliminateValue = 0
+	// maxIters bounds the fx/resub/eliminate/simplify iteration.
+	maxIters = 8
+)
 
 // Result is the outcome of a baseline run.
 type Result struct {
@@ -87,8 +89,8 @@ type Result struct {
 // network. The context is polled between optimization passes: on deadline
 // or cancellation the flow stops gracefully at the last completed pass and
 // still returns a functionally intact network, with Result.Stopped set.
-func Run(ctx context.Context, spec *network.Network, opt Options) (*Result, error) {
-	return run(ctx, spec, opt, nil)
+func Run(ctx context.Context, spec *network.Network, _ Options) (*Result, error) {
+	return run(ctx, spec, nil)
 }
 
 // RunCone runs the baseline script on the cone of spec's primary output
@@ -100,18 +102,15 @@ func Run(ctx context.Context, spec *network.Network, opt Options) (*Result, erro
 // full PI list in order (see network.ExtractCone), so the result stays
 // index-compatible with spec for merging and verification. spec is only
 // read; concurrent RunCone calls on one spec are safe.
-func RunCone(ctx context.Context, spec *network.Network, po int, opt Options, bud *budget.Budget) (*Result, error) {
+func RunCone(ctx context.Context, spec *network.Network, po int, bud *budget.Budget) (*Result, error) {
 	if po < 0 || po >= len(spec.POs) {
 		return nil, fmt.Errorf("sisbase: output %d out of range (network has %d)", po, len(spec.POs))
 	}
-	return run(ctx, spec.ExtractCone(po), opt, bud)
+	return run(ctx, spec.ExtractCone(po), bud)
 }
 
-func run(ctx context.Context, spec *network.Network, opt Options, bud *budget.Budget) (*Result, error) {
+func run(ctx context.Context, spec *network.Network, bud *budget.Budget) (*Result, error) {
 	start := time.Now()
-	if opt.MaxIters == 0 {
-		opt.MaxIters = 8
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -137,20 +136,20 @@ func run(ctx context.Context, spec *network.Network, opt Options, bud *budget.Bu
 		return false
 	}
 	net.Sweep()
-	if opt.EliminateValue >= 0 && !interrupted() {
-		net.Eliminate(opt.EliminateValue)
+	if !interrupted() {
+		net.Eliminate(eliminateValue)
 	}
 	if !interrupted() {
 		net.Simplify()
 	}
 	prev := -1
-	for it := 0; it < opt.MaxIters && !interrupted(); it++ {
+	for it := 0; it < maxIters && !interrupted(); it++ {
 		net.FastExtract()
-		if !opt.SkipResub && !interrupted() {
+		if !interrupted() {
 			net.Resub()
 		}
-		if opt.EliminateValue >= 0 && !interrupted() {
-			net.Eliminate(opt.EliminateValue)
+		if !interrupted() {
+			net.Eliminate(eliminateValue)
 		}
 		if interrupted() {
 			break

@@ -77,7 +77,7 @@ func TestRunConePreservesConeFunction(t *testing.T) {
 		m := bdd.New(spec.NumPIs())
 		want := spec.ToBDDs(m)
 		for po := range spec.POs {
-			res, err := RunCone(context.Background(), spec, po, DefaultOptions(), nil)
+			res, err := RunCone(context.Background(), spec, po, nil)
 			if err != nil {
 				t.Fatalf("trial %d po %d: %v", trial, po, err)
 			}
@@ -95,7 +95,7 @@ func TestRunConePreservesConeFunction(t *testing.T) {
 			}
 		}
 	}
-	if _, err := RunCone(context.Background(), buildSpec(rng, 3, 4), 99, DefaultOptions(), nil); err == nil {
+	if _, err := RunCone(context.Background(), buildSpec(rng, 3, 4), 99, nil); err == nil {
 		t.Fatal("out-of-range output index must error")
 	}
 }
@@ -110,7 +110,7 @@ func TestRunConeBudgetStopsGracefully(t *testing.T) {
 	if err := budget.Guard(func() { bud.Step("x"); bud.Step("x") }); err == nil {
 		t.Fatal("setup: budget did not trip")
 	}
-	res, err := RunCone(context.Background(), spec, 0, DefaultOptions(), bud)
+	res, err := RunCone(context.Background(), spec, 0, bud)
 	if err != nil {
 		t.Fatal(err)
 	}
