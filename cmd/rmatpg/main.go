@@ -95,6 +95,10 @@ func main() {
 	opt.MaxOFDDNodes = *maxNodes
 	opt.Workers = *jobs
 	opt.RetryFactor = *retry
+	if err := opt.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "rmatpg:", err)
+		os.Exit(1)
+	}
 
 	ours, err := core.Synthesize(ctx, spec, opt)
 	if err != nil {

@@ -157,7 +157,7 @@ func TestExample1T481(t *testing.T) {
 // TestExample2Z4ml asserts the adder result through the harness.
 func TestExample2Z4ml(t *testing.T) {
 	c, _ := ByName("z4ml")
-	row := RunCircuit(c, DefaultOptions())
+	row := RunCircuit(context.Background(), c, DefaultOptions())
 	if row.Err != "" {
 		t.Fatal(row.Err)
 	}
@@ -174,7 +174,7 @@ func TestExample2Z4ml(t *testing.T) {
 // flows (paper Table 2: 15 gates / 60 lits, 0% improvement).
 func TestParityMapsToXorTree(t *testing.T) {
 	c, _ := ByName("parity")
-	row := RunCircuit(c, DefaultOptions())
+	row := RunCircuit(context.Background(), c, DefaultOptions())
 	if row.Err != "" {
 		t.Fatal(row.Err)
 	}

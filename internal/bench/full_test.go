@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"os"
 	"testing"
 )
@@ -11,7 +12,11 @@ func TestFullTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 2 run skipped in -short mode")
 	}
-	rows, arith, all := Table2(DefaultOptions())
+	var rows []Row
+	for _, c := range Circuits() {
+		rows = append(rows, RunCircuit(context.Background(), c, DefaultOptions()))
+	}
+	arith, all := Summaries(rows)
 	WriteTable(os.Stdout, rows, arith, all)
 	for _, r := range rows {
 		if r.Err != "" {

@@ -77,20 +77,7 @@ func renderPhases(pts []core.PhaseTime) string {
 // verified against the specification; the SIS baseline runs
 // sisbase.DefaultOptions().
 type Options struct {
-	Core    core.Options // the paper's flow configuration
-	Include func(c Circuit) bool
-
-	// Ctx is the base context every per-circuit deadline derives from;
-	// nil means context.Background(). Canceling it (e.g. from a signal
-	// handler) drains the running circuit through the degradation
-	// ladder instead of killing the process mid-run.
-	Ctx context.Context
-
-	// Timeout bounds each circuit's synthesis (both flows) in wall-clock
-	// time; 0 means no deadline. A circuit that hits it still produces a
-	// row — the budgeted flow degrades instead of failing — and the row's
-	// Note records what fired.
-	Timeout time.Duration
+	Core core.Options // the paper's flow configuration
 	// Stats collects the observability report per circuit (Row.Report),
 	// the payload of the JSON artifact and the regression gate.
 	Stats bool
@@ -101,20 +88,13 @@ func DefaultOptions() Options {
 	return Options{Core: core.DefaultOptions()}
 }
 
-// RunCircuit produces one Table 2 row.
-func RunCircuit(c Circuit, opt Options) Row {
+// RunCircuit produces one Table 2 row. ctx bounds both flows: a
+// deadline or cancellation degrades the paper's flow and stops the SIS
+// leg early instead of failing, and the row's Note records what fired.
+func RunCircuit(ctx context.Context, c Circuit, opt Options) Row {
 	row := Row{Name: c.Name, In: c.In, Out: c.Out, Arith: c.Arith, Note: c.Note, Verified: true}
 	spec := c.Build()
 
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-		defer cancel()
-	}
 	coreOpt := opt.Core
 	if opt.Stats {
 		coreOpt.Obs = obs.NewCollector()
@@ -191,21 +171,6 @@ func appendNote(note, extra string) string {
 		return extra
 	}
 	return note + "; " + extra
-}
-
-// Table2 runs the full benchmark set and returns all rows plus the two
-// summary rows (Total arith. and Total all) like the paper.
-func Table2(opt Options) ([]Row, Row, Row) {
-	var rows []Row
-	for _, c := range Circuits() {
-		if opt.Include != nil && !opt.Include(c) {
-			continue
-		}
-		rows = append(rows, RunCircuit(c, opt))
-	}
-	arith := summarize("Total arith.", rows, true)
-	all := summarize("Total all", rows, false)
-	return rows, arith, all
 }
 
 // Summaries computes the Total arith. / Total all rows for a row set.

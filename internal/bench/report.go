@@ -24,20 +24,26 @@ type Report struct {
 	Circuits []CircuitReport `json:"circuits"`
 }
 
-// CircuitReport is one circuit's benchmark outcome.
-type CircuitReport struct {
-	Name     string `json:"name"`
-	In       int    `json:"in"`
-	Out      int    `json:"out"`
-	Arith    bool   `json:"arith"`
-	OursLits int    `json:"ours_lits"`      // pre-map literals of the paper's flow
-	MapGates int    `json:"ours_map_gates"` // mapped gate count
-	MapLits  int    `json:"ours_map_lits"`  // mapped literals
+// Costs are the numbers both regression gates compare, one-sided: an
+// entry regresses when one of them is worse than its baseline's.
+type Costs struct {
+	OursLits int `json:"ours_lits"`      // pre-map literals of the paper's flow
+	MapGates int `json:"ours_map_gates"` // mapped gate count
+	MapLits  int `json:"ours_map_lits"`  // mapped literals
 	// Degradations counts the graceful-degradation ladder falls of the
 	// run; the gate fails on any increase over the baseline.
-	Degradations int    `json:"degradations"`
-	Verified     bool   `json:"verified"`
-	Err          string `json:"error,omitempty"`
+	Degradations int  `json:"degradations"`
+	Verified     bool `json:"verified"`
+}
+
+// CircuitReport is one circuit's benchmark outcome.
+type CircuitReport struct {
+	Name  string `json:"name"`
+	In    int    `json:"in"`
+	Out   int    `json:"out"`
+	Arith bool   `json:"arith"`
+	Costs
+	Err string `json:"error,omitempty"`
 	// Basis is the synthesis basis the flow ran under. Informational:
 	// the gate compares costs, not routing.
 	Basis string `json:"basis,omitempty"`
@@ -54,17 +60,19 @@ func BuildReport(rows []Row) *Report {
 	rep := &Report{Schema: ReportSchema}
 	for _, r := range rows {
 		cr := CircuitReport{
-			Name:     r.Name,
-			In:       r.In,
-			Out:      r.Out,
-			Arith:    r.Arith,
-			OursLits: r.OursLits,
-			MapGates: r.OursGates,
-			MapLits:  r.OursMapLits,
-			Verified: r.Verified,
-			Err:      r.Err,
-			Basis:    r.Basis,
-			Run:      r.Report,
+			Name:  r.Name,
+			In:    r.In,
+			Out:   r.Out,
+			Arith: r.Arith,
+			Costs: Costs{
+				OursLits: r.OursLits,
+				MapGates: r.OursGates,
+				MapLits:  r.OursMapLits,
+				Verified: r.Verified,
+			},
+			Err:   r.Err,
+			Basis: r.Basis,
+			Run:   r.Report,
 		}
 		if r.Report != nil {
 			cr.Degradations = len(r.Report.Degradations)
@@ -77,8 +85,9 @@ func BuildReport(rows []Row) *Report {
 	return rep
 }
 
-// WriteJSON writes the report as indented JSON with a trailing newline.
-func (rep *Report) WriteJSON(w io.Writer) error {
+// WriteJSON writes a report of either schema as indented JSON with a
+// trailing newline.
+func WriteJSON(w io.Writer, rep any) error {
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -88,31 +97,79 @@ func (rep *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadReport loads a report from disk, rejecting unknown schemas.
-func ReadReport(path string) (*Report, error) {
+// ReadBaseline loads a regression-gate baseline and returns the report
+// its schema names: an rmbench/v1 table or an rmscale/v1 curve, the
+// other result nil. Any other schema is rejected.
+func ReadBaseline(path string) (*Report, *ScaleReport, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var rep Report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	var head struct {
+		Schema string `json:"schema"`
 	}
-	if rep.Schema != ReportSchema {
-		return nil, fmt.Errorf("%s: unsupported schema %q (want %q)", path, rep.Schema, ReportSchema)
+	if err := json.Unmarshal(b, &head); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &rep, nil
+	var table *Report
+	var curve *ScaleReport
+	var dst any
+	switch head.Schema {
+	case ReportSchema:
+		table = &Report{}
+		dst = table
+	case ScaleSchema:
+		curve = &ScaleReport{}
+		dst = curve
+	default:
+		return nil, nil, fmt.Errorf("%s: unsupported schema %q (want %q or %q)", path, head.Schema, ReportSchema, ScaleSchema)
+	}
+	if err := json.Unmarshal(b, dst); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return table, curve, nil
 }
 
 // Regression is one regression-gate finding.
 type Regression struct {
 	Circuit string
-	Kind    string // "literals", "map-gates", "map-literals", "degradations", "verification", "error", "missing"
+	Kind    string // "literals", "map-gates", "map-literals", "degradations", "verification", "error", "missing", and on the curve "time", "time-scaling"
 	Detail  string
 }
 
 func (r Regression) String() string {
 	return fmt.Sprintf("%s: %s: %s", r.Circuit, r.Kind, r.Detail)
+}
+
+// missing is the finding for a baseline entry the current run lacks.
+func missing(name string) Regression {
+	return Regression{name, "missing", "present in baseline but not in current run"}
+}
+
+// checkEntry appends one entry's findings against its baseline to regs:
+// a new error, else a lost verification, else every cost that grew. It
+// reports whether the costs were compared.
+func checkEntry(regs []Regression, name string, cur, base Costs, curErr, baseErr string) ([]Regression, bool) {
+	if curErr != "" && baseErr == "" {
+		return append(regs, Regression{name, "error", curErr}), false
+	}
+	if !cur.Verified && base.Verified {
+		return append(regs, Regression{name, "verification", "result no longer verifies against its specification"}), false
+	}
+	for _, c := range []struct {
+		kind, what string
+		cur, base  int
+	}{
+		{"literals", "pre-map literals", cur.OursLits, base.OursLits},
+		{"map-gates", "mapped gates", cur.MapGates, base.MapGates},
+		{"map-literals", "mapped literals", cur.MapLits, base.MapLits},
+		{"degradations", "degradation-ladder falls", cur.Degradations, base.Degradations},
+	} {
+		if c.cur > c.base {
+			regs = append(regs, Regression{name, c.kind, fmt.Sprintf("%s %d > baseline %d", c.what, c.cur, c.base)})
+		}
+	}
+	return regs, true
 }
 
 // Check compares a current report against a baseline and returns every
@@ -131,33 +188,10 @@ func Check(cur, base *Report) []Regression {
 	for _, b := range base.Circuits {
 		c, ok := curBy[b.Name]
 		if !ok {
-			regs = append(regs, Regression{b.Name, "missing", "circuit present in baseline but not in current run"})
+			regs = append(regs, missing(b.Name))
 			continue
 		}
-		if c.Err != "" && b.Err == "" {
-			regs = append(regs, Regression{b.Name, "error", c.Err})
-			continue
-		}
-		if !c.Verified && b.Verified {
-			regs = append(regs, Regression{b.Name, "verification", "result no longer verifies against the specification"})
-			continue
-		}
-		if c.OursLits > b.OursLits {
-			regs = append(regs, Regression{b.Name, "literals",
-				fmt.Sprintf("pre-map literals %d > baseline %d", c.OursLits, b.OursLits)})
-		}
-		if c.MapGates > b.MapGates {
-			regs = append(regs, Regression{b.Name, "map-gates",
-				fmt.Sprintf("mapped gates %d > baseline %d", c.MapGates, b.MapGates)})
-		}
-		if c.MapLits > b.MapLits {
-			regs = append(regs, Regression{b.Name, "map-literals",
-				fmt.Sprintf("mapped literals %d > baseline %d", c.MapLits, b.MapLits)})
-		}
-		if c.Degradations > b.Degradations {
-			regs = append(regs, Regression{b.Name, "degradations",
-				fmt.Sprintf("degradation-ladder falls %d > baseline %d", c.Degradations, b.Degradations)})
-		}
+		regs, _ = checkEntry(regs, b.Name, c.Costs, b.Costs, c.Err, b.Err)
 	}
 	return regs
 }

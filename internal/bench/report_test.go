@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +15,7 @@ func circuitReports(crs ...CircuitReport) *Report {
 }
 
 func TestCheckScenarios(t *testing.T) {
-	base := CircuitReport{Name: "z4ml", OursLits: 40, Degradations: 0, Verified: true}
+	base := CircuitReport{Name: "z4ml", Costs: Costs{OursLits: 40, Degradations: 0, Verified: true}}
 	cases := []struct {
 		name string
 		cur  CircuitReport
@@ -22,12 +23,12 @@ func TestCheckScenarios(t *testing.T) {
 		kind string
 	}{
 		{name: "identical", cur: base},
-		{name: "improvement passes", cur: CircuitReport{Name: "z4ml", OursLits: 35, Verified: true}},
-		{name: "fewer degradations pass", cur: CircuitReport{Name: "z4ml", OursLits: 40, Verified: true}},
-		{name: "literal increase", cur: CircuitReport{Name: "z4ml", OursLits: 41, Verified: true}, kind: "literals"},
-		{name: "new degradation", cur: CircuitReport{Name: "z4ml", OursLits: 40, Degradations: 1, Verified: true}, kind: "degradations"},
-		{name: "verification lost", cur: CircuitReport{Name: "z4ml", OursLits: 40, Verified: false}, kind: "verification"},
-		{name: "new error", cur: CircuitReport{Name: "z4ml", OursLits: 40, Verified: true, Err: "boom"}, kind: "error"},
+		{name: "improvement passes", cur: CircuitReport{Name: "z4ml", Costs: Costs{OursLits: 35, Verified: true}}},
+		{name: "fewer degradations pass", cur: CircuitReport{Name: "z4ml", Costs: Costs{OursLits: 40, Verified: true}}},
+		{name: "literal increase", cur: CircuitReport{Name: "z4ml", Costs: Costs{OursLits: 41, Verified: true}}, kind: "literals"},
+		{name: "new degradation", cur: CircuitReport{Name: "z4ml", Costs: Costs{OursLits: 40, Degradations: 1, Verified: true}}, kind: "degradations"},
+		{name: "verification lost", cur: CircuitReport{Name: "z4ml", Costs: Costs{OursLits: 40, Verified: false}}, kind: "verification"},
+		{name: "new error", cur: CircuitReport{Name: "z4ml", Err: "boom", Costs: Costs{OursLits: 40, Verified: true}}, kind: "error"},
 		{name: "missing circuit", drop: true, kind: "missing"},
 	}
 	for _, tc := range cases {
@@ -56,12 +57,12 @@ func TestCheckScenarios(t *testing.T) {
 // A degraded baseline tolerates the same degradations in the current
 // run: the gate is against the recorded state, not against perfection.
 func TestCheckToleratesBaselineDegradations(t *testing.T) {
-	base := circuitReports(CircuitReport{Name: "mul4", OursLits: 100, Degradations: 2, Verified: true})
-	cur := circuitReports(CircuitReport{Name: "mul4", OursLits: 100, Degradations: 2, Verified: true})
+	base := circuitReports(CircuitReport{Name: "mul4", Costs: Costs{OursLits: 100, Degradations: 2, Verified: true}})
+	cur := circuitReports(CircuitReport{Name: "mul4", Costs: Costs{OursLits: 100, Degradations: 2, Verified: true}})
 	if regs := Check(cur, base); len(regs) != 0 {
 		t.Errorf("same degradation count flagged: %v", regs)
 	}
-	worse := circuitReports(CircuitReport{Name: "mul4", OursLits: 100, Degradations: 3, Verified: true})
+	worse := circuitReports(CircuitReport{Name: "mul4", Costs: Costs{OursLits: 100, Degradations: 3, Verified: true}})
 	if regs := Check(worse, base); len(regs) != 1 || regs[0].Kind != "degradations" {
 		t.Errorf("extra degradation not flagged: %v", regs)
 	}
@@ -70,10 +71,10 @@ func TestCheckToleratesBaselineDegradations(t *testing.T) {
 // A circuit only present in the current run (baseline not yet
 // refreshed) is not a regression.
 func TestCheckIgnoresNewCircuits(t *testing.T) {
-	base := circuitReports(CircuitReport{Name: "adr4", OursLits: 10, Verified: true})
+	base := circuitReports(CircuitReport{Name: "adr4", Costs: Costs{OursLits: 10, Verified: true}})
 	cur := circuitReports(
-		CircuitReport{Name: "adr4", OursLits: 10, Verified: true},
-		CircuitReport{Name: "brand-new", OursLits: 999},
+		CircuitReport{Name: "adr4", Costs: Costs{OursLits: 10, Verified: true}},
+		CircuitReport{Name: "brand-new", Costs: Costs{OursLits: 999}},
 	)
 	if regs := Check(cur, base); len(regs) != 0 {
 		t.Errorf("new circuit flagged: %v", regs)
@@ -82,11 +83,11 @@ func TestCheckIgnoresNewCircuits(t *testing.T) {
 
 func TestReportRoundTripAndSchemaGate(t *testing.T) {
 	rep := circuitReports(
-		CircuitReport{Name: "b", OursLits: 2},
-		CircuitReport{Name: "a", OursLits: 1, Verified: true},
+		CircuitReport{Name: "b", Costs: Costs{OursLits: 2}},
+		CircuitReport{Name: "a", Costs: Costs{OursLits: 1, Verified: true}},
 	)
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -94,19 +95,19 @@ func TestReportRoundTripAndSchemaGate(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(path)
+	back, curve, err := ReadBaseline(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Circuits) != 2 || back.Circuits[0].Name != "b" {
-		t.Errorf("round trip lost data: %+v", back)
+	if curve != nil || len(back.Circuits) != 2 || back.Circuits[0].Name != "b" {
+		t.Errorf("round trip lost data: %+v, %+v", back, curve)
 	}
 
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"schema":"rmbench/v999","circuits":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadReport(bad); err == nil {
+	if _, _, err := ReadBaseline(bad); err == nil {
 		t.Error("unknown schema accepted")
 	}
 }
@@ -161,14 +162,14 @@ func TestGateCatchesWorsenedFlow(t *testing.T) {
 			// arbiter would mask the worsening by keeping the unaffected
 			// SOP arm, and this test is about the gate, not the arbiter.
 			opt.Core.Basis = core.BasisXor
-			good := RunCircuit(c, opt)
+			good := RunCircuit(context.Background(), c, opt)
 			if good.Err != "" {
 				t.Fatalf("baseline run failed: %s", good.Err)
 			}
 
 			worse := opt
 			tc.worsen(&worse)
-			bad := RunCircuit(c, worse)
+			bad := RunCircuit(context.Background(), c, worse)
 			if bad.Err != "" {
 				t.Fatalf("worsened run failed: %s", bad.Err)
 			}
@@ -189,7 +190,7 @@ func TestGateCatchesWorsenedFlow(t *testing.T) {
 			}
 
 			// And the unchanged flow passes against its own baseline.
-			again := RunCircuit(c, opt)
+			again := RunCircuit(context.Background(), c, opt)
 			if regs := Check(BuildReport([]Row{again}), BuildReport([]Row{good})); len(regs) != 0 {
 				t.Errorf("self-check regressed: %v", regs)
 			}

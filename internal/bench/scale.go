@@ -2,11 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,23 +58,16 @@ func Resolve(name string) (Circuit, bool) {
 	return c, err == nil
 }
 
-// ScalePoint is one (family, width) measurement.
+// ScalePoint is one (family, width) measurement. The scale run uses
+// deterministic caps only (nodes, cubes, steps — no wall clock), so its
+// degradation count is machine-independent and gateable.
 type ScalePoint struct {
 	Family string `json:"family"`
 	Width  int    `json:"width"`
 	Name   string `json:"name"`
 	In     int    `json:"in"`
 	Out    int    `json:"out"`
-
-	OursLits int `json:"ours_lits"`      // pre-map literals of the paper's flow
-	MapGates int `json:"ours_map_gates"` // mapped gate count
-	MapLits  int `json:"ours_map_lits"`  // mapped literals
-	// Degradations counts graceful-degradation ladder falls. The scale
-	// run uses deterministic caps only (nodes, cubes, steps — no wall
-	// clock), so this count is machine-independent and gateable.
-	Degradations int `json:"degradations"`
-
-	Verified bool `json:"verified"`
+	Costs
 	// VerifyMode is the engine that confirmed the instance ("algebraic",
 	// "bdd", "sim"), VerifyShards its parallel slice count, and
 	// VerifyMonomials the algebraic peak (see verify.WordResult).
@@ -99,13 +89,10 @@ type ScaleReport struct {
 	Points []ScalePoint `json:"points"`
 }
 
-// ScaleOptions configures a scaling sweep.
+// ScaleOptions configures a scaling sweep. Core.Workers bounds both the
+// synthesis fan-out and the verification shards.
 type ScaleOptions struct {
 	Core core.Options
-	Ctx  context.Context
-	// Workers bounds both the synthesis fan-out and the verification
-	// shards; 0 means GOMAXPROCS.
-	Workers int
 	// VerifyLimits caps the word-level check (its budget is separate
 	// from the synthesis caps in Core).
 	VerifyLimits budget.Limits
@@ -125,23 +112,15 @@ func DefaultScaleOptions() ScaleOptions {
 }
 
 // RunScalePoint synthesizes one generated instance with the paper's
-// flow, verifies it against its word-level spec, and maps it. There is
-// no SIS baseline leg: the scaling gate compares against the committed
-// curve, not against another flow.
-func RunScalePoint(s *wordgen.Spec, opt ScaleOptions) ScalePoint {
+// flow under ctx, verifies it against its word-level spec, and maps it.
+// There is no SIS baseline leg: the scaling gate compares against the
+// committed curve, not against another flow.
+func RunScalePoint(ctx context.Context, s *wordgen.Spec, opt ScaleOptions) ScalePoint {
 	pt := ScalePoint{
 		Family: s.Family, Width: s.Width, Name: s.Name,
 		In: s.Net.NumPIs(), Out: s.Net.NumPOs(),
 	}
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	coreOpt := opt.Core
-	if opt.Workers != 0 {
-		coreOpt.Workers = opt.Workers
-	}
-	res, err := core.Synthesize(ctx, s.Net, coreOpt)
+	res, err := core.Synthesize(ctx, s.Net, opt.Core)
 	if err != nil {
 		pt.Err = "synthesize: " + err.Error()
 		return pt
@@ -152,7 +131,7 @@ func RunScalePoint(s *wordgen.Spec, opt ScaleOptions) ScalePoint {
 	pt.Basis = res.Basis
 
 	vr, err := verify.Word(res.Network, s, verify.WordOptions{
-		Workers: opt.Workers,
+		Workers: opt.Core.Workers,
 		Budget:  budget.New(ctx, opt.VerifyLimits),
 	})
 	if err != nil {
@@ -220,49 +199,6 @@ func BuildScaleReport(points []ScalePoint) *ScaleReport {
 	return rep
 }
 
-// WriteJSON writes the report as indented JSON with a trailing newline.
-func (rep *ScaleReport) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadScaleReport loads an rmscale/v1 report, rejecting other schemas.
-func ReadScaleReport(path string) (*ScaleReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep ScaleReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != ScaleSchema {
-		return nil, fmt.Errorf("%s: unsupported schema %q (want %q)", path, rep.Schema, ScaleSchema)
-	}
-	return &rep, nil
-}
-
-// SniffSchema reads just the "schema" field of a report file so rmbench
-// -check can dispatch between the rmbench/v1 and rmscale/v1 gates.
-func SniffSchema(path string) (string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var head struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(b, &head); err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
-	}
-	return head.Schema, nil
-}
-
 // Wall-time gate tolerances: a point regresses only past a 4× factor
 // plus a 250ms floor (absolute wall clock is machine noise), and a
 // family's growth trend regresses when its log-log time-vs-width slope
@@ -276,11 +212,11 @@ const (
 )
 
 // CheckScale compares a current scaling report against the committed
-// baseline. Quality metrics (literals, mapped cost, degradation count,
-// verification) use the same one-sided discipline as Check: worse
-// fails, better passes silently. Baseline points of families absent
-// from the current run are skipped, so `rmbench -family mul` gates the
-// mul curve without demanding the others be re-measured.
+// baseline. Each point gets Check's one-sided comparison (error,
+// verification, the four costs) and, when its costs were compared, the
+// wall-time tolerance. Baseline points of families absent from the
+// current run are skipped, so `rmbench -family mul` gates the mul curve
+// without demanding the others be re-measured.
 func CheckScale(cur, base *ScaleReport) []Regression {
 	curBy := make(map[string]ScalePoint, len(cur.Points))
 	curFams := map[string]bool{}
@@ -295,34 +231,12 @@ func CheckScale(cur, base *ScaleReport) []Regression {
 		}
 		c, ok := curBy[b.Name]
 		if !ok {
-			regs = append(regs, Regression{b.Name, "missing", "point present in baseline but not in current run"})
+			regs = append(regs, missing(b.Name))
 			continue
 		}
-		if c.Err != "" && b.Err == "" {
-			regs = append(regs, Regression{b.Name, "error", c.Err})
-			continue
-		}
-		if !c.Verified && b.Verified {
-			regs = append(regs, Regression{b.Name, "verification", "instance no longer verifies against its word-level spec"})
-			continue
-		}
-		if c.OursLits > b.OursLits {
-			regs = append(regs, Regression{b.Name, "literals",
-				fmt.Sprintf("pre-map literals %d > baseline %d", c.OursLits, b.OursLits)})
-		}
-		if c.MapGates > b.MapGates {
-			regs = append(regs, Regression{b.Name, "map-gates",
-				fmt.Sprintf("mapped gates %d > baseline %d", c.MapGates, b.MapGates)})
-		}
-		if c.MapLits > b.MapLits {
-			regs = append(regs, Regression{b.Name, "map-literals",
-				fmt.Sprintf("mapped literals %d > baseline %d", c.MapLits, b.MapLits)})
-		}
-		if c.Degradations > b.Degradations {
-			regs = append(regs, Regression{b.Name, "degradations",
-				fmt.Sprintf("degradation-ladder falls %d > baseline %d", c.Degradations, b.Degradations)})
-		}
-		if limit := scaleTimeFactor*b.TimeMS + scaleTimeFloorMS; c.TimeMS > limit {
+		var compared bool
+		regs, compared = checkEntry(regs, b.Name, c.Costs, b.Costs, c.Err, b.Err)
+		if limit := scaleTimeFactor*b.TimeMS + scaleTimeFloorMS; compared && c.TimeMS > limit {
 			regs = append(regs, Regression{b.Name, "time",
 				fmt.Sprintf("synthesis took %.0fms > tolerance %.0fms (baseline %.0fms)", c.TimeMS, limit, b.TimeMS)})
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -48,37 +49,33 @@ func TestResolveGenerated(t *testing.T) {
 
 func TestScaleReportRoundTrip(t *testing.T) {
 	rep := BuildScaleReport([]ScalePoint{
-		{Family: "mul", Width: 8, Name: "mul8", OursLits: 100, TimeMS: 5},
-		{Family: "add", Width: 4, Name: "add4", OursLits: 10, TimeMS: 1},
-		{Family: "mul", Width: 4, Name: "mul4", OursLits: 40, TimeMS: 2},
+		{Family: "mul", Width: 8, Name: "mul8", TimeMS: 5, Costs: Costs{OursLits: 100}},
+		{Family: "add", Width: 4, Name: "add4", TimeMS: 1, Costs: Costs{OursLits: 10}},
+		{Family: "mul", Width: 4, Name: "mul4", TimeMS: 2, Costs: Costs{OursLits: 40}},
 	})
 	// Canonical order: family, then width.
 	if rep.Points[0].Name != "add4" || rep.Points[1].Name != "mul4" || rep.Points[2].Name != "mul8" {
 		t.Fatalf("wrong canonical order: %+v", rep.Points)
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "scale.json")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadScaleReport(path)
+	// The reader returns the report its schema names and no other: the
+	// -check dispatcher relies on that, not on luck.
+	table, got, err := ReadBaseline(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if table != nil {
+		t.Fatal("ReadBaseline returned an rmbench/v1 report for an rmscale/v1 file")
+	}
 	if !reflect.DeepEqual(rep, got) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", rep, got)
-	}
-	schema, err := SniffSchema(path)
-	if err != nil || schema != ScaleSchema {
-		t.Fatalf("SniffSchema = %q, %v", schema, err)
-	}
-	// The rmbench/v1 reader must reject the scale artifact and vice
-	// versa — the -check dispatcher relies on the sniff, not on luck.
-	if _, err := ReadReport(path); err == nil {
-		t.Fatal("ReadReport accepted an rmscale/v1 file")
 	}
 }
 
@@ -87,10 +84,10 @@ func TestScaleReportRoundTrip(t *testing.T) {
 // tolerance, and the log-log slope trend.
 func TestCheckScaleSemantics(t *testing.T) {
 	base := BuildScaleReport([]ScalePoint{
-		{Family: "mul", Width: 4, Name: "mul4", OursLits: 100, MapGates: 40, MapLits: 90, TimeMS: 10, Verified: true},
-		{Family: "mul", Width: 8, Name: "mul8", OursLits: 400, MapGates: 160, MapLits: 360, TimeMS: 40, Verified: true},
-		{Family: "mul", Width: 16, Name: "mul16", OursLits: 1600, MapGates: 640, MapLits: 1440, TimeMS: 160, Verified: true},
-		{Family: "add", Width: 4, Name: "add4", OursLits: 30, MapGates: 10, MapLits: 25, TimeMS: 1, Verified: true},
+		{Family: "mul", Width: 4, Name: "mul4", TimeMS: 10, Costs: Costs{OursLits: 100, MapGates: 40, MapLits: 90, Verified: true}},
+		{Family: "mul", Width: 8, Name: "mul8", TimeMS: 40, Costs: Costs{OursLits: 400, MapGates: 160, MapLits: 360, Verified: true}},
+		{Family: "mul", Width: 16, Name: "mul16", TimeMS: 160, Costs: Costs{OursLits: 1600, MapGates: 640, MapLits: 1440, Verified: true}},
+		{Family: "add", Width: 4, Name: "add4", TimeMS: 1, Costs: Costs{OursLits: 30, MapGates: 10, MapLits: 25, Verified: true}},
 	})
 
 	// Identical report: clean.
@@ -182,7 +179,7 @@ func TestScaleGateTripsOnWorsenedFlow(t *testing.T) {
 	run := func(opt ScaleOptions) *ScaleReport {
 		var pts []ScalePoint
 		for _, s := range specs {
-			pt := RunScalePoint(s, opt)
+			pt := RunScalePoint(context.Background(), s, opt)
 			if pt.Err != "" {
 				t.Fatalf("%s: %s", pt.Name, pt.Err)
 			}

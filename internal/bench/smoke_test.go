@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestSmokeSmall(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing circuit %s", name)
 		}
-		row := RunCircuit(c, opt)
+		row := RunCircuit(context.Background(), c, opt)
 		if row.Err != "" {
 			t.Errorf("%s: %s", name, row.Err)
 			continue

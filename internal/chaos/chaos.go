@@ -100,15 +100,17 @@ type Plan struct {
 	PanicAtPhase  string
 	CancelAtPhase string
 
-	// PanicWorker panics inside the worker goroutine deriving output
-	// PanicOutput, exercising the per-output residual capture and its
-	// re-raise across the merge barrier.
+	// PanicWorker panics at the top of every basis arm of output
+	// PanicOutput, inside the worker goroutine, exercising the
+	// per-output residual capture and its re-raise across the merge
+	// barrier.
 	PanicWorker bool
 	PanicOutput int
 
-	// WorkerDelay staggers derivation workers by a per-output delay.
-	// A pure scheduling perturbation: the merged result must be
-	// bit-identical to an uninjected run.
+	// WorkerDelay stalls the top of every basis arm by a per-output
+	// delay, staggering the derivation workers. A pure scheduling
+	// perturbation: the merged result must be bit-identical to an
+	// uninjected run at the same basis.
 	WorkerDelay time.Duration
 
 	// Basis selects the synthesis basis the plan runs under: "xor",
@@ -125,13 +127,6 @@ type Plan struct {
 	TripArm   string
 	PanicArm  string
 	ArmOutput int
-
-	// DelayArm stalls every entry into the named basis arm by ArmDelay.
-	// Like WorkerDelay, a pure scheduling perturbation: arbitration is
-	// a deterministic post-barrier comparison, so the result must be
-	// bit-identical to an uninjected run at the same basis.
-	DelayArm string
-	ArmDelay time.Duration
 }
 
 // Injects reports whether the plan perturbs the run at all (worker
@@ -140,8 +135,7 @@ func (p Plan) Injects() bool {
 	return p.TripAtStep > 0 || p.TripAtPoll > 0 || p.FailBDDAlloc > 0 ||
 		p.FailOFDDAlloc > 0 || p.FailFactorAlloc > 0 ||
 		p.PanicAtPhase != "" || p.CancelAtPhase != "" || p.PanicWorker ||
-		p.WorkerDelay > 0 ||
-		p.TripArm != "" || p.PanicArm != "" || (p.DelayArm != "" && p.ArmDelay > 0)
+		p.WorkerDelay > 0 || p.TripArm != "" || p.PanicArm != ""
 }
 
 // ExpectsError reports whether the plan makes Synthesize return an
@@ -256,12 +250,18 @@ func (p Plan) Hooks(cancel context.CancelFunc) *core.ProbeHooks {
 			}
 		}
 	}
-	if p.TripArm != "" || p.PanicArm != "" || (p.DelayArm != "" && p.ArmDelay > 0) {
+	if p.PanicWorker || p.WorkerDelay > 0 || p.TripArm != "" || p.PanicArm != "" {
+		panicWorker, panicOutput, delay := p.PanicWorker, p.PanicOutput, p.WorkerDelay
 		tripArm, panicArm, armOut := p.TripArm, p.PanicArm, p.ArmOutput
-		delayArm, armDelay := p.DelayArm, p.ArmDelay
 		h.Arm = func(basis string, output int) {
-			if basis == delayArm && armDelay > 0 {
-				time.Sleep(armDelay)
+			if delay > 0 {
+				// Deterministic in the output index, never in the worker
+				// running it: the stagger shakes the schedule without
+				// making any output's own work depend on who runs it.
+				time.Sleep(time.Duration(output%3) * delay)
+			}
+			if panicWorker && output == panicOutput {
+				panic(fmt.Sprintf("%sinjected panic in worker deriving output %d", Marker, output))
 			}
 			if basis == tripArm && output == armOut {
 				// A *budget.Err panic is exactly what a real budget trip
@@ -271,21 +271,6 @@ func (p Plan) Hooks(cancel context.CancelFunc) *core.ProbeHooks {
 			}
 			if basis == panicArm && output == armOut {
 				panic(fmt.Sprintf("%sinjected panic in %s arm of output %d", Marker, basis, output))
-			}
-		}
-	}
-	if p.PanicWorker || p.WorkerDelay > 0 {
-		panicWorker, panicOutput, delay := p.PanicWorker, p.PanicOutput, p.WorkerDelay
-		h.Worker = func(worker, output int) {
-			_ = worker
-			if delay > 0 {
-				// Deterministic in the output index, never in the worker
-				// index: the stagger shakes the schedule without making
-				// any output's own work depend on who runs it.
-				time.Sleep(time.Duration(output%3) * delay)
-			}
-			if panicWorker && output == panicOutput {
-				panic(fmt.Sprintf("%sinjected panic in worker deriving output %d", Marker, output))
 			}
 		}
 	}
@@ -337,13 +322,12 @@ func Plans(numOutputs int) []Plan {
 		// Arm-targeted faults under the raced basis: killing either arm
 		// of a hedged cone — by budget trip or by panic — must yield the
 		// sibling arm's verified result, truthfully attributed; stalling
-		// one arm must change nothing at all.
+		// both arms of every cone must change nothing at all.
 		{Name: "arm-trip-xor", Basis: "race", TripArm: "xor", ArmOutput: 0},
 		{Name: "arm-trip-sop", Basis: "race", TripArm: "sop", ArmOutput: last},
 		{Name: "arm-panic-xor", Basis: "race", PanicArm: "xor", ArmOutput: last},
 		{Name: "arm-panic-sop", Basis: "race", PanicArm: "sop", ArmOutput: 0},
-		{Name: "arm-delay-xor", Basis: "race", DelayArm: "xor", ArmDelay: 100 * time.Microsecond},
-		{Name: "arm-delay-sop", Basis: "race", DelayArm: "sop", ArmDelay: 100 * time.Microsecond},
+		{Name: "worker-delay@race", Basis: "race", WorkerDelay: 100 * time.Microsecond},
 	}...)
 }
 

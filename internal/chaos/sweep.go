@@ -280,7 +280,7 @@ func checkRun(circuit string, p Plan, workers int, poNames []string, out, base o
 	if !p.Injects() {
 		return vs
 	}
-	if (p.WorkerDelay > 0 || p.ArmDelay > 0) && onlyDelay(p) {
+	if p.WorkerDelay > 0 && onlyDelay(p) {
 		// A pure scheduling perturbation must be invisible.
 		if out.fp != baseFP {
 			bad("delay-identity", "delay injection changed the result")
@@ -370,12 +370,10 @@ func xorOnly(basis string, choices []core.BasisChoice, oi int) bool {
 	return false
 }
 
-// onlyDelay reports whether a delay (worker stagger or arm stall) is
-// the plan's only injection, making bit-identity with the baseline
-// mandatory.
+// onlyDelay reports whether the worker stagger is the plan's only
+// injection, making bit-identity with the baseline mandatory.
 func onlyDelay(p Plan) bool {
 	q := p
 	q.WorkerDelay = 0
-	q.DelayArm, q.ArmDelay = "", 0
 	return !q.Injects()
 }

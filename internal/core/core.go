@@ -59,6 +59,30 @@ const (
 	MethodOFDD Method = 2 // Method 2: build the initial network from the OFDD
 )
 
+// String returns the method name used in flags, headers, and reports;
+// the zero value is MethodCube.
+func (m Method) String() string {
+	switch m {
+	case 0, MethodCube:
+		return "cube"
+	case MethodOFDD:
+		return "ofdd"
+	}
+	return fmt.Sprintf("method(%d)", int(m))
+}
+
+// ParseMethod parses a method name or number ("cube" or "1", "ofdd" or
+// "2"). The empty string means MethodCube (the DefaultOptions choice).
+func ParseMethod(s string) (Method, error) {
+	switch s {
+	case "", "1", "cube":
+		return MethodCube, nil
+	case "2", "ofdd":
+		return MethodOFDD, nil
+	}
+	return 0, fmt.Errorf("%w: unknown method %q (want cube|ofdd or 1|2)", ErrBadOptions, s)
+}
+
 // Polarity selects the FPRM polarity search strategy.
 type Polarity int
 
@@ -68,6 +92,33 @@ const (
 	PolarityGreedy                     // coordinate-descent cube-count minimization
 	PolarityExhaustive                 // all 2^n vectors (small inputs only)
 )
+
+// String returns the strategy name used in flags, headers, and reports.
+func (p Polarity) String() string {
+	switch p {
+	case PolarityPositive:
+		return "positive"
+	case PolarityGreedy:
+		return "greedy"
+	case PolarityExhaustive:
+		return "exhaustive"
+	}
+	return fmt.Sprintf("polarity(%d)", int(p))
+}
+
+// ParsePolarity parses a polarity strategy name. The empty string means
+// PolarityGreedy (the DefaultOptions choice).
+func ParsePolarity(s string) (Polarity, error) {
+	switch s {
+	case "", "greedy":
+		return PolarityGreedy, nil
+	case "positive":
+		return PolarityPositive, nil
+	case "exhaustive":
+		return PolarityExhaustive, nil
+	}
+	return 0, fmt.Errorf("%w: unknown polarity %q (want positive|greedy|exhaustive)", ErrBadOptions, s)
+}
 
 // Basis selects which synthesis flow handles each output cone: the
 // paper's GF(2) AND/XOR pipeline, the SIS-style AND/OR SOP baseline, a
@@ -138,10 +189,12 @@ type Options struct {
 	Rules bool
 	// Redund runs the Section 4 redundancy removal.
 	Redund bool
-	// Verify checks the shipped network against the specification: by
-	// BDD in the final verify stage, by simulation on the swept-spec
-	// rung. Redundancy removal checks each of its rewrites exactly
-	// either way (see package redund).
+	// Verify checks the network Synthesize returns against the
+	// specification — the arbitration's winner or the cleaned
+	// specification do-no-harm preferred: by BDD in the final verify
+	// stage, by simulation on the swept-spec rung. Redundancy removal
+	// checks each of its rewrites exactly either way (see package
+	// redund).
 	Verify bool
 	// Basis selects the per-cone flow (see Basis). The zero value is
 	// BasisXor, the pure GF(2) flow; DefaultOptions selects BasisAuto.
@@ -240,15 +293,13 @@ type ProbeHooks struct {
 	// "verify"). A panic here exercises the residual
 	// recover boundary; canceling the run's context exercises the ladder.
 	Phase func(name string)
-	// Worker is called at the start of each per-output derivation with
-	// the worker and output indices, inside the worker goroutine —
-	// injected delays there must not change the merged result.
-	Worker func(worker, output int)
 	// Arm is called at the start of each per-cone basis arm ("xor" or
-	// "sop") with the output index, inside that arm's containment
-	// boundary: when the cone has a sibling arm, a panic or injected
-	// *budget.Err trip here is absorbed as that arm's failure and the
-	// sibling's verified result is kept — not the spec-cone ladder.
+	// "sop") with the output index, inside the worker goroutine and that
+	// arm's containment boundary. Injected delays there must not change
+	// the merged result. When the cone has a sibling arm, a panic or
+	// injected *budget.Err trip here is absorbed as that arm's failure
+	// and the sibling's verified result is kept — not the spec-cone
+	// ladder; a lone GF(2) arm's panic is re-raised after the merge.
 	Arm func(basis string, output int)
 }
 
@@ -453,7 +504,9 @@ func (r *Result) FallbackReport() string {
 // with the Max* fields of Options it forms the run's resource budget.
 // Budget exhaustion never fails the call: the flow degrades per output
 // (see Options and Result.Degradations) and still returns an equivalent
-// network — at worst a swept structural copy of the specification. A nil
+// network — at worst a swept structural copy of the specification. With
+// Options.Verify the returned network is the one the verify stage
+// checked, and a mismatch fails the call with ErrNotEquivalent. A nil
 // ctx is treated as context.Background().
 func Synthesize(ctx context.Context, spec *network.Network, opt Options) (res *Result, err error) {
 	if verr := opt.Validate(); verr != nil {
@@ -483,6 +536,7 @@ func Synthesize(ctx context.Context, spec *network.Network, opt Options) (res *R
 // flow runs the stages in order and returns the network to ship: the
 // arbitration's winner, the cleaned specification when do-no-harm
 // prefers it, or the swept specification of the ladder's bottom rung.
+// The verify stage checks that network, after do-no-harm has chosen.
 func (r *run) flow() (*network.Network, error) {
 	opt := r.opt
 	r.enter("setup")
@@ -530,15 +584,15 @@ func (r *run) flow() (*network.Network, error) {
 			r.polish(&r.cands[i])
 		}
 	}
-	win := r.arbitrate()
+	net := r.doNoHarm(r.arbitrate())
 	if opt.Verify {
 		var verr error
-		r.stage("verify", func() { verr = r.verify(win.net) })
+		r.stage("verify", func() { verr = r.verify(net) })
 		if verr != nil {
 			return nil, verr
 		}
 	}
-	return r.doNoHarm(win), nil
+	return net, nil
 }
 
 // run is the state of one synthesis run. flow threads it through the
@@ -865,9 +919,6 @@ func (r *run) deriveXor(w, oi int) {
 		}
 		r.res.OutputTimes[oi] = OutputSpan{Output: c.name, Index: oi, Worker: w, Elapsed: time.Since(spanStart)}
 	}()
-	if r.opt.Hooks != nil && r.opt.Hooks.Worker != nil {
-		r.opt.Hooks.Worker(w, oi)
-	}
 	if r.opt.Hooks != nil && r.opt.Hooks.Arm != nil {
 		r.opt.Hooks.Arm("xor", oi)
 	}
@@ -942,9 +993,6 @@ func (r *run) deriveSop(w, oi int) {
 			r.res.OutputTimes[oi] = OutputSpan{Output: c.name, Index: oi, Worker: w, Elapsed: time.Since(spanStart)}
 		}
 	}()
-	if r.opt.Hooks != nil && r.opt.Hooks.Worker != nil {
-		r.opt.Hooks.Worker(w, oi)
-	}
 	if r.opt.Hooks != nil && r.opt.Hooks.Arm != nil {
 		r.opt.Hooks.Arm("sop", oi)
 	}

@@ -79,3 +79,32 @@ func TestSynthesizeRejectsBadOptions(t *testing.T) {
 		t.Fatalf("Synthesize with default options: %v", err)
 	}
 }
+
+// TestParseNamesRoundTrip: every method and polarity parses back from
+// its String name, "" selects the DefaultOptions value, and an unknown
+// name is ErrBadOptions.
+func TestParseNamesRoundTrip(t *testing.T) {
+	def := DefaultOptions()
+	for _, m := range []Method{MethodCube, MethodOFDD} {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	if got, err := ParseMethod(""); err != nil || got != def.Method {
+		t.Errorf(`ParseMethod("") = %v, %v; want %v`, got, err, def.Method)
+	}
+	for _, p := range []Polarity{PolarityPositive, PolarityGreedy, PolarityExhaustive} {
+		if got, err := ParsePolarity(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolarity(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	if got, err := ParsePolarity(""); err != nil || got != def.Polarity {
+		t.Errorf(`ParsePolarity("") = %v, %v; want %v`, got, err, def.Polarity)
+	}
+	if _, err := ParseMethod("3"); !errors.Is(err, ErrBadOptions) {
+		t.Errorf(`ParseMethod("3") = %v, want ErrBadOptions`, err)
+	}
+	if _, err := ParsePolarity("sideways"); !errors.Is(err, ErrBadOptions) {
+		t.Errorf(`ParsePolarity("sideways") = %v, want ErrBadOptions`, err)
+	}
+}

@@ -143,22 +143,10 @@ func parseGrant(h http.Header, pol Policy, poolSize int) (grant, error) {
 	}
 
 	// Flow selection.
-	switch v := h.Get("X-Rmsynd-Method"); v {
-	case "", "1", "cube":
-		g.Method = core.MethodCube
-	case "2", "ofdd":
-		g.Method = core.MethodOFDD
-	default:
+	if g.Method, err = core.ParseMethod(h.Get("X-Rmsynd-Method")); err != nil {
 		return g, &optErr{"X-Rmsynd-Method", "want cube|ofdd (or 1|2)"}
 	}
-	switch v := h.Get("X-Rmsynd-Polarity"); v {
-	case "", "greedy":
-		g.Polarity = core.PolarityGreedy
-	case "positive":
-		g.Polarity = core.PolarityPositive
-	case "exhaustive":
-		g.Polarity = core.PolarityExhaustive
-	default:
+	if g.Polarity, err = core.ParsePolarity(h.Get("X-Rmsynd-Polarity")); err != nil {
 		return g, &optErr{"X-Rmsynd-Polarity", "want positive|greedy|exhaustive"}
 	}
 

@@ -15,9 +15,8 @@ import (
 // alike; bump on any incompatible change.
 const Schema = "rmsynd/v1"
 
-// Flow records which synthesis configuration produced a result — the
-// per-entry provenance the cache keeps so a future basis-selection layer
-// can reuse entries per flow.
+// Flow records which synthesis configuration produced a result, in the
+// names the X-Rmsynd-Method, -Polarity and -Basis headers accept.
 type Flow struct {
 	Method   string `json:"method"`
 	Polarity string `json:"polarity"`
@@ -155,8 +154,8 @@ func buildBody(circuit string, spec *network.Network, res *core.Result, g grant,
 		POs:      spec.NumPOs(),
 		Verified: verified,
 		Flow: Flow{
-			Method:   map[core.Method]string{core.MethodOFDD: "ofdd"}[g.Method],
-			Polarity: map[core.Polarity]string{core.PolarityPositive: "positive", core.PolarityExhaustive: "exhaustive"}[g.Polarity],
+			Method:   g.Method.String(),
+			Polarity: g.Polarity.String(),
 			Basis:    g.Basis.String(),
 			Rules:    true,
 			Redund:   true,
@@ -165,12 +164,6 @@ func buildBody(circuit string, spec *network.Network, res *core.Result, g grant,
 		Gates2:   res.Stats.Gates2,
 		Literals: res.Stats.Lits,
 		XORs:     res.Stats.XORs,
-	}
-	if resp.Flow.Method == "" {
-		resp.Flow.Method = "cube"
-	}
-	if resp.Flow.Polarity == "" {
-		resp.Flow.Polarity = "greedy"
 	}
 	var blif bytes.Buffer
 	if err := res.Network.WriteBLIF(&blif); err != nil {
