@@ -43,7 +43,12 @@ func main() {
 		basisF     = flag.String("basis", core.DefaultOptions().Basis.String(), "synthesis basis: auto | xor | sop | race")
 		pprofPfx   = flag.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof profiles")
 	)
-	flag.Parse()
+	// A malformed flag is a usage error: flag.ExitOnError would exit 2,
+	// the synthesis-failure code.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		os.Exit(1)
+	}
 	c, ok := bench.ByName(*circuit)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "rmatpg: unknown circuit %q\n", *circuit)

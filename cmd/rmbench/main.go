@@ -33,6 +33,10 @@
 // backward-rewriting engine where BDDs blow up — and the curve's wall
 // time is held only to a generous tolerance plus a log-log slope check.
 //
+// The Table 2 flags (-only, -arith, -csv) and the scaling flags
+// (-widths, -poly) each belong to their mode: setting one in the other
+// mode is a bad option.
+//
 // Exit codes: 0 success, 2 bad option, I/O failure or interrupt
 // (Ctrl-C/SIGTERM; the running entry drains through the degradation
 // ladder and every completed row is still printed and flushed to the
@@ -134,6 +138,7 @@ func main() {
 		if table != nil {
 			fail(fmt.Errorf("%s: unsupported schema %q (want %q)", *check, bench.ReportSchema, bench.ScaleSchema))
 		}
+		rejectFlags("a scaling", "only", "arith", "csv")
 		opt := bench.DefaultScaleOptions()
 		opt.Core = flow(opt.Core)
 		specs, err := scaleSet(*family, *widths, *poly, curve)
@@ -142,6 +147,7 @@ func main() {
 		}
 		run(h, scaleMode(specs, opt, curve))
 	} else {
+		rejectFlags("a Table 2", "widths", "poly")
 		opt := bench.DefaultOptions()
 		opt.Core = flow(opt.Core)
 		opt.Stats = *jsonPath != "" || table != nil
@@ -151,6 +157,19 @@ func main() {
 		}
 		run(h, tableMode(circuits, opt, table, *csvPath))
 	}
+}
+
+// rejectFlags exits when one of the named flags, which belong to the
+// other mode, was set on the command line; flag.Visit sees only the flags
+// that were set, so a default such as -widths' does not count.
+func rejectFlags(run string, names ...string) {
+	flag.Visit(func(f *flag.Flag) {
+		for _, n := range names {
+			if f.Name == n {
+				fail(fmt.Errorf("-%s does not apply to %s run", n, run))
+			}
+		}
+	})
 }
 
 // mode is what differs between rmbench's two run sets, the Table 2

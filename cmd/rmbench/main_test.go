@@ -59,6 +59,31 @@ func TestCommandLine(t *testing.T) {
 		}
 	})
 
+	t.Run("mode flags", func(t *testing.T) {
+		csv := filepath.Join(t.TempDir(), "out.csv")
+		for _, tc := range []struct {
+			flag string
+			args []string
+		}{
+			{"-csv", []string{"-family", "parity", "-widths", "8", "-csv", csv}},
+			{"-only", []string{"-family", "parity", "-only", "z4ml"}},
+			{"-arith", []string{"-family", "parity", "-arith"}},
+			{"-widths", []string{"-only", "z4ml", "-widths", "8"}},
+			{"-poly", []string{"-only", "z4ml", "-poly", "0x11B"}},
+		} {
+			code, stdout, stderr := invoke(t, bin, tc.args...)
+			if code != exitFail || !strings.Contains(stderr, tc.flag+" does not apply") {
+				t.Errorf("%v: exit %d, want %d naming %s\n%s", tc.args, code, exitFail, tc.flag, stderr)
+			}
+			if strings.Contains(stdout, "z4ml") || strings.Contains(stdout, "parity8") {
+				t.Errorf("%v: an entry ran before the flag was rejected:\n%s", tc.args, stdout)
+			}
+		}
+		if _, err := os.Stat(csv); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("a rejected run left %s behind (%v)", csv, err)
+		}
+	})
+
 	t.Run("unknown circuit", func(t *testing.T) {
 		if code, _, stderr := invoke(t, bin, "-only", "nosuch"); code != exitFail || !strings.Contains(stderr, "nosuch") {
 			t.Errorf("exit %d, want %d naming the circuit\n%s", code, exitFail, stderr)

@@ -141,18 +141,28 @@ func (l *List) Canonicalize() {
 // giving deterministic iteration order.
 func (l *List) Sort() {
 	sort.Slice(l.Cubes, func(i, j int) bool {
-		a, b := l.Cubes[i], l.Cubes[j]
-		if a.Size() != b.Size() {
-			return a.Size() < b.Size()
+		a, b := l.Cubes[i].Vars, l.Cubes[j].Vars
+		if sa, sb := a.Count(), b.Count(); sa != sb {
+			return sa < sb
 		}
-		ae, be := a.Vars.Elements(), b.Vars.Elements()
-		for k := 0; k < len(ae) && k < len(be); k++ {
-			if ae[k] != be[k] {
-				return ae[k] < be[k]
+		// Of two equal-size sets, the one holding the lowest variable
+		// they differ in has the smaller element where their ascending
+		// element lists first differ.
+		for w := 0; w < len(a) || w < len(b); w++ {
+			if x := word(a, w) ^ word(b, w); x != 0 {
+				return word(a, w)&(x&-x) != 0
 			}
 		}
-		return len(ae) < len(be)
+		return false
 	})
+}
+
+// word returns word w of s, zero past its end.
+func word(s BitSet, w int) uint64 {
+	if w < len(s) {
+		return s[w]
+	}
+	return 0
 }
 
 // Support returns the set of variables appearing in any cube.

@@ -2,6 +2,7 @@ package cube
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -361,5 +362,49 @@ func TestQuickXorInvolution(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Sort orders cubes exactly as the element-list comparison it replaced,
+// on random lists with repeats and mixed bitset capacities.
+func TestSortMatchesElementOrder(t *testing.T) {
+	elementLess := func(cs []Cube) func(i, j int) bool {
+		return func(i, j int) bool {
+			a, b := cs[i], cs[j]
+			if a.Size() != b.Size() {
+				return a.Size() < b.Size()
+			}
+			ae, be := a.Vars.Elements(), b.Vars.Elements()
+			for k := 0; k < len(ae) && k < len(be); k++ {
+				if ae[k] != be[k] {
+					return ae[k] < be[k]
+				}
+			}
+			return len(ae) < len(be)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		n := 1 + rng.Intn(200)
+		l := NewList(n)
+		for j := 0; j < rng.Intn(60); j++ {
+			if j > 0 && rng.Intn(6) == 0 {
+				l.Add(l.Cubes[rng.Intn(j)].Clone())
+				continue
+			}
+			c := One(n + 64*rng.Intn(2))
+			for k := 0; k < rng.Intn(6); k++ {
+				c.Vars.Set(rng.Intn(n))
+			}
+			l.Add(c)
+		}
+		want := l.Clone()
+		sort.Slice(want.Cubes, elementLess(want.Cubes))
+		l.Sort()
+		for j := range l.Cubes {
+			if !l.Cubes[j].Equal(want.Cubes[j]) {
+				t.Fatalf("list %d, cube %d: %v, want %v", i, j, l.Cubes[j], want.Cubes[j])
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@
 package fprm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -261,33 +262,53 @@ func SearchExhaustive(start *Form, b *budget.Budget, s *obs.Search) (best *Form,
 // returning the best form so far and whether the descent ran to a local
 // optimum.
 //
-// Each trial flips the candidate variable in place and flips it back —
-// FlipPolarity is an involution on the canonical cube list, so the
-// restore is exact — which makes a descent round O(n) flips instead of
-// the O(n·m) full-form clones a trial-copy scheme would cost.
+// A trial prices its flip instead of applying it. Flipping v turns each
+// cube c ∋ v into the pair {c, c∖v}, and c∖v cancels exactly when it is
+// already in the list. With m cubes and L literals, B the cubes holding v
+// and h those of B whose c∖v is present, the flipped form has
+// m + |B| − 2|h| cubes and L + Σ_B(|c|−1) − 2·Σ_h(|c|−1) literals. One
+// key set per descent round answers the presence queries, and only the
+// accepted flip is applied. The formula assumes a canonical start: sorted,
+// distinct cubes, as ofdd.Cubes and FromTruthTable emit and FlipPolarity
+// keeps.
 //
 // Progress goes to s: every trial flip counts a candidate, every
 // accepted descent step an improvement. A nil b means unlimited and a
 // nil s disables collection.
 func SearchGreedy(start *Form, b *budget.Budget, s *obs.Search) (best *Form, complete bool) {
 	cur := start.Clone()
+	var key []byte
 	for {
-		bestV := -1
-		bestCubes := cur.Cubes.Len()
-		bestLits := cur.Cubes.Literals()
+		present := make(map[string]bool, cur.Cubes.Len())
+		for _, c := range cur.Cubes.Cubes {
+			key = cubeKey(key[:0], c.Vars, -1)
+			present[string(key)] = true
+		}
+		m, l := cur.Cubes.Len(), cur.Cubes.Literals()
+		bestV, bestCubes, bestLits := -1, m, l
 		for v := 0; v < cur.NumVars; v++ {
 			if b.Exceeded() != nil {
 				return cur, false
 			}
-			cur.FlipPolarity(v)
-			s.Candidate()
-			if cur.Cubes.Len() < bestCubes ||
-				(cur.Cubes.Len() == bestCubes && cur.Cubes.Literals() < bestLits) {
-				bestV = v
-				bestCubes = cur.Cubes.Len()
-				bestLits = cur.Cubes.Literals()
+			cubes, lits := m, l
+			for _, c := range cur.Cubes.Cubes {
+				if !c.Has(v) {
+					continue
+				}
+				rest := c.Size() - 1
+				key = cubeKey(key[:0], c.Vars, v)
+				if present[string(key)] {
+					cubes--
+					lits -= rest
+				} else {
+					cubes++
+					lits += rest
+				}
 			}
-			cur.FlipPolarity(v) // restore: flip is its own inverse
+			s.Candidate()
+			if cubes < bestCubes || (cubes == bestCubes && lits < bestLits) {
+				bestV, bestCubes, bestLits = v, cubes, lits
+			}
 		}
 		if bestV < 0 {
 			return cur, true
@@ -295,6 +316,26 @@ func SearchGreedy(start *Form, b *budget.Budget, s *obs.Search) (best *Form, com
 		cur.FlipPolarity(bestV)
 		s.Improved()
 	}
+}
+
+// cubeKey appends to buf the bytes of the set vars without drop (-1 drops
+// nothing), trailing zero words left out, so equal sets give equal keys
+// whatever their capacity.
+func cubeKey(buf []byte, vars cube.BitSet, drop int) []byte {
+	end := len(vars)
+	word := func(w int) uint64 {
+		if drop >= 0 && w == drop/64 {
+			return vars[w] &^ (1 << uint(drop%64))
+		}
+		return vars[w]
+	}
+	for end > 0 && word(end-1) == 0 {
+		end--
+	}
+	for w := 0; w < end; w++ {
+		buf = binary.LittleEndian.AppendUint64(buf, word(w))
+	}
+	return buf
 }
 
 // PrimeCubes returns the indices of the prime cubes of the form: cubes

@@ -1,12 +1,15 @@
 package fprm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bdd"
+	"repro/internal/budget"
 	"repro/internal/cube"
+	"repro/internal/obs"
 )
 
 func assignOf(n, a int) cube.BitSet {
@@ -369,5 +372,104 @@ func TestExhaustiveOverflowGuard(t *testing.T) {
 		if !best.Cubes.Equal(start.Cubes) || best.Cubes.Len() != 2 {
 			t.Fatalf("n=%d: start form not returned unchanged", n)
 		}
+	}
+}
+
+// greedyFlipRestore is SearchGreedy as it was before trials were priced:
+// every trial applies its flip and flips back. It is the oracle for the
+// priced descent, budget polls and search counters included.
+func greedyFlipRestore(start *Form, b *budget.Budget, s *obs.Search) (*Form, bool) {
+	cur := start.Clone()
+	for {
+		bestV := -1
+		bestCubes := cur.Cubes.Len()
+		bestLits := cur.Cubes.Literals()
+		for v := 0; v < cur.NumVars; v++ {
+			if b.Exceeded() != nil {
+				return cur, false
+			}
+			cur.FlipPolarity(v)
+			s.Candidate()
+			if cur.Cubes.Len() < bestCubes ||
+				(cur.Cubes.Len() == bestCubes && cur.Cubes.Literals() < bestLits) {
+				bestV = v
+				bestCubes = cur.Cubes.Len()
+				bestLits = cur.Cubes.Literals()
+			}
+			cur.FlipPolarity(v)
+		}
+		if bestV < 0 {
+			return cur, true
+		}
+		cur.FlipPolarity(bestV)
+		s.Improved()
+	}
+}
+
+// sameForm reports whether two forms have the same polarity and the
+// same cube sequence, order included.
+func sameForm(a, b *Form) bool {
+	if a.Cubes.Len() != b.Cubes.Len() || len(a.Polarity) != len(b.Polarity) {
+		return false
+	}
+	for v := range a.Polarity {
+		if a.Polarity[v] != b.Polarity[v] {
+			return false
+		}
+	}
+	for i, c := range a.Cubes.Cubes {
+		if !c.Equal(b.Cubes.Cubes[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The priced descent returns what the flip-and-restore descent returns:
+// polarity, cube sequence, completeness and search counters, also when a
+// budget poll trips it part-way (after k polls, for several k).
+func TestGreedyMatchesFlipRestore(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	changed := 0
+	for i := 0; i < 60; i++ {
+		n := 2 + rng.Intn(9)
+		var pol []bool
+		if rng.Intn(2) == 0 {
+			pol = make([]bool, n)
+			for v := range pol {
+				pol[v] = rng.Intn(2) == 0
+			}
+		}
+		start := FromTruthTable(n, randomTT(rng, n), pol)
+		for _, k := range []int64{-1, 0, int64(n), int64(n + 1 + rng.Intn(3*n))} {
+			var budgets [2]*budget.Budget
+			if k >= 0 {
+				for j := range budgets {
+					budgets[j] = budget.New(context.Background(), budget.Limits{})
+					budgets[j].SetPollHook(func(poll int64) *budget.Err {
+						if poll > k {
+							return &budget.Err{Phase: "poll", Limit: "canceled"}
+						}
+						return nil
+					})
+				}
+			}
+			var got, want obs.Search
+			g, gc := SearchGreedy(start, budgets[0], &got)
+			w, wc := greedyFlipRestore(start, budgets[1], &want)
+			if !sameForm(g, w) || gc != wc || got.Snapshot() != want.Snapshot() {
+				t.Fatalf("n=%d k=%d: got %s (complete %v, %+v), want %s (complete %v, %+v)",
+					n, k, g, gc, got.Snapshot(), w, wc, want.Snapshot())
+			}
+			if budgets[0].Polls() != budgets[1].Polls() {
+				t.Fatalf("n=%d k=%d: %d polls, want %d", n, k, budgets[0].Polls(), budgets[1].Polls())
+			}
+			if k < 0 && !sameForm(g, start) {
+				changed++
+			}
+		}
+	}
+	if changed == 0 {
+		t.Fatal("the search never moved a form; the comparison is vacuous")
 	}
 }

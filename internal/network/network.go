@@ -442,7 +442,7 @@ func (c *Copier) Copy(id int) int {
 // POs, fanins before fanouts. PIs are included.
 func (n *Network) TopoOrder() []int {
 	state := make([]int8, len(n.Gates)) // 0 unseen, 1 visiting, 2 done
-	var order []int
+	order := make([]int, 0, len(n.Gates))
 	var visit func(int)
 	visit = func(id int) {
 		switch state[id] {
@@ -540,19 +540,18 @@ func (n *Network) Simulate(piWords []uint64) []uint64 {
 		panic("network: wrong number of PI words")
 	}
 	val := make([]uint64, len(n.Gates))
-	piIdx := make(map[int]int, len(n.PIs))
 	for i, id := range n.PIs {
-		piIdx[id] = i
+		val[id] = piWords[i]
 	}
+	var in []uint64 // fanin words, reused across gates
 	for _, id := range n.TopoOrder() {
 		g := &n.Gates[id]
 		if g.Type == PI {
-			val[id] = piWords[piIdx[id]]
 			continue
 		}
-		in := make([]uint64, len(g.Fanins))
-		for i, f := range g.Fanins {
-			in[i] = val[f]
+		in = in[:0]
+		for _, f := range g.Fanins {
+			in = append(in, val[f])
 		}
 		val[id] = evalGate(g.Type, in)
 	}

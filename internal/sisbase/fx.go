@@ -2,7 +2,9 @@ package sisbase
 
 import (
 	"sort"
+	"strconv"
 
+	"repro/internal/cube"
 	"repro/internal/sop"
 )
 
@@ -82,11 +84,13 @@ type litKey struct {
 	pos bool
 }
 
-// divisorCand is a candidate divisor found during fast extract.
+// divisorCand is a candidate divisor found during fast extract. A
+// double-cube candidate's cover is built only if it wins, from dc.
 type divisorCand struct {
 	cover *sop.Cover
 	value int
 	key   string
+	dc    *doubleCube
 }
 
 // FastExtract repeatedly extracts the best single-cube (two-literal) or
@@ -159,10 +163,10 @@ func (n *Net) bestDivisor() *divisorCand {
 	live := n.liveOrder()
 	// Single-cube candidates: co-occurring literal pairs.
 	pairCount := make(map[[2]litKey]int)
-	// Double-cube candidates keyed canonically.
-	dcCount := make(map[string]int)
-	dcRepr := make(map[string]*sop.Cover)
-	dcLits := make(map[string]int)
+	// Double-cube candidates keyed canonically, in first-seen order.
+	dcIndex := make(map[string]int)
+	var dcs []doubleCube
+	var r remainders
 
 	for _, id := range live {
 		c := n.Nodes[id].Cover
@@ -177,19 +181,15 @@ func (n *Net) bestDivisor() *divisorCand {
 			// Double-cube: pair with later terms of the same node.
 			for tj := ti + 1; tj < len(c.Terms); tj++ {
 				u := c.Terms[tj]
-				d, ok := doubleCubeDivisor(n.sigCap, t, u)
-				if !ok {
+				if !r.of(t, u) {
 					continue
 				}
-				key := d.Terms[0].Key() + "/" + d.Terms[1].Key()
-				if d.Terms[1].Key() < d.Terms[0].Key() {
-					key = d.Terms[1].Key() + "/" + d.Terms[0].Key()
+				if i, seen := dcIndex[string(r.key)]; seen {
+					dcs[i].count++
+					continue
 				}
-				dcCount[key]++
-				if _, seen := dcRepr[key]; !seen {
-					dcRepr[key] = d
-					dcLits[key] = d.Literals()
-				}
+				dcIndex[string(r.key)] = len(dcs)
+				dcs = append(dcs, doubleCube{key: string(r.key), count: 1, lits: r.lits(), a: t, b: u})
 			}
 		}
 	}
@@ -217,52 +217,124 @@ func (n *Net) bestDivisor() *divisorCand {
 		c.Add(t)
 		consider(&divisorCand{cover: c, value: value, key: t.Key()})
 	}
-	for key, cnt := range dcCount {
-		if cnt < 2 {
+	for i := range dcs {
+		d := &dcs[i]
+		if d.count < 2 {
 			continue
 		}
-		lits := dcLits[key]
 		// Each of cnt uses replaces lits literals (plus its base copies)
 		// by one; the node itself costs lits.
-		value := (cnt-1)*lits - cnt
+		value := (d.count-1)*d.lits - d.count
 		if value <= 0 {
 			continue
 		}
-		consider(&divisorCand{cover: dcRepr[key], value: value, key: key})
+		consider(&divisorCand{value: value, key: d.key, dc: d})
+	}
+	if best != nil && best.dc != nil {
+		r.of(best.dc.a, best.dc.b)
+		best.cover = r.divisor(n.sigCap)
 	}
 	return best
 }
 
-// doubleCubeDivisor returns the 2-term divisor obtained by removing the
-// common literals ("base") from a term pair, or ok=false when degenerate
-// (one term contains the other, or both remainders are empty).
-func doubleCubeDivisor(capSig int, a, b sop.Term) (*sop.Cover, bool) {
-	basePos := a.Pos.Clone()
-	basePos.IntersectWith(b.Pos)
-	baseNeg := a.Neg.Clone()
-	baseNeg.IntersectWith(b.Neg)
-	ra := a.Clone()
-	ra.Pos.DifferenceWith(basePos)
-	ra.Neg.DifferenceWith(baseNeg)
-	rb := b.Clone()
-	rb.Pos.DifferenceWith(basePos)
-	rb.Neg.DifferenceWith(baseNeg)
-	if ra.Literals() == 0 || rb.Literals() == 0 {
-		return nil, false
+// doubleCube tallies the term pairs that share one double-cube divisor.
+type doubleCube struct {
+	key   string
+	count int
+	lits  int      // literals of the divisor
+	a, b  sop.Term // the first pair with this divisor, which builds it
+}
+
+// remainders holds the two remainder cubes of a term pair once their
+// common literals ("base") are removed, and the pair's divisor key: the
+// two Term.Key strings in ascending order, joined by "/". Its buffers
+// are reused from pair to pair.
+type remainders struct {
+	aPos, aNeg, bPos, bNeg cube.BitSet
+	ka, kb, key            []byte
+}
+
+// of computes the remainders of the pair (a, b) and reports whether they
+// form a double-cube divisor. They do not when the pair is degenerate:
+// one term contains the other, or the two remainders share a variable
+// (then the pair is not an algebraic divisor of anything through weak
+// division). Most pairs are degenerate, so the key is built only after
+// that check.
+func (r *remainders) of(a, b sop.Term) bool {
+	r.aPos = difference(r.aPos, a.Pos, b.Pos)
+	r.aNeg = difference(r.aNeg, a.Neg, b.Neg)
+	r.bPos = difference(r.bPos, b.Pos, a.Pos)
+	r.bNeg = difference(r.bNeg, b.Neg, a.Neg)
+	var restA, restB uint64
+	for w := 0; w < max(len(r.aPos), len(r.aNeg), len(r.bPos), len(r.bNeg)); w++ {
+		ra := word(r.aPos, w) | word(r.aNeg, w)
+		rb := word(r.bPos, w) | word(r.bNeg, w)
+		if ra&rb != 0 {
+			return false
+		}
+		restA |= ra
+		restB |= rb
 	}
-	// The two remainder cubes must not share a variable (else the pair is
-	// not an algebraic divisor of anything through weak division).
-	raSup := ra.Pos.Clone()
-	raSup.UnionWith(ra.Neg)
-	rbSup := rb.Pos.Clone()
-	rbSup.UnionWith(rb.Neg)
-	if raSup.Intersects(rbSup) {
-		return nil, false
+	if restA == 0 || restB == 0 {
+		return false
 	}
+	r.ka = appendTermKey(r.ka[:0], r.aPos, r.aNeg)
+	r.kb = appendTermKey(r.kb[:0], r.bPos, r.bNeg)
+	lo, hi := r.ka, r.kb
+	if string(hi) < string(lo) {
+		lo, hi = hi, lo
+	}
+	r.key = append(append(append(r.key[:0], lo...), '/'), hi...)
+	return true
+}
+
+// lits returns the literal count of the remainders.
+func (r *remainders) lits() int {
+	return r.aPos.Count() + r.aNeg.Count() + r.bPos.Count() + r.bNeg.Count()
+}
+
+// divisor returns the remainders as a two-term cover.
+func (r *remainders) divisor(capSig int) *sop.Cover {
 	c := sop.NewCover(capSig)
-	c.Add(ra)
-	c.Add(rb)
-	return c, true
+	c.Add(sop.Term{Pos: r.aPos, Neg: r.aNeg}.Clone())
+	c.Add(sop.Term{Pos: r.bPos, Neg: r.bNeg}.Clone())
+	return c
+}
+
+// difference sets dst to s minus t, with s's length, reusing dst's
+// storage.
+func difference(dst, s, t cube.BitSet) cube.BitSet {
+	dst = append(dst[:0], s...)
+	dst.DifferenceWith(t)
+	return dst
+}
+
+// word returns word w of s, zero past its end.
+func word(s cube.BitSet, w int) uint64 {
+	if w < len(s) {
+		return s[w]
+	}
+	return 0
+}
+
+// appendTermKey appends sop.Term.Key of the term with literal sets pos
+// and neg: each set's words in hex up to its last nonzero word, each
+// followed by ",", the two sets joined by "|".
+func appendTermKey(buf []byte, pos, neg cube.BitSet) []byte {
+	for i, s := range []cube.BitSet{pos, neg} {
+		if i > 0 {
+			buf = append(buf, '|')
+		}
+		end := len(s)
+		for end > 0 && s[end-1] == 0 {
+			end--
+		}
+		for _, w := range s[:end] {
+			buf = strconv.AppendUint(buf, w, 16)
+			buf = append(buf, ',')
+		}
+	}
+	return buf
 }
 
 func termLits(t sop.Term) []litKey {
@@ -303,6 +375,11 @@ func (n *Net) Resub() {
 		tfi(id, acc)
 		sup[id] = acc
 	}
+	// Each divisor's complement is computed once per pass, and again only
+	// after its node took a new cover: covers are replaced here, never
+	// changed in place.
+	type complement struct{ of, is *sop.Cover }
+	comps := make(map[int]complement)
 	divisors := append([]int(nil), order...)
 	sort.Slice(divisors, func(a, b int) bool {
 		return n.Nodes[divisors[a]].Cover.Literals() > n.Nodes[divisors[b]].Cover.Literals()
@@ -342,8 +419,12 @@ func (n *Net) Resub() {
 			}
 			// Negative phase, when the complement stays small.
 			if len(dn.Cover.Terms) <= 3 {
-				comp := dn.Cover.Complement()
-				if len(comp.Terms) <= 3 {
+				c, ok := comps[div]
+				if !ok || c.of != dn.Cover {
+					c = complement{dn.Cover, dn.Cover.Complement()}
+					comps[div] = c
+				}
+				if comp := c.is; len(comp.Terms) <= 3 {
 					q, r = Divide(tn.Cover, comp)
 					if len(q.Terms) > 0 {
 						newLits := q.Literals() + len(q.Terms) + r.Literals()

@@ -471,8 +471,9 @@ func (n *Net) eliminateOnce(value int) bool {
 			delta := -nd.Cover.Literals()
 			newCovers := make([]*sop.Cover, len(fanouts))
 			tooBig := false
+			var comp *sop.Cover
 			for i, fo := range fanouts {
-				nc := n.substituted(id, fo)
+				nc := n.substituted(id, fo, &comp)
 				if nc == nil || len(nc.Terms) > 4*len(n.Nodes[fo].Cover.Terms)+8 {
 					tooBig = true
 					break
@@ -502,7 +503,9 @@ func (n *Net) eliminateOnce(value int) bool {
 // containing the positive literal, the negative literal, or neither —
 // and only the parts that actually reference the literal get multiplied
 // (dst = s·P + s̄·N + F), so unate uses do not pay for a complement.
-func (n *Net) substituted(src, dst int) *sop.Cover {
+// *comp keeps src's complement across the calls for one src; it is
+// computed on first need.
+func (n *Net) substituted(src, dst int, comp **sop.Cover) *sop.Cover {
 	d := n.Nodes[dst].Cover
 	if !d.Support().Has(src) {
 		return nil
@@ -532,8 +535,10 @@ func (n *Net) substituted(src, dst int) *sop.Cover {
 		out.Terms = append(out.Terms, s.Intersect(pos).Terms...)
 	}
 	if len(neg.Terms) > 0 {
-		sc := s.Complement()
-		out.Terms = append(out.Terms, sc.Intersect(neg).Terms...)
+		if *comp == nil {
+			*comp = s.Complement()
+		}
+		out.Terms = append(out.Terms, (*comp).Intersect(neg).Terms...)
 	}
 	out.SingleTermContainment()
 	return out

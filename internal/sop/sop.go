@@ -24,13 +24,20 @@ type Term struct {
 }
 
 // NewTerm returns the universal term (no literals) over n variables.
+// Both bitsets share one allocation.
 func NewTerm(n int) Term {
-	return Term{Pos: cube.NewBitSet(n), Neg: cube.NewBitSet(n)}
+	w := len(cube.NewBitSet(n))
+	words := make(cube.BitSet, 2*w)
+	return Term{Pos: words[:w:w], Neg: words[w:]}
 }
 
-// Clone returns an independent copy of t.
+// Clone returns an independent copy of t, in one allocation.
 func (t Term) Clone() Term {
-	return Term{Pos: t.Pos.Clone(), Neg: t.Neg.Clone()}
+	p := len(t.Pos)
+	words := make(cube.BitSet, p+len(t.Neg))
+	copy(words, t.Pos)
+	copy(words[p:], t.Neg)
+	return Term{Pos: words[:p:p], Neg: words[p:]}
 }
 
 // SetPos adds the positive literal of v (clearing any negative literal).
@@ -177,7 +184,7 @@ func (c *Cover) Support() cube.BitSet {
 // literal (v, phase): terms conflicting with the literal are dropped,
 // matching literals are erased.
 func (c *Cover) Cofactor(v int, phase bool) *Cover {
-	out := NewCover(c.NumVars)
+	out := &Cover{NumVars: c.NumVars, Terms: make([]Term, 0, len(c.Terms))}
 	for _, t := range c.Terms {
 		if phase {
 			if t.Neg.Has(v) {
@@ -198,7 +205,7 @@ func (c *Cover) Cofactor(v int, phase bool) *Cover {
 // CofactorTerm returns the cover cofactored against an entire term
 // (the generalized cofactor used for containment checks).
 func (c *Cover) CofactorTerm(u Term) *Cover {
-	out := NewCover(c.NumVars)
+	out := &Cover{NumVars: c.NumVars, Terms: make([]Term, 0, len(c.Terms))}
 	for _, t := range c.Terms {
 		if !t.IntersectsTerm(u) {
 			continue
@@ -339,48 +346,87 @@ func (c *Cover) complementBounded(maxTerms int) (*Cover, bool) {
 	if len(cpos.Terms)+len(cneg.Terms) > maxTerms {
 		return nil, false
 	}
-	out := NewCover(c.NumVars)
+	// The merge needs no containment scan. cpos and cneg are fresh, do not
+	// mention v, and hold no duplicate, contained or contradictory term:
+	// every base case is such a cover, and so is this merge, because adding
+	// one literal to every term of a half keeps that, and no term holding
+	// v contains or lies in a term holding v̄. Only the scan's ordering by
+	// literal count stays, since callers see the term order.
+	out := &Cover{NumVars: c.NumVars, Terms: make([]Term, 0, len(cpos.Terms)+len(cneg.Terms))}
 	for _, t := range cpos.Terms {
-		nt := t.Clone()
-		if !nt.Neg.Has(v) {
-			nt.SetPos(v)
-			out.Terms = append(out.Terms, nt)
-		}
+		t.SetPos(v)
+		out.Terms = append(out.Terms, t)
 	}
 	for _, t := range cneg.Terms {
-		nt := t.Clone()
-		if !nt.Pos.Has(v) {
-			nt.SetNeg(v)
-			out.Terms = append(out.Terms, nt)
-		}
+		t.SetNeg(v)
+		out.Terms = append(out.Terms, t)
 	}
-	out.SingleTermContainment()
+	sortByLiterals(out.Terms)
 	return out, true
+}
+
+// sortByLiterals orders terms by ascending literal count, the order
+// SingleTermContainment leaves a cover in. Each count is taken once.
+// sort.Sort runs the algorithm sort.Slice runs, so the order of terms
+// with equal counts is the one sort.Slice gives.
+func sortByLiterals(ts []Term) {
+	lits := make([]int, len(ts))
+	for i, t := range ts {
+		lits[i] = t.Literals()
+	}
+	sort.Sort(byLiterals{ts, lits})
+}
+
+// byLiterals sorts terms by their literal counts lits.
+type byLiterals struct {
+	terms []Term
+	lits  []int
+}
+
+func (s byLiterals) Len() int           { return len(s.terms) }
+func (s byLiterals) Less(i, j int) bool { return s.lits[i] < s.lits[j] }
+func (s byLiterals) Swap(i, j int) {
+	s.terms[i], s.terms[j] = s.terms[j], s.terms[i]
+	s.lits[i], s.lits[j] = s.lits[j], s.lits[i]
 }
 
 // SingleTermContainment removes contradictory terms (constant-0 products)
 // and terms contained in another single term.
 func (c *Cover) SingleTermContainment() {
-	sort.Slice(c.Terms, func(i, j int) bool {
-		return c.Terms[i].Literals() < c.Terms[j].Literals()
-	})
+	sortByLiterals(c.Terms)
 	var kept []Term
+	var folds [][2]uint64 // fold of each kept term, for a quick reject
 	for _, t := range c.Terms {
 		if t.Contradicts() {
 			continue
 		}
+		f := t.fold()
 		contained := false
-		for _, k := range kept {
-			if k.Contains(t) {
+		for i, k := range kept {
+			if folds[i][0]&^f[0] == 0 && folds[i][1]&^f[1] == 0 && k.Contains(t) {
 				contained = true
 				break
 			}
 		}
 		if !contained {
 			kept = append(kept, t)
+			folds = append(folds, f)
 		}
 	}
 	c.Terms = kept
+}
+
+// fold ORs the words of t's positive and of its negative literals. A term
+// contains t only if its folds are subsets of t's.
+func (t Term) fold() [2]uint64 {
+	var f [2]uint64
+	for _, w := range t.Pos {
+		f[0] |= w
+	}
+	for _, w := range t.Neg {
+		f[1] |= w
+	}
+	return f
 }
 
 // Intersect returns the product cover c·d.
@@ -410,7 +456,67 @@ func TermIntersectsCover(t Term, d *Cover) bool {
 // Minimize runs an espresso-style expand / irredundant loop against the
 // function's own OFF-set (computed once by complementation). The cover is
 // modified in place and remains functionally identical.
+//
+// The loop runs over the cover's own support: when that takes fewer
+// bitset words than the cover's variable space (a multilevel network's
+// node covers live in a space of hundreds of signals but mention a
+// handful), the cover is renamed onto [0, support size) in variable
+// order, minimized there and renamed back. The result is the same term
+// sequence, since every choice the loop makes (the split variable, lowest
+// index on ties; the order literals are raised in; each sort) depends
+// only on the relative order of the variables.
 func (c *Cover) Minimize() {
+	sup := c.Support()
+	k := sup.Count()
+	if len(cube.NewBitSet(k)) >= len(sup) {
+		c.minimize()
+		return
+	}
+	small := c.onSupport(sup, k)
+	small.minimize()
+	c.Terms = small.fromSupport(sup.Elements(), c.NumVars)
+}
+
+// onSupport returns c renamed onto the k = |sup| variables of sup ⊇
+// c.Support(): the i-th smallest element of sup becomes variable i.
+func (c *Cover) onSupport(sup cube.BitSet, k int) *Cover {
+	below := make([]int, len(sup)) // elements of sup in the words before w
+	for w := 1; w < len(sup); w++ {
+		below[w] = below[w-1] + bits.OnesCount64(sup[w-1])
+	}
+	rename := func(dst, src cube.BitSet) {
+		for w, x := range src {
+			for ; x != 0; x &= x - 1 {
+				b := bits.TrailingZeros64(x)
+				dst.Set(below[w] + bits.OnesCount64(sup[w]&(1<<uint(b)-1)))
+			}
+		}
+	}
+	out := &Cover{NumVars: k, Terms: make([]Term, len(c.Terms))}
+	for i, t := range c.Terms {
+		nt := NewTerm(k)
+		rename(nt.Pos, t.Pos)
+		rename(nt.Neg, t.Neg)
+		out.Terms[i] = nt
+	}
+	return out
+}
+
+// fromSupport undoes onSupport: variable i of c becomes vars[i] of an
+// n-variable space.
+func (c *Cover) fromSupport(vars []int, n int) []Term {
+	out := make([]Term, len(c.Terms))
+	for i, t := range c.Terms {
+		nt := NewTerm(n)
+		t.Pos.ForEach(func(v int) { nt.Pos.Set(vars[v]) })
+		t.Neg.ForEach(func(v int) { nt.Neg.Set(vars[v]) })
+		out[i] = nt
+	}
+	return out
+}
+
+// minimize is Minimize over the cover's own variable space.
+func (c *Cover) minimize() {
 	c.SingleTermContainment() // also drops contradictory (constant-0) terms
 	if len(c.Terms) == 0 {
 		return
