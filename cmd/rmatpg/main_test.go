@@ -19,6 +19,7 @@ func TestUsageExitCode(t *testing.T) {
 	for _, args := range [][]string{
 		{"-circuit", "z4ml", "-j", "x"},
 		{"-circuit", "z4ml", "-no-such-flag"},
+		{"-circuit", "z4ml", "-retry-factor", "2"},
 		{"-circuit", "nosuch"},
 	} {
 		err := exec.Command(bin, args...).Run()

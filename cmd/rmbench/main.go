@@ -84,9 +84,8 @@ func main() {
 		method   = flag.Int("method", 1, "factorization method: 1 = cube, 2 = OFDD")
 		basisF   = flag.String("basis", core.DefaultOptions().Basis.String(), "synthesis basis: auto | xor | sop | race")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per circuit (0 = none)")
-		maxNodes = flag.Int("max-nodes", 0, "BDD/OFDD node budget per circuit (0 = none)")
+		maxNodes = flag.Int("max-nodes", 0, "BDD/OFDD node budget per entry (0 = none for Table 2, the scale caps for a scaling run)")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "derivation worker count (per-output FPRM fan-out)")
-		retry    = flag.Float64("retry-factor", core.DefaultOptions().RetryFactor, "budget scale for the ladder's one retry of a transiently tripped output (0 = no retry)")
 		jsonPath = flag.String("json", "", "write the machine-readable benchmark report to this file")
 		check    = flag.String("check", "", "baseline report to gate against (rmbench/v1 or rmscale/v1; schema-dispatched)")
 		family   = flag.String("family", "", "scaling mode: comma-separated wordgen families to sweep (add, cla, mul, wallace, parity, hamming, gfmul)")
@@ -116,9 +115,9 @@ func main() {
 		}
 		opt.Method = core.Method(*method)
 		opt.Basis = basis
-		opt.RetryFactor = *retry
 		opt.Workers = *jobs
-		if *maxNodes > 0 {
+		// 0 keeps the mode's own caps; a negative value reaches Validate.
+		if *maxNodes != 0 {
 			opt.MaxBDDNodes = *maxNodes
 			opt.MaxOFDDNodes = *maxNodes
 		}

@@ -100,6 +100,21 @@ func TestCommandLine(t *testing.T) {
 		}
 	})
 
+	t.Run("negative node budget", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-only", "z4ml", "-max-nodes", "-5"},
+			{"-family", "parity", "-widths", "8", "-max-nodes", "-5"},
+		} {
+			code, stdout, stderr := invoke(t, bin, args...)
+			if code != exitFail || !strings.Contains(stderr, "negative resource budget") {
+				t.Errorf("%v: exit %d, want %d naming the budget\n%s", args, code, exitFail, stderr)
+			}
+			if strings.Contains(stdout, "z4ml") || strings.Contains(stdout, "parity8") {
+				t.Errorf("%v: an entry ran before the budget was rejected:\n%s", args, stdout)
+			}
+		}
+	})
+
 	t.Run("interrupt leaves a partial artifact", func(t *testing.T) {
 		out := filepath.Join(t.TempDir(), "partial.json")
 		cmd := exec.Command(bin, "-only", "adr4,cm82a,mlp4,rd53,t481,z4ml", "-json", out)

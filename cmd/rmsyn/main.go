@@ -60,7 +60,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for synthesis (0 = none)")
 		maxNodes  = flag.Int("max-nodes", 0, "BDD/OFDD node budget (0 = none)")
 		jobs      = flag.Int("j", runtime.GOMAXPROCS(0), "derivation worker count (per-output FPRM fan-out)")
-		retry     = flag.Float64("retry-factor", core.DefaultOptions().RetryFactor, "budget scale for the ladder's one retry of a transiently tripped output (0 = no retry)")
 		statsJSON = flag.String("stats-json", "", "write the pipeline observability report as JSON to this file (\"-\" = stdout)")
 		pprofPfx  = flag.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof profiles")
 	)
@@ -114,7 +113,6 @@ func main() {
 	opt.MaxBDDNodes = *maxNodes
 	opt.MaxOFDDNodes = *maxNodes
 	opt.Workers = *jobs
-	opt.RetryFactor = *retry
 	if *statsJSON != "" {
 		opt.Obs = obs.NewCollector()
 	}

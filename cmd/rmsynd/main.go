@@ -19,7 +19,7 @@
 //
 // Per-request knobs travel in X-Rmsynd-* headers (see DESIGN.md §11):
 // Timeout, Max-Bdd-Nodes, Max-Ofdd-Nodes, Max-Cubes, Max-Steps,
-// Workers, Retry-Factor, Method, Polarity, Basis, No-Cache.
+// Workers, Method, Polarity, Basis, No-Cache.
 // SIGTERM/SIGINT stops admission, finishes or degrades in-flight work
 // within -grace, and flushes final metrics to stderr.
 //

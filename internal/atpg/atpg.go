@@ -77,60 +77,29 @@ func Faults(net *network.Network) []Fault {
 }
 
 // FaultSimulate returns, for each fault, whether the pattern set detects
-// it (some PO differs between the good and faulty circuit).
+// it (some PO differs between the good and faulty circuit). The good
+// circuit is simulated once per 64-pattern block; each fault not yet
+// detected then resimulates only the gates downstream of its site.
 func FaultSimulate(net *network.Network, faults []Fault, patterns []cube.BitSet) []bool {
 	detected := make([]bool, len(faults))
 	order := net.TopoOrder()
-	fanouts := net.Fanouts()
-	piIdx := make(map[int]int)
-	for i, id := range net.PIs {
-		piIdx[id] = i
-	}
-	poGates := make(map[int]bool)
-	for _, po := range net.POs {
-		poGates[po.Gate] = true
-	}
-	good := make([]uint64, len(net.Gates))
 	faulty := make([]uint64, len(net.Gates))
+	cone := make([]int, len(net.Gates)) // cone[g] == walk: g is downstream of the fault site
+	walk := 0
 	var in []uint64
-
-	for base := 0; base < len(patterns); base += 64 {
-		// Pack the batch.
-		words := make([]uint64, len(net.PIs))
-		count := 0
-		for j := 0; j < 64 && base+j < len(patterns); j++ {
-			count++
-			p := patterns[base+j]
-			for v := range net.PIs {
-				if p.Has(v) {
-					words[v] |= 1 << uint(j)
-				}
-			}
-		}
+	goods := net.SimulateBlocks(network.PackPatterns(patterns, len(net.PIs)))
+	for b, good := range goods {
 		mask := ^uint64(0)
-		if count < 64 {
-			mask = 1<<uint(count) - 1
+		if rem := len(patterns) - 64*b; rem < 64 {
+			mask = 1<<uint(rem) - 1
 		}
-		// Good simulation.
-		for _, id := range order {
-			g := &net.Gates[id]
-			if g.Type == network.PI {
-				good[id] = words[piIdx[id]]
-				continue
-			}
-			in = in[:0]
-			for _, f := range g.Fanins {
-				in = append(in, good[f])
-			}
-			good[id] = network.EvalGateWord(g.Type, in)
-		}
-		// Per-fault incremental resimulation of the fault cone.
 		for fi, f := range faults {
 			if detected[fi] {
 				continue
 			}
 			site := f.Gate
-			inCone := map[int]bool{site: true}
+			walk++
+			cone[site] = walk
 			copy(faulty, good)
 			var stuck uint64
 			if f.SA1 {
@@ -151,35 +120,33 @@ func FaultSimulate(net *network.Network, faults []Fault, patterns []cube.BitSet)
 				faulty[site] = network.EvalGateWord(g.Type, in)
 			}
 			for _, id := range order {
-				if id == site {
-					continue
-				}
-				if !touchesCone(net, id, inCone) {
-					continue
-				}
-				inCone[id] = true
 				g := &net.Gates[id]
+				if id == site || !readsCone(g.Fanins, cone, walk) {
+					continue
+				}
+				cone[id] = walk
 				in = in[:0]
 				for _, fn := range g.Fanins {
 					in = append(in, faulty[fn])
 				}
 				faulty[id] = network.EvalGateWord(g.Type, in)
 			}
-			for po := range poGates {
-				if (good[po]^faulty[po])&mask != 0 {
+			for _, po := range net.POs {
+				if (good[po.Gate]^faulty[po.Gate])&mask != 0 {
 					detected[fi] = true
 					break
 				}
 			}
 		}
-		_ = fanouts
 	}
 	return detected
 }
 
-func touchesCone(net *network.Network, id int, inCone map[int]bool) bool {
-	for _, f := range net.Gates[id].Fanins {
-		if inCone[f] {
+// readsCone reports whether any fanin is marked in the current fault
+// cone walk.
+func readsCone(fanins, cone []int, walk int) bool {
+	for _, f := range fanins {
+		if cone[f] == walk {
 			return true
 		}
 	}

@@ -198,42 +198,6 @@ func (m *Manager) Xor(f, g Ref) Ref { return m.ITE(f, m.Not(g), g) }
 // Xnor returns the complement of f⊕g.
 func (m *Manager) Xnor(f, g Ref) Ref { return m.ITE(f, g, m.Not(g)) }
 
-// Implies reports whether f ≤ g (f implies g) as functions.
-func (m *Manager) Implies(f, g Ref) bool { return m.And(f, m.Not(g)) == Zero }
-
-// Restrict returns f with variable v fixed to the given phase.
-func (m *Manager) Restrict(f Ref, v int, phase bool) Ref {
-	memo := make(map[Ref]Ref)
-	var rec func(Ref) Ref
-	rec = func(f Ref) Ref {
-		n := m.nodes[f]
-		if int(n.v) > v || m.IsConst(f) {
-			return f
-		}
-		if r, ok := memo[f]; ok {
-			return r
-		}
-		var r Ref
-		if int(n.v) == v {
-			if phase {
-				r = n.hi
-			} else {
-				r = n.lo
-			}
-		} else {
-			r = m.mk(n.v, rec(n.lo), rec(n.hi))
-		}
-		memo[f] = r
-		return r
-	}
-	return rec(f)
-}
-
-// Exists existentially quantifies variable v out of f.
-func (m *Manager) Exists(f Ref, v int) Ref {
-	return m.Or(m.Restrict(f, v, false), m.Restrict(f, v, true))
-}
-
 // Support returns the set of variables f depends on.
 func (m *Manager) Support(f Ref) cube.BitSet {
 	s := cube.NewBitSet(m.numVars)

@@ -72,21 +72,6 @@ func TestCanonicity(t *testing.T) {
 	}
 }
 
-func TestRestrictAndExists(t *testing.T) {
-	m := New(3)
-	a, b, c := m.Var(0), m.Var(1), m.Var(2)
-	f := m.Or(m.And(a, b), m.And(m.Not(a), c))
-	if m.Restrict(f, 0, true) != b {
-		t.Error("f|a=1 should be b")
-	}
-	if m.Restrict(f, 0, false) != c {
-		t.Error("f|a=0 should be c")
-	}
-	if m.Exists(f, 0) != m.Or(b, c) {
-		t.Error("∃a.f should be b+c")
-	}
-}
-
 func TestSupport(t *testing.T) {
 	m := New(5)
 	f := m.And(m.Var(1), m.Or(m.Var(3), m.Not(m.Var(4))))
@@ -219,17 +204,6 @@ func TestISOPSmallCover(t *testing.T) {
 	}
 	if len(c.Terms) != 2 {
 		t.Errorf("ISOP(a+bc) has %d terms, want 2: %s", len(c.Terms), c)
-	}
-}
-
-func TestImplies(t *testing.T) {
-	m := New(2)
-	a, b := m.Var(0), m.Var(1)
-	if !m.Implies(m.And(a, b), a) {
-		t.Error("ab should imply a")
-	}
-	if m.Implies(a, m.And(a, b)) {
-		t.Error("a should not imply ab")
 	}
 }
 

@@ -47,6 +47,10 @@ func TestBudgetLadder(t *testing.T) {
 			name:    "ofdd-nodes",
 			circuit: "mlp4",
 			setup: func(o *core.Options) (context.Context, context.CancelFunc) {
+				// Under auto a tripped GF(2) arm of a hedged cone falls to
+				// its SOP sibling; on the pure GF(2) flow the trip reads
+				// fprm → spec-cone.
+				o.Basis = core.BasisXor
 				o.MaxOFDDNodes = 8
 				return context.Background(), func() {}
 			},

@@ -221,8 +221,8 @@ func (b *Budget) Step(phase string) {
 
 // inject trips the budget with e, which trip builds or a step hook
 // supplies: globally-spent limits are memoized so every later check
-// converges on the same error, per-phase limits stay transient (exactly
-// what the retry rung recovers from).
+// converges on the same error, per-phase limits stay transient (the
+// next output's fresh manager starts below its cap again).
 func (b *Budget) inject(e *Err) {
 	switch e.Limit {
 	case "deadline", "canceled", "steps":
@@ -268,53 +268,6 @@ func (b *Budget) CheckCubes(phase string, used int64) {
 	}
 	if used > b.lim.Cubes {
 		b.trip(phase, "cubes", b.lim.Cubes, used)
-	}
-}
-
-// CubesAllowed reports whether a cube count fits the cube cap, without
-// tripping. Callers use it to steer onto a cheaper path (sampling, the
-// OFDD method) before materializing.
-func (b *Budget) CubesAllowed(count int64) bool {
-	if b == nil || b.lim.Cubes <= 0 {
-		return true
-	}
-	return count <= b.lim.Cubes
-}
-
-// Relaxed returns a fresh budget over the same context with every
-// configured cap scaled by f (never below the parent's cap) and zeroed
-// counters — the slice the budgeted-retry rung runs one retry on. The
-// wall-clock deadline and cancellation still govern the slice; the
-// parent's sticky trips and step hook are deliberately not inherited,
-// because the caller retries only after a transient per-phase trip
-// (nodes, cubes), never after a globally-spent resource.
-func (b *Budget) Relaxed(f float64) *Budget {
-	if b == nil {
-		return nil
-	}
-	if f < 1 {
-		f = 1
-	}
-	scale := func(v int64) int64 {
-		if v <= 0 {
-			return 0
-		}
-		s := int64(float64(v) * f)
-		if s < v { // overflow or f≈1 rounding: never shrink the cap
-			s = v
-		}
-		return s
-	}
-	return &Budget{
-		ctx:      b.ctx,
-		deadline: b.deadline,
-		hasDL:    b.hasDL,
-		lim: Limits{
-			BDDNodes:  int(scale(int64(b.lim.BDDNodes))),
-			OFDDNodes: int(scale(int64(b.lim.OFDDNodes))),
-			Cubes:     scale(b.lim.Cubes),
-			Steps:     scale(b.lim.Steps),
-		},
 	}
 }
 

@@ -26,8 +26,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/budget"
@@ -48,8 +46,8 @@ type Plan struct {
 	Name string
 
 	// TripAtStep > 0 trips the run's budget from global work step N on
-	// (or at exactly step N when StepOnce is set — the transient-fault
-	// shape the retry rung absorbs when StepLimit is per-phase).
+	// (or at exactly step N when StepOnce is set — a one-off per-phase
+	// trip when StepLimit is "nodes" or "cubes").
 	// Global step numbering interleaves across workers, so step plans
 	// are not ScheduleIndependent.
 	TripAtStep int64
@@ -73,20 +71,15 @@ type Plan struct {
 
 	// FailOFDDAlloc > 0 fails derivation-OFDD allocations reaching this
 	// node count, for output OFDDOutput (negative = every output).
-	// Derivation managers are per-output and per-attempt: the first
-	// attempt trips, and unless OFDDPersist is set the retry rung's
-	// second attempt runs clean — the canonical transient fault.
+	// Derivation managers are per-output, so the trip lands on the
+	// targeted output at any worker count.
 	FailOFDDAlloc int
 	OFDDOutput    int
-	OFDDPersist   bool
 
 	// FailFactorAlloc > 0 fails factor-phase OFDD allocations reaching
-	// this node count. The probe attaches to each factor OFDD context
-	// as it is created; unless FactorPersist is set only the first
-	// context (the shared one) is poisoned, so retry contexts run
-	// clean. Only fires on the OFDD factoring route — set UseOFDDMethod.
+	// this node count, on every factor OFDD manager. Only fires on the
+	// OFDD factoring route — set UseOFDDMethod.
 	FailFactorAlloc int
-	FactorPersist   bool
 
 	// UseOFDDMethod runs the sweep's synthesis with MethodOFDD instead
 	// of the default cube method, so factor-phase OFDD probes have a
@@ -166,8 +159,7 @@ func (p Plan) ScheduleIndependent() bool {
 
 // Hooks compiles the plan into the probe hooks for one synthesis run.
 // cancel must be the CancelFunc of the context the run is given
-// (required only when CancelAtPhase is set). The returned hooks carry
-// fresh injection state: build one per run.
+// (required only when CancelAtPhase is set), so build one per run.
 func (p Plan) Hooks(cancel context.CancelFunc) *core.ProbeHooks {
 	h := &core.ProbeHooks{}
 	if p.TripAtStep > 0 {
@@ -197,47 +189,19 @@ func (p Plan) Hooks(cancel context.CancelFunc) *core.ProbeHooks {
 		}
 	}
 	if p.FailBDDAlloc > 0 {
-		t := p.FailBDDAlloc
-		h.BDDAlloc = func(nodes int) *budget.Err {
-			if nodes >= t {
-				return &budget.Err{Phase: Marker + "bdd-alloc", Limit: "nodes", Max: int64(t), Used: int64(nodes)}
-			}
-			return nil
-		}
+		h.BDDAlloc = allocProbe("bdd-alloc", p.FailBDDAlloc)
 	}
 	if p.FailOFDDAlloc > 0 {
-		t, target, persist := p.FailOFDDAlloc, p.OFDDOutput, p.OFDDPersist
-		var attempts sync.Map // output index -> *atomic.Int32
+		target, probe := p.OFDDOutput, allocProbe("ofdd-alloc", p.FailOFDDAlloc)
 		h.OFDDAlloc = func(output int) func(nodes int) *budget.Err {
 			if target >= 0 && output != target {
 				return nil
 			}
-			v, _ := attempts.LoadOrStore(output, new(atomic.Int32))
-			if v.(*atomic.Int32).Add(1) > 1 && !persist {
-				return nil // transient: the retry attempt runs clean
-			}
-			return func(nodes int) *budget.Err {
-				if nodes >= t {
-					return &budget.Err{Phase: Marker + "ofdd-alloc", Limit: "nodes", Max: int64(t), Used: int64(nodes)}
-				}
-				return nil
-			}
+			return probe
 		}
 	}
 	if p.FailFactorAlloc > 0 {
-		t, persist := p.FailFactorAlloc, p.FactorPersist
-		var contexts atomic.Int32
-		h.FactorOFDDAlloc = func() func(nodes int) *budget.Err {
-			if contexts.Add(1) > 1 && !persist {
-				return nil // transient: retry contexts run clean
-			}
-			return func(nodes int) *budget.Err {
-				if nodes >= t {
-					return &budget.Err{Phase: Marker + "factor-alloc", Limit: "nodes", Max: int64(t), Used: int64(nodes)}
-				}
-				return nil
-			}
-		}
+		h.FactorOFDDAlloc = allocProbe("factor-alloc", p.FailFactorAlloc)
 	}
 	if p.PanicAtPhase != "" || p.CancelAtPhase != "" {
 		panicAt, cancelAt := p.PanicAtPhase, p.CancelAtPhase
@@ -277,8 +241,19 @@ func (p Plan) Hooks(cancel context.CancelFunc) *core.ProbeHooks {
 	return h
 }
 
+// allocProbe returns an allocation probe that fails every allocation
+// reaching t nodes with a marked "nodes" trip named after its site.
+func allocProbe(site string, t int) func(nodes int) *budget.Err {
+	return func(nodes int) *budget.Err {
+		if nodes >= t {
+			return &budget.Err{Phase: Marker + site, Limit: "nodes", Max: int64(t), Used: int64(nodes)}
+		}
+		return nil
+	}
+}
+
 // Plans returns the deterministic plan set the sweep always runs: at
-// least one plan per probe site, covering sticky and transient trips,
+// least one plan per probe site, covering sticky and one-off trips,
 // targeted and broadcast allocation failures, injected panics at a
 // sequential phase and inside a worker, cancellation, and a pure
 // scheduling perturbation — each on the pure GF(2) flow and again at
@@ -299,11 +274,10 @@ func Plans(numOutputs int) []Plan {
 		{Name: "poll-mid", TripAtPoll: 6},
 		{Name: "bdd-alloc-tiny", FailBDDAlloc: 8},
 		{Name: "bdd-alloc-mid", FailBDDAlloc: 96},
-		{Name: "ofdd-transient", FailOFDDAlloc: 6, OFDDOutput: 0},
-		{Name: "ofdd-persistent", FailOFDDAlloc: 6, OFDDOutput: last, OFDDPersist: true},
+		{Name: "ofdd-first", FailOFDDAlloc: 6, OFDDOutput: 0},
+		{Name: "ofdd-last", FailOFDDAlloc: 6, OFDDOutput: last},
 		{Name: "ofdd-all", FailOFDDAlloc: 10, OFDDOutput: -1},
 		{Name: "factor-alloc", FailFactorAlloc: 24, UseOFDDMethod: true},
-		{Name: "factor-alloc-persistent", FailFactorAlloc: 24, FactorPersist: true, UseOFDDMethod: true},
 		{Name: "panic-fprm", PanicAtPhase: "fprm"},
 		{Name: "panic-emit", PanicAtPhase: "emit"},
 		{Name: "panic-worker", PanicWorker: true, PanicOutput: 0},
@@ -360,10 +334,8 @@ func RandomPlans(n int, seed int64, numOutputs int) []Plan {
 		case 3:
 			p.FailOFDDAlloc = 1 + r.Intn(200)
 			p.OFDDOutput = r.Intn(numOutputs+1) - 1 // -1 = all outputs
-			p.OFDDPersist = r.Intn(2) == 0
 		case 4:
 			p.FailFactorAlloc = 1 + r.Intn(400)
-			p.FactorPersist = r.Intn(2) == 0
 			p.UseOFDDMethod = true
 		case 5:
 			p.PanicAtPhase = phases[r.Intn(len(phases))]

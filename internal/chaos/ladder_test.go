@@ -56,8 +56,8 @@ func hasRung(res *core.Result, stage, fallback string) bool {
 // TestLadderRungs drives every rung of the degradation ladder through
 // a chaos plan (or, for the budget-steered cube→OFDD rung, the budget
 // option that steers it) and asserts the recorded (stage, fallback)
-// transitions — including the retry rung in both its recovered and
-// exhausted forms, on both the derivation and the factoring path. Rows
+// transitions. A per-phase cap trip on the derivation or the factoring
+// path falls straight to the spec-cone copy: nothing retries it. Rows
 // marked auto run again at the default basis, where the rung must hold
 // just the same.
 func TestLadderRungs(t *testing.T) {
@@ -77,47 +77,21 @@ func TestLadderRungs(t *testing.T) {
 			want: [][2]string{{"spec-bdd", "swept-spec"}},
 		},
 		{
-			name: "transient trip recovered by retry", circuit: "adr4",
+			name: "derivation trip → spec-cone", circuit: "adr4",
 			auto: true,
 			plan: Plan{FailOFDDAlloc: 1, OFDDOutput: 0},
-			want: [][2]string{{"fprm", "retry"}},
+			want: [][2]string{{"fprm", "spec-cone"}},
 			absent: [][2]string{
-				{"retry", "spec-cone"},
-				{"fprm", "spec-cone"},
-			},
-		},
-		{
-			name: "persistent trip falls past retry to spec-cone", circuit: "adr4",
-			auto: true,
-			plan: Plan{FailOFDDAlloc: 1, OFDDOutput: 0, OFDDPersist: true},
-			want: [][2]string{
 				{"fprm", "retry"},
 				{"retry", "spec-cone"},
 			},
 		},
 		{
-			name: "retry disabled goes straight to spec-cone", circuit: "adr4",
-			auto:   true,
-			plan:   Plan{FailOFDDAlloc: 1, OFDDOutput: 0, OFDDPersist: true},
-			mutate: func(o *core.Options) { o.RetryFactor = 0 },
-			want:   [][2]string{{"fprm", "spec-cone"}},
-			absent: [][2]string{{"fprm", "retry"}},
-		},
-		{
-			name: "factor trip recovered by retry", circuit: "adr4",
+			name: "factor trip → spec-cone", circuit: "adr4",
 			auto: true,
 			plan: Plan{FailFactorAlloc: 1, UseOFDDMethod: true},
-			want: [][2]string{{"factor", "retry"}},
+			want: [][2]string{{"factor", "spec-cone"}},
 			absent: [][2]string{
-				{"retry", "spec-cone"},
-				{"factor", "spec-cone"},
-			},
-		},
-		{
-			name: "persistent factor trip falls past retry", circuit: "adr4",
-			auto: true,
-			plan: Plan{FailFactorAlloc: 1, FactorPersist: true, UseOFDDMethod: true},
-			want: [][2]string{
 				{"factor", "retry"},
 				{"retry", "spec-cone"},
 			},
@@ -268,12 +242,12 @@ func TestRedundPartialRungReachable(t *testing.T) {
 // TestFallbackReport asserts the report renders exactly one accurate
 // line per degradation, and stays empty for a clean run.
 func TestFallbackReport(t *testing.T) {
-	res, err := ladderRun(t, "adr4", Plan{FailOFDDAlloc: 1, OFDDOutput: 0, OFDDPersist: true}, nil)
+	res, err := ladderRun(t, "adr4", Plan{FailOFDDAlloc: 1, OFDDOutput: 0}, nil)
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
 	if len(res.Degradations) == 0 {
-		t.Fatal("persistent injection produced no degradations")
+		t.Fatal("injection produced no degradations")
 	}
 	report := res.FallbackReport()
 	lines := strings.Split(strings.TrimRight(report, "\n"), "\n")

@@ -206,7 +206,8 @@ type Options struct {
 	// all-positive polarity → Method 1 → OFDD method → structural copy of
 	// the specification cone — and Result.Degradations records every
 	// fallback that fired; the returned network is always verified
-	// equivalent (Options.Verify).
+	// equivalent (Options.Verify). A tripped cap is final: the output
+	// falls to the next rung, never to a rerun under a larger cap.
 	MaxBDDNodes  int   // cap on the shared ROBDD manager's node count
 	MaxOFDDNodes int   // cap on each per-output OFDD manager's node count
 	MaxCubes     int64 // cap on materialized FPRM cubes per output
@@ -222,18 +223,6 @@ type Options struct {
 	// per-output slots in output order. The factor/emit phases stay
 	// sequential (they share the emitter and divisor registries).
 	Workers int
-
-	// RetryFactor configures the budgeted-retry rung of the ladder: an
-	// output whose derivation or factoring trips a transient per-phase
-	// cap (BDD/OFDD nodes, cubes — never a spent deadline, cancellation,
-	// or step budget) is retried once on a fresh budget slice with every
-	// cap scaled by this factor, before falling back to the structural
-	// spec-cone copy. The attempt is recorded in Degradations as
-	// stage → "retry", and a failed retry as "retry" → "spec-cone".
-	// 0 disables the rung; DefaultOptions uses 2. The retry slice keeps
-	// the run's deadline, so a retry can add at most RetryFactor× one
-	// output's capped work, never unbounded time.
-	RetryFactor float64
 
 	// Hooks carries the deterministic fault-injection probe points used
 	// by the chaos harness (package internal/chaos) to force every rung
@@ -258,9 +247,7 @@ type Options struct {
 type ProbeHooks struct {
 	// BudgetStep is installed on the run's budget via SetStepHook: it
 	// sees every counted work step and can trip the budget with an
-	// injected *budget.Err. It is not inherited by retry-rung budget
-	// slices (a transient injected trip is exactly what the retry rung
-	// is meant to absorb); target retries through OFDDAlloc instead.
+	// injected *budget.Err.
 	BudgetStep budget.StepHook
 	// BudgetPoll is installed on the run's budget via SetPollHook: it
 	// sees every graceful Exceeded poll (polarity search, phase
@@ -276,17 +263,12 @@ type ProbeHooks struct {
 	// OFDDAlloc returns the allocation probe for one output's
 	// derivation OFDD manager (nil = no probe). Managers are
 	// per-output, so the probe's numbering is deterministic at any
-	// worker count. The factory is invoked once per derivation attempt
-	// — the retry rung's second attempt calls it again — letting a plan
-	// model both transient faults (fail the first attempt only) and
-	// persistent ones (fail every attempt).
+	// worker count.
 	OFDDAlloc func(output int) func(nodes int) *budget.Err
-	// FactorOFDDAlloc returns an allocation probe for one factor-phase
-	// OFDD manager. The factory is invoked once per context creation —
-	// the shared per-polarity contexts of the first attempt and the
-	// fresh one-shot contexts of each retry — so a plan can model a
-	// transient fault that only the retry escapes.
-	FactorOFDDAlloc func() func(nodes int) *budget.Err
+	// FactorOFDDAlloc is installed on every factor-phase OFDD manager
+	// (one per polarity vector on the OFDD factoring route). The factor
+	// phase is sequential, so its allocation numbering is deterministic.
+	FactorOFDDAlloc func(nodes int) *budget.Err
 	// Phase is called on entry to every pipeline phase ("setup",
 	// "spec-bdd", "predict" under BasisAuto, "fprm", "factor", "emit",
 	// "select", "do-no-harm-prep", "redund", "merge", "cleanup",
@@ -310,44 +292,31 @@ type ProbeHooks struct {
 // verification. Cross-output node merging runs under every option set.
 func DefaultOptions() Options {
 	return Options{
-		Method:      MethodCube,
-		Polarity:    PolarityGreedy,
-		Rules:       true,
-		Redund:      true,
-		Verify:      true,
-		RetryFactor: 2,
-		Basis:       BasisAuto,
+		Method:   MethodCube,
+		Polarity: PolarityGreedy,
+		Rules:    true,
+		Redund:   true,
+		Verify:   true,
+		Basis:    BasisAuto,
 	}
 }
 
 // ErrBadOptions reports option values that cannot mean anything
-// sensible — negative worker counts, NaN retry factors, unknown method
-// or polarity enums. Synthesize rejects them up front: the server feeds
-// Options from untrusted request headers, and silent misbehaviour
-// (a NaN scaling every retry budget to garbage) is strictly worse than
-// an explicit error.
+// sensible — negative worker counts or budgets, unknown method,
+// polarity or basis enums. Synthesize rejects them up front: the server
+// feeds Options from untrusted request headers, and silent misbehaviour
+// is strictly worse than an explicit error.
 var ErrBadOptions = errors.New("core: invalid options")
 
 // maxWorkersSanity is far above any real machine; a Workers beyond it
 // is a unit confusion or an attack, not a configuration.
 const maxWorkersSanity = 1 << 14
 
-// maxRetryFactorSanity bounds the retry budget scale; the ladder's one
-// retry at 64x an already-generous budget is as far as "transient"
-// stretches.
-const maxRetryFactorSanity = 64
-
 // Validate checks the options for values Synthesize refuses to run
 // with. The zero value and DefaultOptions always validate.
 func (o Options) Validate() error {
 	if o.Workers < 0 || o.Workers > maxWorkersSanity {
 		return fmt.Errorf("%w: Workers %d out of range [0, %d]", ErrBadOptions, o.Workers, maxWorkersSanity)
-	}
-	if math.IsNaN(o.RetryFactor) || math.IsInf(o.RetryFactor, 0) {
-		return fmt.Errorf("%w: RetryFactor must be finite", ErrBadOptions)
-	}
-	if o.RetryFactor < 0 || o.RetryFactor > maxRetryFactorSanity {
-		return fmt.Errorf("%w: RetryFactor %g out of range [0, %d]", ErrBadOptions, o.RetryFactor, maxRetryFactorSanity)
 	}
 	switch o.Method {
 	case 0, MethodCube, MethodOFDD:
@@ -402,8 +371,8 @@ func (o Options) workers() int {
 // instead, and why.
 type Degradation struct {
 	Output   string `json:"output"`   // PO name, or "*" for the whole network
-	Stage    string `json:"stage"`    // pipeline stage: "spec-bdd", "predict", "fprm", "polarity-search", "cube-method", "factor", "retry", "xor-arm", "sop-arm", "redund", "merge", "do-no-harm"
-	Fallback string `json:"fallback"` // what ran instead: "swept-spec", "spec-cone", "best-so-far", "ofdd-method", "skipped", "partial", "retry", "xor-arm", "sop-arm"
+	Stage    string `json:"stage"`    // pipeline stage: "spec-bdd", "predict", "fprm", "polarity-search", "cube-method", "factor", "xor-arm", "sop-arm", "redund", "merge", "do-no-harm"
+	Fallback string `json:"fallback"` // what ran instead: "swept-spec", "spec-cone", "best-so-far", "ofdd-method", "skipped", "partial", "xor-arm", "sop-arm"
 	Reason   string `json:"reason"`   // the budget error or condition that triggered it
 }
 
@@ -895,9 +864,8 @@ func armFailure(p any) string {
 }
 
 // deriveXor runs one cone's GF(2) arm: the FPRM derivation under the
-// run budget, with the budgeted-retry rung. A failure goes to
-// the sibling SOP arm when the cone has one, else down the spec-cone
-// ladder.
+// run budget. A failure goes to the sibling SOP arm when the cone has
+// one, else down the spec-cone ladder.
 func (r *run) deriveXor(w, oi int) {
 	c := &r.cones[oi]
 	nPI := r.spec.NumPIs()
@@ -936,39 +904,22 @@ func (r *run) deriveXor(w, oi int) {
 		fail("fprm", perr.Error())
 		return
 	}
-	ofddHook := func() func(nodes int) *budget.Err {
-		if r.opt.Hooks != nil && r.opt.Hooks.OFDDAlloc != nil {
-			return r.opt.Hooks.OFDDAlloc(oi)
-		}
-		return nil
+	var allocHook func(nodes int) *budget.Err
+	if r.opt.Hooks != nil && r.opt.Hooks.OFDDAlloc != nil {
+		allocHook = r.opt.Hooks.OFDDAlloc(oi)
 	}
 	var form *fprm.Form
 	var count int64
 	var isHuge, searchCut bool
-	derive := func(bud *budget.Budget, relax float64) error {
-		return budget.Guard(func() {
-			form, count, isHuge, searchCut = deriveForm(r.bm, r.outs[oi], r.opt, bud, relax, ofddHook(), r.opt.Obs.Output(oi))
-		})
+	if gerr := budget.Guard(func() {
+		form, count, isHuge, searchCut = deriveForm(r.bm, r.outs[oi], r.opt, r.bud, allocHook, r.opt.Obs.Output(oi))
+	}); gerr != nil {
+		fail("fprm", gerr.Error())
+		return
 	}
-	reason := func(err error) string {
-		if err != nil {
-			return err.Error()
-		}
-		return "OFDD node cap exceeded"
-	}
-	if gerr := derive(r.bud, 1); gerr != nil || isHuge {
-		if r.opt.RetryFactor <= 0 || !retryableTrip(gerr, isHuge) {
-			fail("fprm", reason(gerr))
-			return
-		}
-		// Budgeted-retry rung: a transient per-phase cap trip gets one
-		// retry on a relaxed budget slice before the output falls all
-		// the way to the spec-cone copy.
-		degrade(&c.degs, c.name, "fprm", "retry", reason(gerr))
-		if rerr := derive(r.bud.Relaxed(r.opt.RetryFactor), r.opt.RetryFactor); rerr != nil || isHuge {
-			fail("retry", reason(rerr))
-			return
-		}
+	if isHuge {
+		fail("fprm", "OFDD node cap exceeded")
+		return
 	}
 	if searchCut {
 		degrade(&c.degs, c.name, "polarity-search", "best-so-far", "budget exhausted during polarity search")
@@ -1054,13 +1005,12 @@ func (r *run) factor() {
 			degrade(&res.Degradations, c.name, "cube-method", "ofdd-method",
 				fmt.Sprintf("cube budget %d below FPRM cube count %d", bud.Limits().Cubes, res.CubeCounts[oi]))
 		}
-		factorOne := func(fo factor.Options, fbud *budget.Budget,
-			cubeCtxs map[string]*factor.Context, ofddCtxs map[string]*factor.OFDDContext) {
+		if guard(&res.Degradations, c.name, "factor", "spec-cone", func() {
 			var e *factor.Expr
 			if useCube {
 				cx, ok := cubeCtxs[key]
 				if !ok {
-					cx = factor.NewContext(fo)
+					cx = factor.NewContext(fopt)
 					cubeCtxs[key] = cx
 				}
 				e = cx.Factor(form.Cubes)
@@ -1068,12 +1018,12 @@ func (r *run) factor() {
 				cx, ok := ofddCtxs[key]
 				if !ok {
 					om := ofdd.New(nPI, form.Polarity)
-					om.SetBudget(fbud)
+					om.SetBudget(bud)
 					om.SetStats(opt.Obs.OFDD())
-					if opt.Hooks != nil && opt.Hooks.FactorOFDDAlloc != nil {
-						om.SetAllocHook(opt.Hooks.FactorOFDDAlloc())
+					if opt.Hooks != nil {
+						om.SetAllocHook(opt.Hooks.FactorOFDDAlloc)
 					}
-					cx = factor.NewOFDDContext(om, fo)
+					cx = factor.NewOFDDContext(om, fopt)
 					ofddCtxs[key] = cx
 				}
 				e = cx.Factor(cx.M.FromBDD(r.bm, r.outs[oi]))
@@ -1081,26 +1031,6 @@ func (r *run) factor() {
 			// Rewrite literal space into PI space so one emitter serves all
 			// outputs even when their polarity vectors differ.
 			c.expr = factor.ApplyPolarity(e, form.Polarity)
-		}
-		gerr := budget.Guard(func() { factorOne(fopt, bud, cubeCtxs, ofddCtxs) })
-		if gerr == nil {
-			continue
-		}
-		if opt.RetryFactor <= 0 || !retryableTrip(gerr, false) {
-			c.specCone = true
-			degrade(&res.Degradations, c.name, "factor", "spec-cone", gerr.Error())
-			continue
-		}
-		// Budgeted-retry rung, factor edition: one retry on a relaxed
-		// slice with fresh one-shot contexts — the shared registries keep
-		// the original budget and may hold the half-state of the tripped
-		// attempt, so the retry must not touch them (its divisors simply
-		// go unshared, a quality loss only).
-		degrade(&res.Degradations, c.name, "factor", "retry", gerr.Error())
-		rbud := bud.Relaxed(opt.RetryFactor)
-		rfopt := factor.Options{ApplyRules: opt.Rules, Budget: rbud, Obs: opt.Obs.Factor()}
-		if guard(&res.Degradations, c.name, "retry", "spec-cone", func() {
-			factorOne(rfopt, rbud, map[string]*factor.Context{}, map[string]*factor.OFDDContext{})
 		}) != nil {
 			c.specCone = true
 		}
@@ -1543,25 +1473,8 @@ func effectiveCap(base int, budCubes int64) int {
 // ofddNodeBudget caps functional-decision-diagram growth per output; an
 // OFDD can be exponentially larger than the BDD of the same function
 // (long OR chains are the classic case), and such outputs bypass the
-// FPRM flow entirely.
-const ofddNodeBudget = 200_000
-
-// retryableTrip reports whether a derivation or factoring failure is a
-// transient per-phase cap trip — an OFDD blowup (huge) or a nodes/cubes
-// budget error — that the budgeted-retry rung may retry. Globally-spent
-// resources (deadline, cancellation, steps) and non-budget errors are
-// never retried: the resource stays spent, so the retry would only burn
-// more of it.
-func retryableTrip(err error, huge bool) bool {
-	if huge {
-		return true
-	}
-	var be *budget.Err
-	if !errors.As(err, &be) {
-		return false
-	}
-	return be.Limit == "nodes" || be.Limit == "cubes"
-}
+// FPRM flow entirely. A caller's MaxOFDDNodes below it governs instead.
+const ofddNodeBudget = 400_000
 
 // deriveForm computes the FPRM form of one output with the configured
 // polarity search. For outputs whose cube count exceeds the cube-method
@@ -1570,15 +1483,13 @@ func retryableTrip(err error, huge bool) bool {
 // factored (factoring an incomplete list would change the function);
 // outputs whose OFDD explodes come back with huge=true and an empty
 // form. searchCut reports a polarity search stopped early by the budget
-// (the returned best-so-far form is still exact). relax scales the
-// built-in OFDD node cap (>1 on the retry rung's second attempt; the
-// budget caps are already scaled by Budget.Relaxed). allocHook, when
-// non-nil, is the chaos allocation probe for this attempt's OFDD
-// manager. s, when non-nil, counts the polarity search's candidates and
+// (the returned best-so-far form is still exact). allocHook, when
+// non-nil, is the chaos allocation probe for the output's OFDD manager.
+// s, when non-nil, counts the polarity search's candidates and
 // improvements (and the OFDD manager feeds the collector's shared OFDD
 // group). The caller wraps this in budget.Guard; a budget trip inside
 // unwinds as panic(*budget.Err).
-func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, relax float64,
+func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget,
 	allocHook func(nodes int) *budget.Err, s *obs.Search) (form *fprm.Form, count int64, huge, searchCut bool) {
 	n := bm.NumVars()
 	om := ofdd.New(n, nil)
@@ -1586,9 +1497,6 @@ func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget, rel
 	om.SetAllocHook(allocHook)
 	om.SetStats(opt.Obs.OFDD())
 	nodeCap := ofddNodeBudget
-	if relax > 1 {
-		nodeCap = int(relax * ofddNodeBudget)
-	}
 	if c := bud.Limits().OFDDNodes; c > 0 && c < nodeCap {
 		nodeCap = c
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/redund"
@@ -115,40 +114,6 @@ func TestRunStatsDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("%s: stripped RunStats differ between -j1 and -j4:\n-j1: %s\n-j4: %s",
 				name, ref, got)
 		}
-	}
-}
-
-// The factor retry rung counts its rule passes. 9sym's one output is
-// factored by the OFDD method; the first factor context fails its
-// allocation at 24 nodes, before any rule runs, and the retry's fresh
-// context factors the output with rules on.
-func TestObsCountsFactorRetry(t *testing.T) {
-	opt := core.DefaultOptions()
-	opt.Method = core.MethodOFDD
-	opt.Basis = core.BasisXor
-	opt.Obs = obs.NewCollector()
-	contexts := 0 // the factor phase is sequential
-	opt.Hooks = &core.ProbeHooks{FactorOFDDAlloc: func() func(nodes int) *budget.Err {
-		if contexts++; contexts > 1 {
-			return nil
-		}
-		return func(nodes int) *budget.Err {
-			if nodes >= 24 {
-				return &budget.Err{Phase: "test", Limit: "nodes", Max: 24, Used: int64(nodes)}
-			}
-			return nil
-		}
-	}}
-	res := runAt(t, "9sym", opt, 1)
-	retried := false
-	for _, d := range res.Degradations {
-		retried = retried || (d.Stage == "factor" && d.Fallback == "retry")
-	}
-	if !retried {
-		t.Fatalf("no factor retry recorded: %+v", res.Degradations)
-	}
-	if f := res.ObsStats.Factor; f.Passes == 0 {
-		t.Errorf("retried factorization counted no rule passes: %+v", f)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/network"
@@ -36,13 +35,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"workers negative", ok(func(o *Options) { o.Workers = -1 }), true},
 		{"workers absurd", ok(func(o *Options) { o.Workers = 1 << 20 }), true},
 		{"workers sane", ok(func(o *Options) { o.Workers = 64 }), false},
-		{"retry zero disables", ok(func(o *Options) { o.RetryFactor = 0 }), false},
-		{"retry negative", ok(func(o *Options) { o.RetryFactor = -2 }), true},
-		{"retry nan", ok(func(o *Options) { o.RetryFactor = math.NaN() }), true},
-		{"retry inf", ok(func(o *Options) { o.RetryFactor = math.Inf(1) }), true},
-		{"retry absurd", ok(func(o *Options) { o.RetryFactor = 1e9 }), true},
 		{"method unknown", ok(func(o *Options) { o.Method = 7 }), true},
 		{"polarity unknown", ok(func(o *Options) { o.Polarity = 9 }), true},
+		{"basis unknown", ok(func(o *Options) { o.Basis = 9 }), true},
 		{"budget negative", ok(func(o *Options) { o.MaxCubes = -1 }), true},
 		{"budget zero unlimited", ok(func(o *Options) { o.MaxSteps = 0 }), false},
 	}
@@ -64,7 +59,7 @@ func TestSynthesizeRejectsBadOptions(t *testing.T) {
 	spec := tinySpec()
 	for _, mod := range []func(*Options){
 		func(o *Options) { o.Workers = -3 },
-		func(o *Options) { o.RetryFactor = math.NaN() },
+		func(o *Options) { o.MaxOFDDNodes = -1 },
 		func(o *Options) { o.Method = 99 },
 	} {
 		opt := DefaultOptions()

@@ -530,32 +530,66 @@ func evalGate(t GateType, in []uint64) uint64 {
 	panic("network: evalGate on PI")
 }
 
-// Simulate runs 64 input patterns at once. piWords[i] holds the 64 values
-// of the i-th PI (in PIs order). The returned slice holds one word per
-// gate ID (gates outside the PO cone get computed too if reachable from
-// PIs; unreachable gates are zero).
+// Simulate runs 64 input patterns at once: the one-block case of
+// SimulateBlocks. piWords[i] holds the 64 values of the i-th PI (in PIs
+// order). The returned slice holds one word per gate ID; gates outside
+// the PO cone, other than the PIs, are zero.
 func (n *Network) Simulate(piWords []uint64) []uint64 {
-	if len(piWords) != len(n.PIs) {
-		// Programmer invariant: callers size piWords from n.PIs itself.
-		panic("network: wrong number of PI words")
-	}
-	val := make([]uint64, len(n.Gates))
-	for i, id := range n.PIs {
-		val[id] = piWords[i]
-	}
-	var in []uint64 // fanin words, reused across gates
-	for _, id := range n.TopoOrder() {
-		g := &n.Gates[id]
-		if g.Type == PI {
-			continue
+	return n.SimulateBlocks([][]uint64{piWords})[0]
+}
+
+// SimulateBlocks simulates every block of PI words over one topological
+// order: vals[b] is what Simulate(blocks[b]) returns. Each vals[b] is
+// capped at the gate count, so appending to one never writes into
+// another.
+func (n *Network) SimulateBlocks(blocks [][]uint64) [][]uint64 {
+	order := n.TopoOrder()
+	ng := len(n.Gates)
+	buf := make([]uint64, len(blocks)*ng)
+	vals := make([][]uint64, len(blocks))
+	var in []uint64 // fanin words, reused across gates and blocks
+	for b, piWords := range blocks {
+		if len(piWords) != len(n.PIs) {
+			// Programmer invariant: callers size piWords from n.PIs itself.
+			panic("network: wrong number of PI words")
 		}
-		in = in[:0]
-		for _, f := range g.Fanins {
-			in = append(in, val[f])
+		val := buf[b*ng : (b+1)*ng : (b+1)*ng]
+		for i, id := range n.PIs {
+			val[id] = piWords[i]
 		}
-		val[id] = evalGate(g.Type, in)
+		for _, id := range order {
+			g := &n.Gates[id]
+			if g.Type == PI {
+				continue
+			}
+			in = in[:0]
+			for _, f := range g.Fanins {
+				in = append(in, val[f])
+			}
+			val[id] = evalGate(g.Type, in)
+		}
+		vals[b] = val
 	}
-	return val
+	return vals
+}
+
+// PackPatterns packs single assignments (bit i = PI i's value) into
+// 64-pattern blocks for SimulateBlocks: pattern p is bit p%64 of block
+// p/64, whose word i holds PI i. Bits past the last pattern are zero.
+func PackPatterns(patterns []cube.BitSet, nPI int) [][]uint64 {
+	blocks := make([][]uint64, (len(patterns)+63)/64)
+	for b := range blocks {
+		blocks[b] = make([]uint64, nPI)
+	}
+	for p, pat := range patterns {
+		words := blocks[p/64]
+		for v := range words {
+			if pat.Has(v) {
+				words[v] |= 1 << uint(p%64)
+			}
+		}
+	}
+	return blocks
 }
 
 // Eval evaluates the network on a single assignment (bit i of assign = PI

@@ -67,6 +67,48 @@ func TestSimulateParallel(t *testing.T) {
 	}
 }
 
+// TestSimulateBlocks: PackPatterns puts pattern p in bit p%64 of block
+// p/64 and zeroes the bits past the last pattern; SimulateBlocks agrees
+// with Simulate block by block and with Eval pattern by pattern.
+func TestSimulateBlocks(t *testing.T) {
+	n := buildFullAdder()
+	r := rand.New(rand.NewSource(1))
+	pats := make([]cube.BitSet, 150)
+	for i := range pats {
+		pats[i] = cube.NewBitSet(3)
+		for v := 0; v < 3; v++ {
+			if r.Intn(2) == 0 {
+				pats[i].Set(v)
+			}
+		}
+	}
+	blocks := PackPatterns(pats, 3)
+	if len(blocks) != 3 {
+		t.Fatalf("%d patterns packed into %d blocks, want 3", len(pats), len(blocks))
+	}
+	for v, w := range blocks[2] {
+		if w>>(150%64) != 0 {
+			t.Errorf("PI %d: bits past the last pattern are set: %064b", v, w)
+		}
+	}
+	vals := n.SimulateBlocks(blocks)
+	for b := range blocks {
+		one := n.Simulate(blocks[b])
+		for id := range one {
+			if vals[b][id] != one[id] {
+				t.Fatalf("block %d gate %d: SimulateBlocks %x, Simulate %x", b, id, vals[b][id], one[id])
+			}
+		}
+	}
+	for p, pat := range pats {
+		for i, want := range n.Eval(pat) {
+			if got := vals[p/64][n.POs[i].Gate]>>uint(p%64)&1 != 0; got != want {
+				t.Errorf("pattern %d PO %d: simulated %v, Eval %v", p, i, got, want)
+			}
+		}
+	}
+}
+
 func TestTopoOrder(t *testing.T) {
 	n := buildFullAdder()
 	pos := make(map[int]int)

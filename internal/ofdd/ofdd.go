@@ -415,22 +415,6 @@ func (m *Manager) Eval(f Ref, assign cube.BitSet) bool {
 	return rec(f)
 }
 
-// NodeCount returns the number of distinct internal nodes reachable from f.
-func (m *Manager) NodeCount(f Ref) int {
-	seen := make(map[Ref]bool)
-	var rec func(Ref)
-	rec = func(f Ref) {
-		if m.IsConst(f) || seen[f] {
-			return
-		}
-		seen[f] = true
-		rec(m.nodes[f].lo)
-		rec(m.nodes[f].hi)
-	}
-	rec(f)
-	return len(seen)
-}
-
 // Dump renders the DAG rooted at f, one node per line, children before
 // parents, for debugging and for reproducing Figure 1 of the paper.
 func (m *Manager) Dump(f Ref) string {

@@ -244,16 +244,6 @@ func TestCubesLimitError(t *testing.T) {
 	}
 }
 
-func TestNodeCount(t *testing.T) {
-	m := New(3, nil)
-	bm := bdd.New(3)
-	f := m.FromBDD(bm, bm.Xor(bm.Xor(bm.Var(0), bm.Var(1)), bm.Var(2)))
-	// Parity OFDD: one node per variable.
-	if got := m.NodeCount(f); got != 3 {
-		t.Errorf("NodeCount(parity3) = %d, want 3", got)
-	}
-}
-
 // Adder carry chain: FPRM cube counts follow N_k = 2·N_{k-1} + 1, matching
 // the paper's z4ml observation (32 cubes total for the 3-bit adder).
 func TestAdderCubeCounts(t *testing.T) {

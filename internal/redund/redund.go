@@ -204,7 +204,7 @@ func Remove(net *network.Network, opt Options) Result {
 	e := &engine{net: net}
 	e.patterns = BuildPatterns(opt.Forms, maxOCPatterns, maxUnionPatterns)
 	e.res.Patterns = len(e.patterns)
-	e.packPatterns()
+	e.piWords = network.PackPatterns(e.patterns, len(net.PIs))
 	e.refresh()
 	e.bm = bdd.New(len(net.PIs))
 	e.bm.SetBudget(opt.Budget)
@@ -228,23 +228,6 @@ func Remove(net *network.Network, opt Options) Result {
 	return e.res
 }
 
-// packPatterns splits patterns into 64-wide word batches per PI.
-func (e *engine) packPatterns() {
-	nPI := len(e.net.PIs)
-	for base := 0; base < len(e.patterns); base += 64 {
-		words := make([]uint64, nPI)
-		for j := 0; j < 64 && base+j < len(e.patterns); j++ {
-			p := e.patterns[base+j]
-			for v := 0; v < nPI; v++ {
-				if p.Has(v) {
-					words[v] |= 1 << uint(j)
-				}
-			}
-		}
-		e.piWords = append(e.piWords, words)
-	}
-}
-
 // refresh rebuilds the cached topological order, fanouts, PO index and
 // all per-batch gate values for the current network structure.
 func (e *engine) refresh() {
@@ -254,10 +237,7 @@ func (e *engine) refresh() {
 	for i, po := range e.net.POs {
 		e.poIdx[po.Gate] = append(e.poIdx[po.Gate], i)
 	}
-	e.vals = make([][]uint64, len(e.piWords))
-	for b, words := range e.piWords {
-		e.vals[b] = e.net.Simulate(words)
-	}
+	e.vals = e.net.SimulateBlocks(e.piWords)
 	if cap(e.scratch) < len(e.net.Gates) {
 		e.scratch = make([]uint64, len(e.net.Gates))
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -23,15 +22,13 @@ type Policy struct {
 }
 
 // The ceilings every grant is clamped to: budgets roughly where the
-// bench suite's heavy circuits live, a 10ms wall-clock floor, 16x retry
-// at most.
+// bench suite's heavy circuits live, and a 10ms wall-clock floor.
 const (
-	minTimeout     = 10 * time.Millisecond // grants are raised to this floor
-	maxBDDNodes    = 4_000_000             // ceiling on X-Rmsynd-Max-Bdd-Nodes
-	maxOFDDNodes   = 4_000_000             // ceiling on X-Rmsynd-Max-Ofdd-Nodes
-	maxCubes       = 10_000_000            // ceiling on X-Rmsynd-Max-Cubes
-	maxSteps       = 2_000_000_000         // ceiling on X-Rmsynd-Max-Steps
-	maxRetryFactor = 16                    // clamp on X-Rmsynd-Retry-Factor
+	minTimeout   = 10 * time.Millisecond // grants are raised to this floor
+	maxBDDNodes  = 4_000_000             // ceiling on X-Rmsynd-Max-Bdd-Nodes
+	maxOFDDNodes = 4_000_000             // ceiling on X-Rmsynd-Max-Ofdd-Nodes
+	maxCubes     = 10_000_000            // ceiling on X-Rmsynd-Max-Cubes
+	maxSteps     = 2_000_000_000         // ceiling on X-Rmsynd-Max-Steps
 )
 
 // DefaultPolicy returns the service defaults: 30s granted by default,
@@ -48,13 +45,12 @@ func DefaultPolicy() Policy {
 // client can see what it ran under (headers, not body: the body must be
 // byte-identical between a cache miss and its hits, the grant may not).
 type grant struct {
-	Timeout     time.Duration
-	BDDNodes    int
-	OFDDNodes   int
-	Cubes       int64
-	Steps       int64
-	Workers     int
-	RetryFactor float64
+	Timeout   time.Duration
+	BDDNodes  int
+	OFDDNodes int
+	Cubes     int64
+	Steps     int64
+	Workers   int
 
 	Method   core.Method
 	Polarity core.Polarity
@@ -127,19 +123,6 @@ func parseGrant(h http.Header, pol Policy, poolSize int) (grant, error) {
 	}
 	if g.Workers < 1 {
 		g.Workers = 1
-	}
-
-	// Retry ladder scale.
-	g.RetryFactor = core.DefaultOptions().RetryFactor
-	if v := h.Get("X-Rmsynd-Retry-Factor"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
-			return g, &optErr{"X-Rmsynd-Retry-Factor", "want a finite non-negative number"}
-		}
-		g.RetryFactor = f
-	}
-	if g.RetryFactor > maxRetryFactor {
-		g.RetryFactor = maxRetryFactor
 	}
 
 	// Flow selection.
@@ -216,7 +199,6 @@ func (g grant) coreOptions() core.Options {
 	opt.MaxCubes = g.Cubes
 	opt.MaxSteps = g.Steps
 	opt.Workers = g.Workers
-	opt.RetryFactor = g.RetryFactor
 	return opt
 }
 
@@ -234,6 +216,6 @@ func (g grant) flowKey() string {
 // under tighter budgets than its own (it could be handed a degradation
 // ladder it never asked for).
 func (g grant) flightKey() string {
-	return fmt.Sprintf("%s|t%d|b%d|o%d|c%d|s%d|r%g",
-		g.flowKey(), g.Timeout, g.BDDNodes, g.OFDDNodes, g.Cubes, g.Steps, g.RetryFactor)
+	return fmt.Sprintf("%s|t%d|b%d|o%d|c%d|s%d",
+		g.flowKey(), g.Timeout, g.BDDNodes, g.OFDDNodes, g.Cubes, g.Steps)
 }

@@ -31,9 +31,6 @@ func TestParseGrantDefaults(t *testing.T) {
 	if g.Workers != 8 {
 		t.Errorf("Workers = %d, want whole pool (8)", g.Workers)
 	}
-	if g.RetryFactor != core.DefaultOptions().RetryFactor {
-		t.Errorf("RetryFactor = %g, want core default", g.RetryFactor)
-	}
 	if g.Method != core.MethodCube || g.Polarity != core.PolarityGreedy || g.NoCache {
 		t.Errorf("flow = (%v,%v,nocache=%v), want cube/greedy/false", g.Method, g.Polarity, g.NoCache)
 	}
@@ -48,7 +45,6 @@ func TestParseGrantClamps(t *testing.T) {
 		"X-Rmsynd-Max-Bdd-Nodes", "999999999",
 		"X-Rmsynd-Max-Cubes", "999999999999",
 		"X-Rmsynd-Workers", "4096",
-		"X-Rmsynd-Retry-Factor", "1000",
 	), pol, 4)
 	if err != nil {
 		t.Fatalf("parseGrant: %v", err)
@@ -64,9 +60,6 @@ func TestParseGrantClamps(t *testing.T) {
 	}
 	if g.Workers != 4 {
 		t.Errorf("Workers = %d, want pool size 4", g.Workers)
-	}
-	if g.RetryFactor != maxRetryFactor {
-		t.Errorf("RetryFactor = %g, want clamp %d", g.RetryFactor, maxRetryFactor)
 	}
 
 	// Sub-floor timeouts are raised, not rejected: a 1ns budget is a
@@ -110,8 +103,6 @@ func TestParseGrantRejects(t *testing.T) {
 		{"X-Rmsynd-Max-Cubes", "lots"},
 		{"X-Rmsynd-Workers", "-2"},
 		{"X-Rmsynd-Workers", "many"},
-		{"X-Rmsynd-Retry-Factor", "NaN"},
-		{"X-Rmsynd-Retry-Factor", "-1"},
 		{"X-Rmsynd-Method", "magic"},
 		{"X-Rmsynd-Polarity", "sideways"},
 		{"X-Rmsynd-No-Cache", "maybe"},

@@ -78,12 +78,11 @@ func BuildSubject(net *network.Network) (*Subject, error) {
 		val[i] = -1
 	}
 	constVal := make(map[int]int) // gate -> 0/1 for constants
-	for i, piID := range net.PIs {
+	for _, piID := range net.PIs {
 		id := len(s.Nodes)
 		s.Nodes = append(s.Nodes, SubjNode{IsPI: true, A: -1, B: -1, Name: net.Gates[piID].Name})
 		s.PIs = append(s.PIs, id)
 		val[piID] = id
-		_ = i
 	}
 	tree := func(op func(int, int) int, ins []int) int {
 		for len(ins) > 1 {
