@@ -8,6 +8,7 @@ package repro
 //	BenchmarkFlowOurs/SIS   — the run-time comparison (paper: ≥50% faster)
 //	BenchmarkAblation*      — the design-choice ablations of DESIGN.md §5
 //	BenchmarkFPRM/OFDD/BDD  — substrate micro-benchmarks
+//	BenchmarkBDDCappedSpec  — a spec BDD built until the scale node cap trips
 //
 // Quality metrics are attached with b.ReportMetric (lits, gates,
 // improve%), so `go test -bench . -benchmem` regenerates both the timing
@@ -15,15 +16,18 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/bdd"
 	"repro/internal/bench"
+	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/fprm"
 	"repro/internal/ofdd"
 	"repro/internal/sisbase"
 	"repro/internal/techmap"
+	"repro/internal/wordgen"
 )
 
 // mustCircuit fetches a built-in benchmark.
@@ -244,6 +248,30 @@ func BenchmarkBDDAdder(b *testing.B) {
 		for k := 0; k < 16; k++ {
 			x, y := m.Var(2*k), m.Var(2*k+1)
 			carry = m.Or(m.And(x, y), m.And(carry, m.Xor(x, y)))
+		}
+	}
+}
+
+// BenchmarkBDDCappedSpec builds the gate BDDs of a 16-bit array
+// multiplier in PI order (all of a's bits, then b's) under the scale
+// gate's node cap until the cap trips: the spec-bdd work of each
+// scale point that ships its spec because that build blows up. Unlike
+// BenchmarkBDDAdder, whose interleaved order keeps the BDD linear, it
+// doubles the manager's hash tables many times over.
+func BenchmarkBDDCappedSpec(b *testing.B) {
+	s, err := wordgen.Generate("mul", 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lim := budget.Limits{BDDNodes: bench.DefaultScaleOptions().Core.MaxBDDNodes}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := bdd.New(s.Net.NumPIs())
+		m.SetBudget(budget.New(context.Background(), lim))
+		err := budget.Guard(func() { s.Net.GateBDDs(m, nil) })
+		var be *budget.Err
+		if !errors.As(err, &be) || be.Limit != "nodes" {
+			b.Fatalf("mul16 spec build: got %v, want a node-cap trip", err)
 		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package bdd implements a reduced ordered binary decision diagram (ROBDD)
 // manager in the style of Bryant [6] and the SIS 1.2 BDD package the paper
-// builds on: hash-consed nodes, an ITE-based apply, cofactoring,
-// quantification, satisfiability queries, SAT counting, and
-// Minato-Morreale irredundant SOP extraction.
+// builds on: hash-consed nodes, an ITE-based apply, satisfiability
+// queries, SAT counting, and Minato-Morreale irredundant SOP extraction.
 //
 // Variable order is the natural index order 0..n-1 (the paper's OFDDs use a
 // fixed order as well).
@@ -32,12 +31,16 @@ type node struct {
 	lo, hi Ref
 }
 
-type uniqueKey struct {
-	v      int32
-	lo, hi Ref
-}
+// iteEntry is one computed-table slot: ITE(f, g, h) = r. ITE returns
+// before the table when f is a terminal, so no stored entry has
+// f == Zero, and that marks an empty slot.
+type iteEntry struct{ f, g, h, r Ref }
 
-type iteKey struct{ f, g, h Ref }
+// initSlots is the initial slot count of both tables, a power of two.
+// core, redund, sigcache and every Table 2 circuit build create their
+// own managers, so a new one costs a few KB; the tables double as they
+// fill.
+const initSlots = 256
 
 // Manager owns a forest of shared ROBDD nodes over a fixed number of
 // variables.
@@ -46,11 +49,21 @@ type iteKey struct{ f, g, h Ref }
 // recursion are then checked against it, and exhaustion unwinds with
 // panic(*budget.Err), which callers recover through budget.Guard at the
 // phase boundary (see package budget).
+//
+// Both hash tables are flat power-of-two arrays with linear probing that
+// double past a fixed load. The unique table holds node indices (0, a
+// terminal, marks an empty slot) and reads its keys from nodes, so every
+// occupied slot a probe passes costs a load from nodes; it doubles when
+// the node count reaches half its slots, a power of two. Computed-table
+// entries carry their keys, and that table doubles past three quarters
+// full. It is lossless: no entry is ever evicted, so each distinct ITE
+// call misses, and charges the budget one step, exactly once.
 type Manager struct {
 	numVars   int
 	nodes     []node
-	unique    map[uniqueKey]Ref
-	iteTab    map[iteKey]Ref
+	unique    []Ref
+	ite       []iteEntry
+	iteUsed   int   // filled computed-table slots
 	vars      []Ref // cached single-variable BDDs
 	bud       *budget.Budget
 	allocHook func(nodes int) *budget.Err
@@ -61,8 +74,8 @@ type Manager struct {
 func New(n int) *Manager {
 	m := &Manager{
 		numVars: n,
-		unique:  make(map[uniqueKey]Ref),
-		iteTab:  make(map[iteKey]Ref),
+		unique:  make([]Ref, initSlots),
+		ite:     make([]iteEntry, initSlots),
 	}
 	term := int32(n)
 	m.nodes = append(m.nodes, node{v: term}, node{v: term}) // Zero, One
@@ -113,14 +126,25 @@ func (m *Manager) Lo(f Ref) Ref { return m.nodes[f].lo }
 // Hi returns the high (then, var=1) child of f.
 func (m *Manager) Hi(f Ref) Ref { return m.nodes[f].hi }
 
+// hash3 mixes three refs into a table hash; callers mask it to a slot.
+func hash3(a, b, c Ref) int {
+	h := (uint64(uint32(a))<<32 | uint64(uint32(b))) * 0x9E3779B97F4A7C15
+	h ^= uint64(uint32(c)) * 0xC2B2AE3D27D4EB4F
+	return int(h ^ h>>32)
+}
+
 func (m *Manager) mk(v int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
-	k := uniqueKey{v, lo, hi}
-	if r, ok := m.unique[k]; ok {
-		m.stats.UniqueHit()
-		return r
+	mask := len(m.unique) - 1
+	i := hash3(lo, hi, Ref(v)) & mask
+	for r := m.unique[i]; r != 0; r = m.unique[i] {
+		if n := m.nodes[r]; n.lo == lo && n.hi == hi && n.v == v {
+			m.stats.UniqueHit()
+			return r
+		}
+		i = (i + 1) & mask
 	}
 	m.bud.CheckBDDNodes(len(m.nodes) + 1)
 	if m.allocHook != nil {
@@ -131,8 +155,25 @@ func (m *Manager) mk(v int32, lo, hi Ref) Ref {
 	m.stats.UniqueMiss(len(m.nodes) + 1)
 	r := Ref(len(m.nodes))
 	m.nodes = append(m.nodes, node{v: v, lo: lo, hi: hi})
-	m.unique[k] = r
+	m.unique[i] = r
+	if 2*len(m.nodes) >= len(m.unique) {
+		m.growUnique()
+	}
 	return r
+}
+
+// growUnique doubles the unique table and re-enters every internal node.
+func (m *Manager) growUnique() {
+	m.unique = make([]Ref, 2*len(m.unique))
+	mask := len(m.unique) - 1
+	for r := 2; r < len(m.nodes); r++ {
+		n := m.nodes[r]
+		i := hash3(n.lo, n.hi, Ref(n.v)) & mask
+		for m.unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.unique[i] = Ref(r)
+	}
 }
 
 // ITE computes if-then-else(f, g, h) = f·g + ¬f·h.
@@ -148,10 +189,12 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	case g == One && h == Zero:
 		return f
 	}
-	k := iteKey{f, g, h}
-	if r, ok := m.iteTab[k]; ok {
-		m.stats.OpHit()
-		return r
+	mask := len(m.ite) - 1
+	for i := hash3(f, g, h) & mask; m.ite[i].f != Zero; i = (i + 1) & mask {
+		if e := &m.ite[i]; e.f == f && e.g == g && e.h == h {
+			m.stats.OpHit()
+			return e.r
+		}
 	}
 	m.stats.OpMiss()
 	m.bud.Step("bdd")
@@ -169,8 +212,35 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	lo := m.ITE(f0, g0, h0)
 	hi := m.ITE(f1, g1, h1)
 	r := m.mk(v, lo, hi)
-	m.iteTab[k] = r
+	m.putITE(iteEntry{f, g, h, r})
 	return r
+}
+
+// putITE records a computed-table entry whose key is absent. The
+// recursion since the lookup may have filled or regrown the table, so
+// the slot is probed afresh.
+func (m *Manager) putITE(e iteEntry) {
+	if 4*(m.iteUsed+1) > 3*len(m.ite) {
+		old := m.ite
+		m.ite = make([]iteEntry, 2*len(old))
+		for _, o := range old {
+			if o.f != Zero {
+				m.placeITE(o)
+			}
+		}
+	}
+	m.placeITE(e)
+	m.iteUsed++
+}
+
+// placeITE stores e in the first empty slot of its probe sequence.
+func (m *Manager) placeITE(e iteEntry) {
+	mask := len(m.ite) - 1
+	i := hash3(e.f, e.g, e.h) & mask
+	for m.ite[i].f != Zero {
+		i = (i + 1) & mask
+	}
+	m.ite[i] = e
 }
 
 // cof returns the two cofactors of f with respect to variable v, assuming v
@@ -194,9 +264,6 @@ func (m *Manager) Or(f, g Ref) Ref { return m.ITE(f, One, g) }
 
 // Xor returns f⊕g.
 func (m *Manager) Xor(f, g Ref) Ref { return m.ITE(f, m.Not(g), g) }
-
-// Xnor returns the complement of f⊕g.
-func (m *Manager) Xnor(f, g Ref) Ref { return m.ITE(f, g, m.Not(g)) }
 
 // Support returns the set of variables f depends on.
 func (m *Manager) Support(f Ref) cube.BitSet {
@@ -287,10 +354,14 @@ func (m *Manager) AnySat(f Ref) (assign cube.BitSet, ok bool) {
 	return assign, true
 }
 
-// FromCover builds the BDD of a SOP cover.
+// FromCover builds the BDD of a SOP cover. A contradictory term (x·x̄)
+// is the constant-0 product, as sop evaluates it, and adds nothing.
 func (m *Manager) FromCover(c *sop.Cover) Ref {
 	f := Zero
 	for _, t := range c.Terms {
+		if t.Contradicts() {
+			continue
+		}
 		p := One
 		// AND literals from the bottom of the order up for linear growth.
 		for v := m.numVars - 1; v >= 0; v-- {

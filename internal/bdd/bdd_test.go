@@ -52,9 +52,6 @@ func TestBooleanOps(t *testing.T) {
 	if got := ttOf(m, m.Xor(a, b), 2); got != 0b0110 {
 		t.Errorf("XOR tt = %04b", got)
 	}
-	if got := ttOf(m, m.Xnor(a, b), 2); got != 0b1001 {
-		t.Errorf("XNOR tt = %04b", got)
-	}
 }
 
 func TestCanonicity(t *testing.T) {
@@ -130,6 +127,12 @@ func TestFromCoverMatchesEval(t *testing.T) {
 				case 1:
 					tm.SetNeg(v)
 				}
+			}
+			if rng.Intn(4) == 0 {
+				// A contradictory term x·x̄ is the constant-0 product.
+				v := rng.Intn(n)
+				tm.Pos.Set(v)
+				tm.Neg.Set(v)
 			}
 			c.Add(tm)
 		}

@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -235,36 +236,57 @@ func (l *List) DivideList(d *List) (quotient, remainder *List) {
 		remainder = l.Clone()
 		return quotient, remainder
 	}
+	// Cubes are keyed by their raw words (wordKey): the keys stay inside
+	// this function, and List.Sort orders the quotient without them.
+	var buf []byte
+	var tmp BitSet
 	// Quotient candidates: intersection over divisor cubes of {c/dc}.
-	var qKeys map[string]Cube
-	for _, dc := range d.Cubes {
-		cur := make(map[string]Cube)
+	// The first divisor cube proposes them (of equal quotients the last
+	// one is kept); round[i] is the last divisor cube whose quotients
+	// all held qs[i] so far.
+	pos := make(map[string]int)
+	var qs []Cube
+	var round []int
+	alive := 0
+	for di, dc := range d.Cubes {
+		alive = 0
 		for _, c := range l.Cubes {
-			if dc.DividesInto(c) {
-				q := dc.Quotient(c)
-				cur[q.Key()] = q
+			if !dc.DividesInto(c) {
+				continue
+			}
+			tmp = append(tmp[:0], c.Vars...)
+			tmp.DifferenceWith(dc.Vars)
+			buf = wordKey(buf, tmp)
+			i, ok := pos[string(buf)]
+			switch {
+			case di == 0 && ok:
+				qs[i] = Cube{Vars: tmp.Clone()}
+			case di == 0:
+				pos[string(buf)] = len(qs)
+				qs = append(qs, Cube{Vars: tmp.Clone()})
+				round = append(round, 0)
+				alive++
+			case ok && round[i] == di-1:
+				round[i] = di
+				alive++
 			}
 		}
-		if qKeys == nil {
-			qKeys = cur
-		} else {
-			for k := range qKeys {
-				if _, ok := cur[k]; !ok {
-					delete(qKeys, k)
-				}
-			}
-		}
-		if len(qKeys) == 0 {
+		if alive == 0 {
 			remainder = l.Clone()
 			return NewList(l.NumVars), remainder
 		}
 	}
-	covered := make(map[string]bool)
+	last := len(d.Cubes) - 1
+	covered := make(map[string]bool, alive*len(d.Cubes))
 	products := 0
-	for _, q := range qKeys {
-		quotient.Add(q.Clone())
+	for i, q := range qs {
+		if round[i] != last {
+			continue
+		}
+		quotient.Add(q)
 		for _, dc := range d.Cubes {
-			covered[dc.Times(q).Key()] = true
+			buf = wordKey(buf, dc.Times(q).Vars)
+			covered[string(buf)] = true
 			products++
 		}
 	}
@@ -274,13 +296,28 @@ func (l *List) DivideList(d *List) (quotient, remainder *List) {
 		return NewList(l.NumVars), l.Clone()
 	}
 	for _, c := range l.Cubes {
-		if !covered[c.Key()] {
+		if buf = wordKey(buf, c.Vars); !covered[string(buf)] {
 			remainder.Add(c.Clone())
 		}
 	}
 	quotient.Sort()
 	remainder.Sort()
 	return quotient, remainder
+}
+
+// wordKey overwrites buf with s's words as raw bytes, trailing zero
+// words dropped, so sets that are Equal get equal keys. It is cheaper
+// than BitSet.Key, whose hex encoding orders divisor ties elsewhere.
+func wordKey(buf []byte, s BitSet) []byte {
+	end := len(s)
+	for end > 0 && s[end-1] == 0 {
+		end--
+	}
+	buf = buf[:0]
+	for _, w := range s[:end] {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
 }
 
 // Key returns a canonical string identifying the cube multiset (the list

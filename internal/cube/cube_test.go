@@ -2,6 +2,7 @@ package cube
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -406,5 +407,113 @@ func TestSortMatchesElementOrder(t *testing.T) {
 				t.Fatalf("list %d, cube %d: %v, want %v", i, j, l.Cubes[j], want.Cubes[j])
 			}
 		}
+	}
+}
+
+// divideListRef is DivideList keyed by BitSet.Key strings, one map of
+// quotients per divisor cube: the reference the raw-word version must
+// match cube for cube.
+func divideListRef(l, d *List) (quotient, remainder *List) {
+	quotient = NewList(l.NumVars)
+	remainder = NewList(l.NumVars)
+	if d.Len() == 0 {
+		remainder = l.Clone()
+		return quotient, remainder
+	}
+	var qKeys map[string]Cube
+	for _, dc := range d.Cubes {
+		cur := make(map[string]Cube)
+		for _, c := range l.Cubes {
+			if dc.DividesInto(c) {
+				q := dc.Quotient(c)
+				cur[q.Key()] = q
+			}
+		}
+		if qKeys == nil {
+			qKeys = cur
+		} else {
+			for k := range qKeys {
+				if _, ok := cur[k]; !ok {
+					delete(qKeys, k)
+				}
+			}
+		}
+		if len(qKeys) == 0 {
+			remainder = l.Clone()
+			return NewList(l.NumVars), remainder
+		}
+	}
+	covered := make(map[string]bool)
+	products := 0
+	for _, q := range qKeys {
+		quotient.Add(q.Clone())
+		for _, dc := range d.Cubes {
+			covered[dc.Times(q).Key()] = true
+			products++
+		}
+	}
+	if len(covered) != products {
+		return NewList(l.NumVars), l.Clone()
+	}
+	for _, c := range l.Cubes {
+		if !covered[c.Key()] {
+			remainder.Add(c.Clone())
+		}
+	}
+	quotient.Sort()
+	remainder.Sort()
+	return quotient, remainder
+}
+
+// TestDivideListMatchesReference divides random ESOPs built as d·Q ⊕ R,
+// with duplicate cubes, colliding products and cubes of several word
+// lengths (equal sets with different capacities must share a key), and
+// requires DivideList's quotient and remainder to equal the reference's
+// word for word.
+func TestDivideListMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randCube := func(n, width int) Cube {
+		c := One(n + 64*rng.Intn(2)) // sometimes one spare zero word
+		for v := 0; v < width; v++ {
+			if rng.Intn(3) == 0 {
+				c.Vars.Set(rng.Intn(n))
+			}
+		}
+		return c
+	}
+	nonEmpty := 0
+	for i := 0; i < 2000; i++ {
+		n := []int{6, 70, 130}[rng.Intn(3)]
+		d, q, l := NewList(n), NewList(n), NewList(n)
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			d.Add(randCube(n, 3))
+		}
+		for k := rng.Intn(5); k > 0; k-- {
+			q.Add(randCube(n, 6))
+		}
+		for _, qc := range q.Cubes {
+			for _, dc := range d.Cubes {
+				l.Add(qc.Times(dc))
+			}
+		}
+		for k := rng.Intn(6); k > 0; k-- {
+			l.Add(randCube(n, 8))
+		}
+		if rng.Intn(4) == 0 && l.Len() > 0 {
+			l.Add(l.Cubes[rng.Intn(l.Len())].Clone())
+		}
+		rng.Shuffle(l.Len(), func(a, b int) { l.Cubes[a], l.Cubes[b] = l.Cubes[b], l.Cubes[a] })
+		gq, gr := l.DivideList(d)
+		wq, wr := divideListRef(l, d)
+		if !reflect.DeepEqual(gq, wq) || !reflect.DeepEqual(gr, wr) {
+			t.Fatalf("case %d: l=%v d=%v\nDivideList q=%v r=%v\nreference  q=%v r=%v",
+				i, l.Cubes, d.Cubes, gq.Cubes, gr.Cubes, wq.Cubes, wr.Cubes)
+		}
+		if gq.Len() > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 500 {
+		t.Errorf("only %d of 2000 divisions found a quotient", nonEmpty)
 	}
 }

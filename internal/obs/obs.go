@@ -50,10 +50,11 @@ func (d *DD) UniqueHit() {
 }
 
 // UniqueMiss counts a unique-table miss (a fresh node allocation).
-// nodes is the manager's node count after the allocation: crossing a
-// power of two is counted as a rehash — the deterministic proxy for the
-// hidden growth of Go's map-backed unique table — and the peak node
-// count is advanced.
+// nodes is the manager's node count after the allocation: reaching a
+// power of two is counted as a rehash — from 128 nodes on, exactly when
+// the BDD unique table doubles; for the OFDD's Go-map table, a
+// deterministic proxy for its growth — and the peak node count is
+// advanced.
 func (d *DD) UniqueMiss(nodes int) {
 	if d == nil {
 		return
