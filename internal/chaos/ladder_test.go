@@ -57,7 +57,9 @@ func hasRung(res *core.Result, stage, fallback string) bool {
 // a chaos plan (or, for the budget-steered cube→OFDD rung, the budget
 // option that steers it) and asserts the recorded (stage, fallback)
 // transitions. A per-phase cap trip on the derivation or the factoring
-// path falls straight to the spec-cone copy: nothing retries it. Rows
+// path falls straight to the spec-cone copy: nothing retries it. On a
+// two-arm cone the same trip falls to the SOP arm instead. Rows run at
+// their plan's basis (the pure GF(2) flow when it names none); rows
 // marked auto run again at the default basis, where the rung must hold
 // just the same.
 func TestLadderRungs(t *testing.T) {
@@ -68,6 +70,7 @@ func TestLadderRungs(t *testing.T) {
 		mutate  func(*core.Options)
 		want    [][2]string // (stage, fallback) pairs that must appear
 		absent  [][2]string // pairs that must not appear
+		marked  bool        // every wanted rung's reason names the injected fault
 		auto    bool        // also run at basis auto
 	}{
 		{
@@ -97,6 +100,15 @@ func TestLadderRungs(t *testing.T) {
 			},
 		},
 		{
+			// Every cone has both arms at basis race: the trip is the
+			// GF(2) arm's contained failure, not a spec-cone rung.
+			name: "factor trip on a two-arm cone → sop-arm", circuit: "adr4",
+			plan:   Plan{FailFactorAlloc: 1, UseOFDDMethod: true, Basis: "race"},
+			want:   [][2]string{{"xor-arm", "sop-arm"}},
+			absent: [][2]string{{"factor", "spec-cone"}},
+			marked: true,
+		},
+		{
 			name: "cancellation drains the tail of the ladder", circuit: "f2",
 			plan: Plan{CancelAtPhase: "redund"},
 			want: [][2]string{
@@ -114,7 +126,7 @@ func TestLadderRungs(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		bases := []string{""}
+		bases := []string{tc.plan.Basis}
 		if tc.auto {
 			bases = append(bases, "auto")
 		}
@@ -133,6 +145,11 @@ func TestLadderRungs(t *testing.T) {
 				for _, w := range tc.want {
 					if !hasRung(res, w[0], w[1]) {
 						t.Errorf("missing rung %s -> %s in:\n%s", w[0], w[1], res.FallbackReport())
+					}
+					for _, d := range res.Degradations {
+						if tc.marked && d.Stage == w[0] && d.Fallback == w[1] && !strings.Contains(d.Reason, Marker) {
+							t.Errorf("rung %s -> %s of %s does not name the injected fault: %q", w[0], w[1], d.Output, d.Reason)
+						}
 					}
 				}
 				for _, a := range tc.absent {

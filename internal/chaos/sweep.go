@@ -13,8 +13,7 @@ import (
 
 // SweepOptions configures a chaos sweep. The zero value runs the
 // default deterministic plan set over a small, fast circuit subset.
-// Every plan runs at each of sweepWorkers, under core's default retry
-// factor.
+// Every plan runs at each of sweepWorkers.
 type SweepOptions struct {
 	// Circuits are Table 2 bench circuit names or generated word-level
 	// instances like add4/gfmul8 (bench.Resolve). Empty means a small

@@ -352,8 +352,6 @@ const (
 	// outputs use the OFDD method, whose cost follows the (often tiny)
 	// decision-diagram size rather than the cube count.
 	cubeMethodLimit = 2000
-	// searchCubeLimit bounds cube lists eligible for polarity search.
-	searchCubeLimit = 2000
 	// exhaustiveLimit caps exhaustive polarity search (inputs).
 	exhaustiveLimit = 10
 )
@@ -597,8 +595,7 @@ type cone struct {
 	name             string
 	xor, sop         bool   // arms the router assigned
 	predicted, why   string // predictor verdict ("forced" when the basis decides) and reason
-	xorFail, sopFail string // contained arm failures: the sibling arm covers the cone
-	specCone         bool   // the GF(2) arm fell down the ladder to the spec-cone copy
+	xorFail, sopFail string // arm failures: the sibling arm, else the spec-cone copy, covers the cone
 	sopRes           *sisbase.Result
 	expr             *factor.Expr
 	root             int  // GF(2) arm root in the emitter network
@@ -893,12 +890,7 @@ func (r *run) deriveXor(w, oi int) {
 	fail := func(stage, reason string) {
 		r.res.Forms[oi] = fprm.NewForm(nPI, nil)
 		r.res.CubeCounts[oi] = -1
-		if contained {
-			c.xorFail = reason
-			return
-		}
-		c.specCone = true
-		degrade(&c.degs, c.name, stage, "spec-cone", reason)
+		c.failXor(&c.degs, stage, reason)
 	}
 	if perr := r.bud.Exceeded(); perr != nil {
 		fail("fprm", perr.Error())
@@ -961,7 +953,18 @@ func (r *run) deriveSop(w, oi int) {
 
 // gf2Ready reports whether a cone has a GF(2) arm result to factor and
 // emit.
-func (c *cone) gf2Ready() bool { return c.xor && !c.specCone && c.xorFail == "" }
+func (c *cone) gf2Ready() bool { return c.xor && c.xorFail == "" }
+
+// failXor records a failure of the cone's GF(2) arm at stage. A cone
+// with an SOP arm falls to that arm, and choose records the rung it
+// took; a cone without one falls to its spec-cone copy, recorded on
+// trail here.
+func (c *cone) failXor(trail *[]Degradation, stage, reason string) {
+	c.xorFail = reason
+	if !c.sop {
+		degrade(trail, c.name, stage, "spec-cone", reason)
+	}
+}
 
 // factor factors every GF(2) arm result. Outputs go smallest-first so
 // the divisor registry is populated bottom-up (an adder's c₁ is
@@ -989,8 +992,7 @@ func (r *run) factor() {
 			continue // no GF(2) arm result to factor; covered at selection
 		}
 		if perr := bud.Exceeded(); perr != nil {
-			c.specCone = true
-			degrade(&res.Degradations, c.name, "factor", "spec-cone", perr.Error())
+			c.failXor(&res.Degradations, "factor", perr.Error())
 			continue
 		}
 		form := res.Forms[oi]
@@ -1005,7 +1007,7 @@ func (r *run) factor() {
 			degrade(&res.Degradations, c.name, "cube-method", "ofdd-method",
 				fmt.Sprintf("cube budget %d below FPRM cube count %d", bud.Limits().Cubes, res.CubeCounts[oi]))
 		}
-		if guard(&res.Degradations, c.name, "factor", "spec-cone", func() {
+		if gerr := budget.Guard(func() {
 			var e *factor.Expr
 			if useCube {
 				cx, ok := cubeCtxs[key]
@@ -1031,8 +1033,8 @@ func (r *run) factor() {
 			// Rewrite literal space into PI space so one emitter serves all
 			// outputs even when their polarity vectors differ.
 			c.expr = factor.ApplyPolarity(e, form.Polarity)
-		}) != nil {
-			c.specCone = true
+		}); gerr != nil {
+			c.failXor(&res.Degradations, "factor", gerr.Error())
 		}
 	}
 }
@@ -1200,17 +1202,14 @@ func (r *run) choose() []int {
 		case c.sopRes != nil:
 			choice[oi] = chSop
 			if c.xor {
-				reason := c.xorFail
-				if reason == "" {
-					reason = "GF(2) arm fell back to spec-cone"
-				}
-				degrade(&res.Degradations, c.name, "xor-arm", "sop-arm", reason)
+				degrade(&res.Degradations, c.name, "xor-arm", "sop-arm", c.xorFail)
 				ob.Override()
-				bc.Reason = reason
+				bc.Reason = c.xorFail
 			}
 		default:
 			choice[oi] = chSpec
-			if c.xorFail != "" {
+			// failXor already recorded the rung of a cone without an SOP arm.
+			if c.sop && c.xorFail != "" {
 				degrade(&res.Degradations, c.name, "xor-arm", "spec-cone", c.xorFail)
 			}
 			if c.sop && c.sopFail != "" {
@@ -1522,21 +1521,18 @@ func deriveForm(bm *bdd.Manager, f bdd.Ref, opt Options, bud *budget.Budget,
 		panic(err)
 	}
 	form.Cubes = cubes
-	if count <= searchCubeLimit {
-		complete := true
-		switch opt.Polarity {
-		case PolarityGreedy:
+	complete := true
+	switch opt.Polarity {
+	case PolarityGreedy:
+		form, complete = fprm.SearchGreedy(form, bud, s)
+	case PolarityExhaustive:
+		if n <= exhaustiveLimit {
+			form, complete = fprm.SearchExhaustive(form, bud, s)
+		} else {
 			form, complete = fprm.SearchGreedy(form, bud, s)
-		case PolarityExhaustive:
-			if n <= exhaustiveLimit {
-				form, complete = fprm.SearchExhaustive(form, bud, s)
-			} else {
-				form, complete = fprm.SearchGreedy(form, bud, s)
-			}
 		}
-		searchCut = !complete
 	}
-	return form, int64(form.Cubes.Len()), false, searchCut
+	return form, int64(form.Cubes.Len()), false, !complete
 }
 
 // MergeEquivalentGates merges internal gates computing identical global

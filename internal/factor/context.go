@@ -39,20 +39,18 @@ func NewContext(opt Options) *Context {
 // Factor implements Method 1 of Section 3 for one output: factor the
 // FPRM cube list directly. Steps: (2) split cubes into groups with
 // disjoint support, (3/4) factor each group recursively by dividing out
-// maximal common cubes (rule d), (5) join group subnetworks with a
-// balanced binary XOR tree. Reduction rules are applied when enabled.
-// Subfunctions already factored for previous outputs through this
-// context are reused.
+// maximal common cubes (rule d), (5) join the group subnetworks by XOR.
+// The join is one n-ary XOR node; the Emitter builds it as the balanced
+// binary tree Step 5 prescribes. Reduction rules are applied when
+// enabled. Subfunctions already factored for previous outputs through
+// this context are reused.
 func (cx *Context) Factor(l *cube.List) *Expr {
-	e := cx.factorSub(l)
-	if cx.opt.ApplyRules {
-		e = ApplyRules(e, maxRulePasses, cx.opt.Obs)
-	}
-	return e
+	return cx.opt.rules(cx.factorSub(l))
 }
 
 // factorSub splits into disjoint-support groups (Step 2), factors each
-// (memoized), and joins with a balanced XOR tree (Step 5).
+// (memoized), and joins them with one n-ary XOR (Step 5, balanced at
+// emission).
 func (cx *Context) factorSub(l *cube.List) *Expr {
 	if l.IsZero() {
 		return Zero()
@@ -62,7 +60,7 @@ func (cx *Context) factorSub(l *cube.List) *Expr {
 	for i, g := range groups {
 		exprs[i] = cx.factorGroup(g)
 	}
-	return balancedXor(exprs)
+	return XorN(exprs...)
 }
 
 // factorGroup factors one support-connected cube group: first by trying
@@ -80,10 +78,7 @@ func (cx *Context) factorGroup(l *cube.List) *Expr {
 		return e
 	}
 	cx.opt.Budget.Step("factor")
-	e := cx.factorGroupUncached(l)
-	if cx.opt.ApplyRules {
-		e = ApplyRules(e, maxRulePasses, cx.opt.Obs)
-	}
+	e := cx.opt.rules(cx.factorGroupUncached(l))
 	cx.memo[key] = e
 	if len(cx.registry) < registryCap && l.Len() >= 2 && l.Len() <= maxDivisorCubes {
 		cx.registry = append(cx.registry, registryEntry{list: l.Clone(), expr: e})
@@ -160,7 +155,7 @@ func (cx *Context) factorGroupUncached(l *cube.List) *Expr {
 		for i, c := range l.Cubes {
 			exprs[i] = cubeExpr(c)
 		}
-		return balancedXor(exprs)
+		return XorN(exprs...)
 	}
 	// Widen the divisor: intersect all cubes containing bestV (rule d).
 	divisor := cube.Cube{}

@@ -24,7 +24,7 @@ func TestRegistryReuseAcrossOutputs(t *testing.T) {
 			c2.Add(nc)
 		}
 	}
-	cx := NewContext(DefaultOptions())
+	cx := NewContext(Options{ApplyRules: true})
 	e1 := cx.Factor(c1)
 	e2 := cx.Factor(c2)
 	// e2 must contain e1's key as a subexpression.
@@ -87,8 +87,8 @@ func TestMemoDeterminism(t *testing.T) {
 		l.Add(cube.New(6, 4, 5))
 		return l
 	}
-	e1 := NewContext(DefaultOptions()).Factor(mk())
-	e2 := NewContext(DefaultOptions()).Factor(mk())
+	e1 := NewContext(Options{ApplyRules: true}).Factor(mk())
+	e2 := NewContext(Options{ApplyRules: true}).Factor(mk())
 	if e1.Key() != e2.Key() {
 		t.Errorf("non-deterministic factoring:\n %s\n %s", e1, e2)
 	}
@@ -104,7 +104,7 @@ func TestOFDDContextSharing(t *testing.T) {
 	l.Add(cube.New(4, 2))
 	// Reuse via the memo: factoring the same list twice must return the
 	// identical expression pointer.
-	cx := NewContext(DefaultOptions())
+	cx := NewContext(Options{ApplyRules: true})
 	e1 := cx.Factor(l)
 	e2 := cx.Factor(l.Clone())
 	if e1.Key() != e2.Key() {

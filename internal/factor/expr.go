@@ -89,62 +89,30 @@ func Not(e *Expr) *Expr {
 
 // AndN returns the conjunction of the operands, flattening nested ANDs,
 // removing duplicates and identity elements, and detecting x·x̄ = 0.
-func AndN(kids ...*Expr) *Expr {
-	var flat []*Expr
-	seen := map[string]bool{}
-	var add func(*Expr) bool // returns false when result is constant 0
-	add = func(k *Expr) bool {
-		switch k.Op {
-		case OpConst0:
-			return false
-		case OpConst1:
-			return true
-		case OpAnd:
-			for _, kk := range k.Kids {
-				if !add(kk) {
-					return false
-				}
-			}
-			return true
-		}
-		if seen[k.key] {
-			return true
-		}
-		if k.Op == OpNot && seen[k.Kids[0].key] || seen["!"+k.key] {
-			return false // x · x̄
-		}
-		seen[k.key] = true
-		flat = append(flat, k)
-		return true
-	}
-	for _, k := range kids {
-		if !add(k) {
-			return constZero
-		}
-	}
-	switch len(flat) {
-	case 0:
-		return constOne
-	case 1:
-		return flat[0]
-	}
-	sortKids(flat)
-	return &Expr{Op: OpAnd, Kids: flat, key: mkKey("&", flat)}
-}
+func AndN(kids ...*Expr) *Expr { return nary(OpAnd, kids) }
 
 // OrN returns the disjunction of the operands with flattening, duplicate
 // removal and x + x̄ = 1 detection.
-func OrN(kids ...*Expr) *Expr {
+func OrN(kids ...*Expr) *Expr { return nary(OpOr, kids) }
+
+// nary builds op (OpAnd or OpOr) over kids. The operator fixes its unit
+// (1 for AND, 0 for OR), which is dropped, and its absorbing constant,
+// which an operand or a complementary pair x, x̄ makes the result.
+func nary(op Op, kids []*Expr) *Expr {
+	unit, absorb, sym := constOne, constZero, "&"
+	if op == OpOr {
+		unit, absorb, sym = constZero, constOne, "|"
+	}
 	var flat []*Expr
 	seen := map[string]bool{}
-	var add func(*Expr) bool // returns false when result is constant 1
+	var add func(*Expr) bool // returns false when the result is absorb
 	add = func(k *Expr) bool {
 		switch k.Op {
-		case OpConst1:
+		case absorb.Op:
 			return false
-		case OpConst0:
+		case unit.Op:
 			return true
-		case OpOr:
+		case op:
 			for _, kk := range k.Kids {
 				if !add(kk) {
 					return false
@@ -156,7 +124,7 @@ func OrN(kids ...*Expr) *Expr {
 			return true
 		}
 		if k.Op == OpNot && seen[k.Kids[0].key] || seen["!"+k.key] {
-			return false
+			return false // x, x̄
 		}
 		seen[k.key] = true
 		flat = append(flat, k)
@@ -164,17 +132,17 @@ func OrN(kids ...*Expr) *Expr {
 	}
 	for _, k := range kids {
 		if !add(k) {
-			return constOne
+			return absorb
 		}
 	}
 	switch len(flat) {
 	case 0:
-		return constZero
+		return unit
 	case 1:
 		return flat[0]
 	}
 	sortKids(flat)
-	return &Expr{Op: OpOr, Kids: flat, key: mkKey("|", flat)}
+	return &Expr{Op: op, Kids: flat, key: mkKey(sym, flat)}
 }
 
 // XorN returns the exclusive-or of the operands, flattening nested XORs,

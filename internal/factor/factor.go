@@ -24,47 +24,15 @@ type Options struct {
 	Obs *obs.Factor
 }
 
-// DefaultOptions returns the paper's configuration.
-func DefaultOptions() Options { return Options{ApplyRules: true} }
-
 // maxRulePasses bounds the rules' fixpoint iteration.
 const maxRulePasses = 8
 
-// balancedXor joins expressions with a balanced binary XOR tree (the
-// shape the paper prescribes for Step 5).
-func balancedXor(exprs []*Expr) *Expr {
-	// Filter constants first: 1 toggles an inversion, 0 disappears.
-	invert := false
-	var live []*Expr
-	for _, e := range exprs {
-		switch e.Op {
-		case OpConst0:
-		case OpConst1:
-			invert = !invert
-		default:
-			live = append(live, e)
-		}
+// rules applies the rewrite rules to e when the options enable them.
+func (o Options) rules(e *Expr) *Expr {
+	if o.ApplyRules {
+		e = ApplyRules(e, maxRulePasses, o.Obs)
 	}
-	if len(live) == 0 {
-		if invert {
-			return One()
-		}
-		return Zero()
-	}
-	for len(live) > 1 {
-		var next []*Expr
-		for i := 0; i+1 < len(live); i += 2 {
-			next = append(next, XorN(live[i], live[i+1]))
-		}
-		if len(live)%2 == 1 {
-			next = append(next, live[len(live)-1])
-		}
-		live = next
-	}
-	if invert {
-		return Not(live[0])
-	}
-	return live[0]
+	return e
 }
 
 func cubeExpr(c cube.Cube) *Expr {
@@ -114,9 +82,5 @@ func (cx *OFDDContext) Factor(f ofdd.Ref) *Expr {
 		cx.memo[f] = e
 		return e
 	}
-	e := rec(f)
-	if cx.opt.ApplyRules {
-		e = ApplyRules(e, maxRulePasses, cx.opt.Obs)
-	}
-	return e
+	return cx.opt.rules(rec(f))
 }

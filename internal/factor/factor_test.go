@@ -197,7 +197,7 @@ func TestQuickOFDDMethodCorrect(t *testing.T) {
 		l := randomESOP(rng, n, 8)
 		m := ofdd.New(n, nil) // positive polarity: literal space = var space
 		g := m.FromCubes(l)
-		e := NewOFDDContext(m, DefaultOptions()).Factor(g)
+		e := NewOFDDContext(m, Options{ApplyRules: true}).Factor(g)
 		for a := 0; a < 1<<n; a++ {
 			assign := cube.NewBitSet(n)
 			for v := 0; v < n; v++ {
@@ -216,15 +216,21 @@ func TestQuickOFDDMethodCorrect(t *testing.T) {
 	}
 }
 
-func TestCubeMethodZ4mlOutput(t *testing.T) {
-	// x26 = x3 ⊕ x6 ⊕ x1x4 ⊕ x1x7 ⊕ x4x7 (0-based: 2, 5, {0,3}, {0,6}, {3,6}).
+// z4mlList is z4ml's output x26 = x3 ⊕ x6 ⊕ x1x4 ⊕ x1x7 ⊕ x4x7
+// (0-based: 2, 5, {0,3}, {0,6}, {3,6}).
+func z4mlList() *cube.List {
 	l := cube.NewList(7)
 	l.Add(cube.New(7, 2))
 	l.Add(cube.New(7, 5))
 	l.Add(cube.New(7, 0, 3))
 	l.Add(cube.New(7, 0, 6))
 	l.Add(cube.New(7, 3, 6))
-	e := NewContext(DefaultOptions()).Factor(l)
+	return l
+}
+
+func TestCubeMethodZ4mlOutput(t *testing.T) {
+	l := z4mlList()
+	e := NewContext(Options{ApplyRules: true}).Factor(l)
 	// Function preserved.
 	for a := 0; a < 1<<7; a++ {
 		assign := cube.NewBitSet(7)
@@ -318,15 +324,15 @@ func TestCubeMethodConstantCube(t *testing.T) {
 	l := cube.NewList(2)
 	l.Add(cube.One(2))
 	l.Add(cube.New(2, 0))
-	e := NewContext(DefaultOptions()).Factor(l)
+	e := NewContext(Options{ApplyRules: true}).Factor(l)
 	want := Not(Lit(0))
 	if e.Key() != want.Key() {
 		t.Errorf("1 ^ x0: got %s, want %s", e, want)
 	}
 }
 
-func TestT481Factorization(t *testing.T) {
-	// The 16-cube FPRM of t481 (Example 1) in literal space.
+// t481List is the 16-cube FPRM of t481 (Example 1) in literal space.
+func t481List() *cube.List {
 	mk := func(vars ...int) cube.Cube { return cube.New(16, vars...) }
 	l := cube.NewList(16)
 	for _, c := range []cube.Cube{
@@ -341,7 +347,12 @@ func TestT481Factorization(t *testing.T) {
 	} {
 		l.Add(c)
 	}
-	e := NewContext(DefaultOptions()).Factor(l)
+	return l
+}
+
+func TestT481Factorization(t *testing.T) {
+	l := t481List()
+	e := NewContext(Options{ApplyRules: true}).Factor(l)
 	// Functional check against the cube list on random assignments.
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 2000; i++ {

@@ -1,6 +1,10 @@
 package factor
 
-import "repro/internal/obs"
+import (
+	"slices"
+
+	"repro/internal/obs"
+)
 
 // ApplyRules rewrites the expression with the paper's Reduction rules
 // (a)-(c) at XOR nodes and the OR-factoring rule (e), bottom-up, repeating
@@ -28,18 +32,7 @@ func rewrite(e *Expr, memo map[string]*Expr, fo *obs.Factor) *Expr {
 	case OpConst0, OpConst1, OpLit:
 		out = e
 	case OpNot:
-		inner := rewrite(e.Kids[0], memo, fo)
-		if inner.Op == OpAnd {
-			// De Morgan: a negated product reads (and costs) the same as
-			// an OR of complements, the shape rule (c) produces.
-			nots := make([]*Expr, len(inner.Kids))
-			for i, k := range inner.Kids {
-				nots[i] = Not(k)
-			}
-			out = OrN(nots...)
-		} else {
-			out = Not(inner)
-		}
+		out = notDeMorgan(rewrite(e.Kids[0], memo, fo))
 	case OpAnd:
 		kids := rewriteKids(e.Kids, memo, fo)
 		out = AndN(kids...)
@@ -60,6 +53,20 @@ func rewriteKids(kids []*Expr, memo map[string]*Expr, fo *obs.Factor) []*Expr {
 		out[i] = rewrite(k, memo, fo)
 	}
 	return out
+}
+
+// notDeMorgan returns the complement of e, as the OR of the complements
+// of its factors when e is a product (De Morgan): a negated product reads
+// (and costs) the same as that OR, the shape rule (c) produces.
+func notDeMorgan(e *Expr) *Expr {
+	if e.Op != OpAnd {
+		return Not(e)
+	}
+	nots := make([]*Expr, len(e.Kids))
+	for i, k := range e.Kids {
+		nots[i] = Not(k)
+	}
+	return OrN(nots...)
 }
 
 // andFactors views an expression as a product of factors: the kids of an
@@ -160,9 +167,8 @@ func reduceXor(kids []*Expr, fo *obs.Factor) *Expr {
 				}
 				fj := andFactors(kids[j])
 				if properFactorSubset(fi, fj) {
-					b := removeFactors(fj, fi)
-					kids = removeIdx(kids, i, j)
-					kids = append(kids, AndN(kids2expr(fi), Not(b)))
+					aNotB := AndN(kids[i], Not(removeFactors(fj, fi)))
+					kids = append(removeIdx(kids, i, j), aNotB)
 					fo.RuleA()
 					changed = true
 					break ruleA
@@ -227,16 +233,7 @@ func reduceXor(kids []*Expr, fo *obs.Factor) *Expr {
 	}
 	out := factorXorKids(kids, fo)
 	if neg {
-		// Prefer the OR form of a negated product (De Morgan), matching
-		// the shapes rule (c) produces in the paper.
-		if out.Op == OpAnd {
-			nots := make([]*Expr, len(out.Kids))
-			for i, k := range out.Kids {
-				nots[i] = Not(k)
-			}
-			return OrN(nots...)
-		}
-		out = Not(out)
+		return notDeMorgan(out)
 	}
 	return out
 }
@@ -246,51 +243,18 @@ func reduceXor(kids []*Expr, fo *obs.Factor) *Expr {
 // AB ⊕ AC becomes A(B ⊕ C) even when A is a complex shared subexpression.
 func factorXorKids(kids []*Expr, fo *obs.Factor) *Expr {
 	x := XorN(kids...)
-	neg := false
-	if x.Op == OpNot {
-		neg, x = true, x.Kids[0]
+	neg := x.Op == OpNot
+	if neg {
+		x = x.Kids[0]
 	}
-	if x.Op != OpXor {
-		if neg {
-			return Not(x)
-		}
-		return x
-	}
-	kids = x.Kids
-	count := map[string]int{}
-	repr := map[string]*Expr{}
-	for _, k := range kids {
-		for _, f := range andFactors(k) {
-			count[f.key]++
-			repr[f.key] = f
-		}
-	}
-	bestKey, bestC := "", 1
-	for key, c := range count {
-		if c > bestC || (c == bestC && bestKey != "" && key < bestKey) {
-			bestKey, bestC = key, c
-		}
-	}
-	var out *Expr
-	if bestKey == "" || bestC < 2 {
-		out = x
-	} else {
-		fo.RuleD()
-		f := repr[bestKey]
-		var with, without []*Expr
-		for _, k := range kids {
-			fs := andFactors(k)
-			if containsKey(fs, bestKey) {
-				with = append(with, removeFactors(fs, []*Expr{f}))
-			} else {
-				without = append(without, k)
+	out := x
+	if x.Op == OpXor {
+		if f, quots, rest := commonFactor(x.Kids); f != nil {
+			fo.RuleD()
+			out = AndN(f, factorXorKids(quots, fo))
+			if len(rest) > 0 {
+				out = XorN(out, factorXorKids(rest, fo))
 			}
-		}
-		grouped := AndN(f, factorXorKids(with, fo))
-		if len(without) == 0 {
-			out = grouped
-		} else {
-			out = XorN(grouped, factorXorKids(without, fo))
 		}
 	}
 	if neg {
@@ -299,15 +263,58 @@ func factorXorKids(kids []*Expr, fo *obs.Factor) *Expr {
 	return out
 }
 
-func kids2expr(fs []*Expr) *Expr { return AndN(fs...) }
+// factorOr applies rule (e): extract the most frequent common factor among
+// the OR operands, recursively. Operands sharing the factor are divided by
+// it and grouped as factor·(OR of quotients).
+func factorOr(kids []*Expr, fo *obs.Factor) *Expr {
+	o := OrN(kids...)
+	if o.Op != OpOr {
+		return o
+	}
+	f, quots, rest := commonFactor(o.Kids)
+	if f == nil {
+		return o
+	}
+	fo.RuleE()
+	out := AndN(f, factorOr(quots, fo))
+	if len(rest) > 0 {
+		out = OrN(out, factorOr(rest, fo))
+	}
+	return out
+}
 
-func containsKey(fs []*Expr, key string) bool {
-	for _, f := range fs {
-		if f.key == key {
-			return true
+// commonFactor picks the AND-factor (see andFactors) shared by the most
+// operands, ties going to the smallest key, and splits the operands into
+// the quotients of those it divides and the rest, in operand order. f is
+// nil when no factor is shared by two operands.
+func commonFactor(kids []*Expr) (f *Expr, quots, rest []*Expr) {
+	count := map[string]int{}
+	repr := map[string]*Expr{}
+	for _, k := range kids {
+		for _, g := range andFactors(k) {
+			count[g.key]++
+			repr[g.key] = g
 		}
 	}
-	return false
+	bestKey, bestC := "", 1
+	for key, c := range count {
+		if c > bestC || c == bestC && key < bestKey {
+			bestKey, bestC = key, c
+		}
+	}
+	if bestKey == "" {
+		return nil, nil, nil
+	}
+	f = repr[bestKey]
+	for _, k := range kids {
+		fs := andFactors(k)
+		if slices.ContainsFunc(fs, func(g *Expr) bool { return g.key == bestKey }) {
+			quots = append(quots, removeFactors(fs, []*Expr{f}))
+		} else {
+			rest = append(rest, k)
+		}
+	}
+	return f, quots, rest
 }
 
 // removeIdx returns kids without the listed indices (order preserved).
@@ -323,50 +330,4 @@ func removeIdx(kids []*Expr, idx ...int) []*Expr {
 		}
 	}
 	return out
-}
-
-// factorOr applies rule (e): extract the most frequent common factor among
-// the OR operands, recursively. Operands sharing the factor are divided by
-// it and grouped as factor·(OR of quotients).
-func factorOr(kids []*Expr, fo *obs.Factor) *Expr {
-	o := OrN(kids...)
-	if o.Op != OpOr {
-		return o
-	}
-	kids = o.Kids
-	// Count factor keys across operands.
-	count := map[string]int{}
-	repr := map[string]*Expr{}
-	for _, k := range kids {
-		for _, f := range andFactors(k) {
-			count[f.key]++
-			repr[f.key] = f
-		}
-	}
-	bestKey, bestC := "", 1
-	for key, c := range count {
-		if c > bestC || (c == bestC && bestKey != "" && key < bestKey) {
-			bestKey, bestC = key, c
-		}
-	}
-	if bestKey == "" || bestC < 2 {
-		return o
-	}
-	fo.RuleE()
-	f := repr[bestKey]
-	var with, without []*Expr
-	for _, k := range kids {
-		fs := andFactors(k)
-		if containsKey(fs, bestKey) {
-			with = append(with, removeFactors(fs, []*Expr{f}))
-		} else {
-			without = append(without, k)
-		}
-	}
-	grouped := AndN(f, factorOr(with, fo))
-	if len(without) == 0 {
-		return grouped
-	}
-	rest := factorOr(without, fo)
-	return OrN(grouped, rest)
 }

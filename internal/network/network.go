@@ -680,26 +680,10 @@ func (n *Network) Strash() int {
 	for i := range repl {
 		repl[i] = i
 	}
-	table := make(map[uint64][]int, len(n.Gates))
-	lookup := func(t GateType, fanins []int) int {
-		for _, id := range table[strashKey(t, fanins)] {
-			g := &n.Gates[id]
-			if g.Type != t || len(g.Fanins) != len(fanins) {
-				continue
-			}
-			match := true
-			for i, f := range g.Fanins {
-				if f != fanins[i] {
-					match = false
-					break
-				}
-			}
-			if match {
-				return id
-			}
-		}
-		return -1
-	}
+	// A fresh table indexes only the canonical survivors. The fanin
+	// rewrite loop below may edit merged-away gates' fanin slices; those
+	// stale entries verify-and-miss, so the table stays usable after.
+	n.strash = make(map[uint64][]int, len(n.Gates))
 	merged := 0
 	for _, id := range n.TopoOrder() {
 		g := &n.Gates[id]
@@ -720,12 +704,11 @@ func (n *Network) Strash() int {
 			continue
 		}
 		g.Type, g.Fanins = ct, cf
-		if prev := lookup(ct, cf); prev >= 0 {
+		if prev := n.lookupStrash(ct, cf); prev >= 0 {
 			repl[id] = prev
 			merged++
 		} else {
-			k := strashKey(ct, cf)
-			table[k] = append(table[k], id)
+			n.insertStrash(id)
 		}
 	}
 	for i := range n.Gates {
@@ -736,10 +719,6 @@ func (n *Network) Strash() int {
 	for i := range n.POs {
 		n.POs[i].Gate = repl[n.POs[i].Gate]
 	}
-	// The local table indexed the canonical survivors, but the fanin
-	// rewrite loop above may have edited merged-away gates' fanin slices;
-	// those stale entries verify-and-miss, so the table stays usable.
-	n.strash = table
 	return merged
 }
 

@@ -10,14 +10,12 @@ import (
 
 // Divide performs weak (algebraic) division of cover f by divisor d over
 // the global signal space: f = d·q + r with support(d) ∩ support(q) = ∅.
-// An empty quotient means the division found nothing.
+// An empty quotient means the division found nothing, and r is then nil.
 func Divide(f, d *sop.Cover) (q, r *sop.Cover) {
 	capSig := f.NumVars
 	q = sop.NewCover(capSig)
-	r = sop.NewCover(capSig)
 	if len(d.Terms) == 0 {
-		r = f.Clone()
-		return q, r
+		return q, nil
 	}
 	dsup := d.Support()
 	var qKeys map[string]sop.Term
@@ -47,7 +45,7 @@ func Divide(f, d *sop.Cover) (q, r *sop.Cover) {
 			}
 		}
 		if len(qKeys) == 0 {
-			return sop.NewCover(capSig), f.Clone()
+			return q, nil
 		}
 	}
 	// Emit quotient terms in sorted-key order: qKeys is a map, and the
@@ -59,6 +57,7 @@ func Divide(f, d *sop.Cover) (q, r *sop.Cover) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	r = sop.NewCover(capSig)
 	covered := make(map[string]bool)
 	for _, k := range keys {
 		qt := qKeys[k]
