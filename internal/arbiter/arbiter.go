@@ -47,19 +47,14 @@ func (d Decision) String() string {
 	return fmt.Sprintf("decision(%d)", int(d))
 }
 
-// hugeCount saturates the path/cube counters: beyond this the exact
-// magnitude is meaningless for a ratio test (and int64 addition would
-// overflow on wide-support cones), so counts clamp here.
-const hugeCount = int64(1) << 40
-
 // Features are the structural measurements the decision is made from.
 // All of them are deterministic functions of the cone BDD alone.
 type Features struct {
 	Support    int     // cone support size (variables the function depends on)
 	Nodes      int     // cone BDD node count (terminals excluded)
 	XorDensity float64 // fraction of cone nodes whose cofactors are structural complements
-	PPRMCubes  int64   // cube count of the positive-polarity Reed-Muller form; -1 when the bounded build overflowed
-	SOPPaths   int64   // BDD paths to the One terminal (a disjoint SOP cube count)
+	PPRMCubes  int64   // cube count of the positive-polarity Reed-Muller form, saturating at ofdd.MaxCubeCount; -1 when the bounded build overflowed
+	SOPPaths   int64   // BDD paths to the One terminal (a disjoint SOP cube count), saturating at ofdd.MaxCubeCount
 }
 
 // Decision thresholds. They are conservative: a sure verdict (Xor/Sop)
@@ -95,12 +90,11 @@ type Prediction struct {
 func Compute(bm *bdd.Manager, f bdd.Ref) Features {
 	var ft Features
 	ft.Support = bm.Support(f).Count()
-	ft.Nodes = coneNodes(bm, f)
-	ft.XorDensity = xorDensity(bm, f, ft.Nodes)
+	ft.Nodes, ft.XorDensity = shape(bm, f)
 	ft.SOPPaths = onePaths(bm, f)
 	om := ofdd.New(bm.NumVars(), nil) // nil polarity = all-positive = PPRM
 	if r, ok := om.FromBDDBounded(bm, f, ofddNodeBound); ok {
-		ft.PPRMCubes = ofddPaths(om, r)
+		ft.PPRMCubes = om.CubeCount(r)
 	} else {
 		ft.PPRMCubes = -1
 	}
@@ -137,33 +131,9 @@ func decide(ft Features) (Decision, string) {
 	return Hedge, fmt.Sprintf("xor density %.2f, pprm/sop %d/%d", ft.XorDensity, ft.PPRMCubes, ft.SOPPaths)
 }
 
-// satAdd saturates at hugeCount so wide-support path counts never
-// overflow int64.
-func satAdd(a, b int64) int64 {
-	if s := a + b; s >= 0 && s < hugeCount {
-		return s
-	}
-	return hugeCount
-}
-
-// coneNodes counts the internal BDD nodes of f's cone.
-func coneNodes(bm *bdd.Manager, f bdd.Ref) int {
-	seen := map[bdd.Ref]bool{}
-	var rec func(bdd.Ref)
-	rec = func(f bdd.Ref) {
-		if bm.IsConst(f) || seen[f] {
-			return
-		}
-		seen[f] = true
-		rec(bm.Lo(f))
-		rec(bm.Hi(f))
-	}
-	rec(f)
-	return len(seen)
-}
-
-// onePaths counts BDD paths from f to the One terminal (saturating):
-// each such path is one cube of a disjoint SOP cover of f.
+// onePaths counts BDD paths from f to the One terminal, saturating at
+// ofdd.MaxCubeCount: each such path is one cube of a disjoint SOP cover
+// of f.
 func onePaths(bm *bdd.Manager, f bdd.Ref) int64 {
 	memo := map[bdd.Ref]int64{}
 	var rec func(bdd.Ref) int64
@@ -177,36 +147,15 @@ func onePaths(bm *bdd.Manager, f bdd.Ref) int64 {
 		if c, ok := memo[f]; ok {
 			return c
 		}
-		c := satAdd(rec(bm.Lo(f)), rec(bm.Hi(f)))
+		c := min(rec(bm.Lo(f))+rec(bm.Hi(f)), ofdd.MaxCubeCount)
 		memo[f] = c
 		return c
 	}
 	return rec(f)
 }
 
-// ofddPaths counts OFDD paths to the One terminal (saturating) — the
-// FPRM cube count — without touching the manager's memoized counters.
-func ofddPaths(om *ofdd.Manager, f ofdd.Ref) int64 {
-	memo := map[ofdd.Ref]int64{}
-	var rec func(ofdd.Ref) int64
-	rec = func(f ofdd.Ref) int64 {
-		if f == ofdd.Zero {
-			return 0
-		}
-		if f == ofdd.One {
-			return 1
-		}
-		if c, ok := memo[f]; ok {
-			return c
-		}
-		c := satAdd(rec(om.Lo(f)), rec(om.Hi(f)))
-		memo[f] = c
-		return c
-	}
-	return rec(f)
-}
-
-// xorDensity is the fraction of cone nodes whose two cofactors are
+// shape walks f's cone once and returns its internal node count and
+// XOR density: the fraction of cone nodes whose two cofactors are
 // structural complements of each other — the signature of an XOR
 // decision (v ? g : ḡ means the node computes v ⊕ ḡ). A pure parity
 // cone has density 1; AND/OR-dominated cones sit near 0. Literal nodes
@@ -215,10 +164,7 @@ func ofddPaths(om *ofdd.Manager, f ofdd.Ref) int64 {
 // credit every cone's bottom literals with XOR structure they don't
 // have. The check is a read-only pairwise walk: it never calls Not
 // (which would grow the shared manager and perturb its counters).
-func xorDensity(bm *bdd.Manager, f bdd.Ref, nodes int) float64 {
-	if nodes == 0 {
-		return 0
-	}
+func shape(bm *bdd.Manager, f bdd.Ref) (nodes int, density float64) {
 	comp := newCompMemo(bm)
 	xor, inner := 0, 0
 	seen := map[bdd.Ref]bool{}
@@ -240,9 +186,9 @@ func xorDensity(bm *bdd.Manager, f bdd.Ref, nodes int) float64 {
 	}
 	rec(f)
 	if inner == 0 {
-		return 0
+		return len(seen), 0
 	}
-	return float64(xor) / float64(inner)
+	return len(seen), float64(xor) / float64(inner)
 }
 
 type compMemo struct {

@@ -14,8 +14,8 @@
 //
 // The flow is specified by a gate network (any source: generated
 // benchmark, parsed BLIF/PLA); its functional behaviour is preserved
-// exactly: redundancy removal checks every rewrite with a BDD, and
-// Options.Verify double-checks the shipped network.
+// exactly: redundancy removal checks every rewrite with a BDD, and a
+// final verify stage double-checks the shipped network.
 package core
 
 import (
@@ -33,7 +33,6 @@ import (
 	"repro/internal/arbiter"
 	"repro/internal/bdd"
 	"repro/internal/budget"
-	"repro/internal/cube"
 	"repro/internal/factor"
 	"repro/internal/fprm"
 	"repro/internal/network"
@@ -178,9 +177,13 @@ func ParseBasis(s string) (Basis, error) {
 }
 
 // Options configure the synthesis flow. The zero value is the pure
-// GF(2) flow at positive polarity, without the reduction rules,
-// redundancy removal or verification; DefaultOptions is the paper's
-// flow.
+// GF(2) flow at positive polarity, without the reduction rules or
+// redundancy removal; DefaultOptions is the paper's flow. Every run
+// verifies the network Synthesize returns against the specification —
+// the arbitration's winner or the cleaned specification do-no-harm
+// preferred: by BDD in the final verify stage, by simulation on the
+// swept-spec rung. Redundancy removal checks each of its rewrites
+// exactly as well (see package redund).
 type Options struct {
 	Method   Method   // 0 = MethodCube (Method 1 with the divisor registry)
 	Polarity Polarity // polarity search strategy
@@ -189,13 +192,6 @@ type Options struct {
 	Rules bool
 	// Redund runs the Section 4 redundancy removal.
 	Redund bool
-	// Verify checks the network Synthesize returns against the
-	// specification — the arbitration's winner or the cleaned
-	// specification do-no-harm preferred: by BDD in the final verify
-	// stage, by simulation on the swept-spec rung. Redundancy removal
-	// checks each of its rewrites exactly either way (see package
-	// redund).
-	Verify bool
 	// Basis selects the per-cone flow (see Basis). The zero value is
 	// BasisXor, the pure GF(2) flow; DefaultOptions selects BasisAuto.
 	Basis Basis
@@ -206,8 +202,8 @@ type Options struct {
 	// all-positive polarity → Method 1 → OFDD method → structural copy of
 	// the specification cone — and Result.Degradations records every
 	// fallback that fired; the returned network is always verified
-	// equivalent (Options.Verify). A tripped cap is final: the output
-	// falls to the next rung, never to a rerun under a larger cap.
+	// equivalent. A tripped cap is final: the output falls to the next
+	// rung, never to a rerun under a larger cap.
 	MaxBDDNodes  int   // cap on the shared ROBDD manager's node count
 	MaxOFDDNodes int   // cap on each per-output OFDD manager's node count
 	MaxCubes     int64 // cap on materialized FPRM cubes per output
@@ -296,7 +292,6 @@ func DefaultOptions() Options {
 		Polarity: PolarityGreedy,
 		Rules:    true,
 		Redund:   true,
-		Verify:   true,
 		Basis:    BasisAuto,
 	}
 }
@@ -352,6 +347,14 @@ const (
 	// outputs use the OFDD method, whose cost follows the (often tiny)
 	// decision-diagram size rather than the cube count.
 	cubeMethodLimit = 2000
+	// ofddMethodLimit bounds the FPRM cube count of an output factored
+	// with the OFDD method. Its expressions grow with the unfolded path
+	// tree, not with the diagram: a 26-input OR's 52-node OFDD spells
+	// out 2²⁶−1 cubes in a few budget steps and exhausts memory before
+	// any deadline poll. Past the limit the GF(2) arm fails like a
+	// tripped cap. Every Table 2 and scale-curve cone stays below it
+	// (the largest, my_adder's, has 131,071 cubes).
+	ofddMethodLimit = 1 << 18
 	// exhaustiveLimit caps exhaustive polarity search (inputs).
 	exhaustiveLimit = 10
 )
@@ -438,7 +441,8 @@ type Result struct {
 	// BasisChoices records the per-cone basis arbitration, in output
 	// order (see BasisChoice); nil for a swept-spec run.
 	BasisChoices []BasisChoice
-	// CubeCounts holds the exact FPRM cube count per output.
+	// CubeCounts holds the FPRM cube count per output, saturating at
+	// ofdd.MaxCubeCount; -1 for an output without a GF(2) derivation.
 	CubeCounts []int64
 	// ObsStats is the observability snapshot; nil unless Options.Obs was
 	// set.
@@ -471,10 +475,10 @@ func (r *Result) FallbackReport() string {
 // with the Max* fields of Options it forms the run's resource budget.
 // Budget exhaustion never fails the call: the flow degrades per output
 // (see Options and Result.Degradations) and still returns an equivalent
-// network — at worst a swept structural copy of the specification. With
-// Options.Verify the returned network is the one the verify stage
-// checked, and a mismatch fails the call with ErrNotEquivalent. A nil
-// ctx is treated as context.Background().
+// network — at worst a swept structural copy of the specification. The
+// returned network is the one the verify stage checked, and a mismatch
+// fails the call with ErrNotEquivalent. A nil ctx is treated as
+// context.Background().
 func Synthesize(ctx context.Context, spec *network.Network, opt Options) (res *Result, err error) {
 	if verr := opt.Validate(); verr != nil {
 		return nil, verr
@@ -552,12 +556,10 @@ func (r *run) flow() (*network.Network, error) {
 		}
 	}
 	net := r.doNoHarm(r.arbitrate())
-	if opt.Verify {
-		var verr error
-		r.stage("verify", func() { verr = r.verify(net) })
-		if verr != nil {
-			return nil, verr
-		}
+	var verr error
+	r.stage("verify", func() { verr = r.verify(net) })
+	if verr != nil {
+		return nil, verr
 	}
 	return net, nil
 }
@@ -685,22 +687,20 @@ const simVectors = 4096
 // sweptSpec is the bottom rung of the degradation ladder: the budget
 // was exhausted before the flow could start (or the specification BDDs
 // blew it), so it ships a swept structural copy of the specification.
-// Strash preserves the function by construction; when Verify is on this
-// is double-checked by simulation, since the BDD route is exactly what
-// just exceeded its budget.
+// Strash preserves the function by construction; this is double-checked
+// by simulation, since the BDD route is exactly what just exceeded its
+// budget.
 func (r *run) sweptSpec() (*network.Network, error) {
 	net := r.spec.Clone()
 	net.Name = r.spec.Name + "_rm"
 	net.Strash()
 	net.Compact()
-	if r.opt.Verify {
-		ok, err := verify.Simulate(r.spec, net, simVectors)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("core: fallback network: %w", ErrNotEquivalent)
-		}
+	ok, err := verify.Simulate(r.spec, net, simVectors)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("core: fallback network: %w", ErrNotEquivalent)
 	}
 	r.res.Fallback = true
 	return net, nil
@@ -847,7 +847,7 @@ func (r *run) deriveArms() {
 	for oi := range r.cones {
 		if r.cones[oi].gf2Ready() {
 			f := res.Forms[oi]
-			r.opt.Obs.Output(oi).SetBest(f.Cubes.Len(), listLits(f.Cubes))
+			r.opt.Obs.Output(oi).SetBest(f.Cubes.Len(), f.Cubes.Literals())
 		}
 	}
 }
@@ -1001,6 +1001,11 @@ func (r *run) factor() {
 		// list would synthesize the wrong function); they route to the
 		// OFDD method, which factors the exact decision diagram.
 		useCube := opt.method() == MethodCube && res.CubeCounts[oi] <= int64(cubeMethodCap)
+		if !useCube && res.CubeCounts[oi] > ofddMethodLimit {
+			c.failXor(&res.Degradations, "factor",
+				fmt.Sprintf("FPRM cube count %d over the OFDD method's limit %d", res.CubeCounts[oi], ofddMethodLimit))
+			continue
+		}
 		if opt.method() == MethodCube && !useCube && res.CubeCounts[oi] <= cubeMethodLimit {
 			// The limit would have allowed Method 1; only the budget
 			// forced the OFDD route. Record the ladder step.
@@ -1449,15 +1454,6 @@ func cleanupNetwork(net *network.Network) {
 	net.RebalanceXorTrees()
 	net.Strash()
 	net.Compact()
-}
-
-// listLits sums the literal counts of a cube list.
-func listLits(l *cube.List) int {
-	lits := 0
-	for _, c := range l.Cubes {
-		lits += c.Size()
-	}
-	return lits
 }
 
 // effectiveCap folds an optional budget cube cap into a configured limit:

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bdd"
 	"repro/internal/network"
@@ -278,5 +281,70 @@ func TestBufferOutput(t *testing.T) {
 	}
 	if res.Stats.Gates2 != 0 {
 		t.Errorf("wire output should cost nothing, got %+v", res.Stats)
+	}
+}
+
+// specWideOr builds one n-input OR gate: its positive-polarity FPRM form
+// has 2ⁿ−1 cubes from an OFDD of about 2n nodes.
+func specWideOr(n int) *network.Network {
+	spec := network.New(fmt.Sprintf("or%d", n))
+	pis := make([]int, n)
+	for i := range pis {
+		pis[i] = spec.AddPI("")
+	}
+	spec.AddPO("z", spec.AddGate(network.Or, pis...))
+	return spec
+}
+
+// TestWideConeOFDDMethodLimit: a cone whose FPRM cube count passes the
+// OFDD method's limit fails its GF(2) arm before factoring, so the run
+// ships a verified network within its deadline. At xor the cone falls to
+// its spec copy, at race to the SOP arm. Without the limit the OFDD
+// method spells out every cube (OR-26) and the derivation's count wraps
+// past 2⁶³ (OR-64); both exhaust memory. OR-18, with 2¹⁸−1 cubes, is
+// just under the limit and still factors.
+func TestWideConeOFDDMethodLimit(t *testing.T) {
+	spec := specWideOr(18)
+	opt := DefaultOptions()
+	opt.Basis = BasisXor
+	res, err := Synthesize(context.Background(), spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Degradations) != 0 || res.Fallback {
+		t.Errorf("or18: degradations %+v, want the factored GF(2) arm", res.Degradations)
+	}
+	for _, n := range []int{26, 64} {
+		for _, tc := range []struct {
+			basis           Basis
+			stage, fallback string
+		}{
+			{BasisXor, "factor", "spec-cone"},
+			{BasisRace, "xor-arm", "sop-arm"},
+		} {
+			t.Run(fmt.Sprintf("or%d/%s", n, tc.basis), func(t *testing.T) {
+				spec := specWideOr(n)
+				opt := DefaultOptions()
+				opt.Basis = tc.basis
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				res, err := Synthesize(ctx, spec, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ctx.Err() != nil {
+					t.Fatalf("run outlived its 5 s deadline (%v)", res.Elapsed)
+				}
+				equivalent(t, spec, res.Network)
+				want := fmt.Sprintf("over the OFDD method's limit %d", ofddMethodLimit)
+				if len(res.Degradations) != 1 {
+					t.Fatalf("degradations %+v, want one %s -> %s", res.Degradations, tc.stage, tc.fallback)
+				}
+				d := res.Degradations[0]
+				if d.Stage != tc.stage || d.Fallback != tc.fallback || !strings.Contains(d.Reason, want) {
+					t.Errorf("degradation %+v, want %s -> %s (...%s)", d, tc.stage, tc.fallback, want)
+				}
+			})
+		}
 	}
 }

@@ -9,6 +9,7 @@
 package cube
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -196,6 +197,35 @@ func (s BitSet) Min() int {
 	return -1
 }
 
+// Word returns word w of s, zero past its end.
+func (s BitSet) Word(w int) uint64 {
+	if w < len(s) {
+		return s[w]
+	}
+	return 0
+}
+
+// AppendKey appends to buf the raw bytes of s without the element drop
+// (a negative drop keeps every element), trailing zero words left out,
+// so sets that are Equal get equal keys whatever their capacity. It is
+// a cheaper map key than Key, whose hex encoding orders ties elsewhere.
+func (s BitSet) AppendKey(buf []byte, drop int) []byte {
+	word := func(i int) uint64 {
+		if drop >= 0 && i == drop/wordBits {
+			return s[i] &^ (1 << uint(drop%wordBits))
+		}
+		return s[i]
+	}
+	end := len(s)
+	for end > 0 && word(end-1) == 0 {
+		end--
+	}
+	for i := range s[:end] {
+		buf = binary.LittleEndian.AppendUint64(buf, word(i))
+	}
+	return buf
+}
+
 // Key returns a map-key string uniquely identifying the set contents
 // (trailing zero words are not significant).
 func (s BitSet) Key() string {
@@ -225,4 +255,57 @@ func (s BitSet) String() string {
 	})
 	b.WriteByte('}')
 	return b.String()
+}
+
+// Components partitions the indices 0..n-1 into the connected components
+// of the relation "set(i) and set(j) share an element": the support
+// partition of the paper's Section 3, whose groups factor independently
+// and join through a balanced XOR tree. Components come in the order of
+// their first index and list their indices in ascending order; an index
+// whose set is empty forms a component of its own.
+func Components(n int, set func(i int) BitSet) [][]int {
+	parent := make([]int, n)
+	size := 0 // one past the largest element of any set
+	for i := range parent {
+		parent[i] = i
+		s := set(i)
+		end := len(s)
+		for end > 0 && s[end-1] == 0 {
+			end--
+		}
+		if end > 0 {
+			size = max(size, (end-1)*wordBits+bits.Len64(s[end-1]))
+		}
+	}
+	find := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	// owner[v] is one plus the first index whose set holds v (0: none
+	// yet); every later holder of v joins that index's component.
+	owner := make([]int, size)
+	for i := range parent {
+		set(i).ForEach(func(v int) {
+			if owner[v] == 0 {
+				owner[v] = i + 1
+			} else {
+				parent[find(i)] = find(owner[v] - 1)
+			}
+		})
+	}
+	// slot[r] is one plus the position in out of root r's component.
+	var out [][]int
+	slot := make([]int, n)
+	for i := range parent {
+		r := find(i)
+		if slot[r] == 0 {
+			out = append(out, nil)
+			slot[r] = len(out)
+		}
+		out[slot[r]-1] = append(out[slot[r]-1], i)
+	}
+	return out
 }

@@ -1,7 +1,6 @@
 package cube
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -150,20 +149,12 @@ func (l *List) Sort() {
 		// they differ in has the smaller element where their ascending
 		// element lists first differ.
 		for w := 0; w < len(a) || w < len(b); w++ {
-			if x := word(a, w) ^ word(b, w); x != 0 {
-				return word(a, w)&(x&-x) != 0
+			if x := a.Word(w) ^ b.Word(w); x != 0 {
+				return a.Word(w)&(x&-x) != 0
 			}
 		}
 		return false
 	})
-}
-
-// word returns word w of s, zero past its end.
-func word(s BitSet, w int) uint64 {
-	if w < len(s) {
-		return s[w]
-	}
-	return 0
 }
 
 // Support returns the set of variables appearing in any cube.
@@ -236,8 +227,9 @@ func (l *List) DivideList(d *List) (quotient, remainder *List) {
 		remainder = l.Clone()
 		return quotient, remainder
 	}
-	// Cubes are keyed by their raw words (wordKey): the keys stay inside
-	// this function, and List.Sort orders the quotient without them.
+	// Cubes are keyed by their raw words (BitSet.AppendKey): the keys
+	// stay inside this function, and List.Sort orders the quotient
+	// without them.
 	var buf []byte
 	var tmp BitSet
 	// Quotient candidates: intersection over divisor cubes of {c/dc}.
@@ -256,7 +248,7 @@ func (l *List) DivideList(d *List) (quotient, remainder *List) {
 			}
 			tmp = append(tmp[:0], c.Vars...)
 			tmp.DifferenceWith(dc.Vars)
-			buf = wordKey(buf, tmp)
+			buf = tmp.AppendKey(buf[:0], -1)
 			i, ok := pos[string(buf)]
 			switch {
 			case di == 0 && ok:
@@ -285,7 +277,7 @@ func (l *List) DivideList(d *List) (quotient, remainder *List) {
 		}
 		quotient.Add(q)
 		for _, dc := range d.Cubes {
-			buf = wordKey(buf, dc.Times(q).Vars)
+			buf = dc.Times(q).Vars.AppendKey(buf[:0], -1)
 			covered[string(buf)] = true
 			products++
 		}
@@ -296,28 +288,13 @@ func (l *List) DivideList(d *List) (quotient, remainder *List) {
 		return NewList(l.NumVars), l.Clone()
 	}
 	for _, c := range l.Cubes {
-		if buf = wordKey(buf, c.Vars); !covered[string(buf)] {
+		if buf = c.Vars.AppendKey(buf[:0], -1); !covered[string(buf)] {
 			remainder.Add(c.Clone())
 		}
 	}
 	quotient.Sort()
 	remainder.Sort()
 	return quotient, remainder
-}
-
-// wordKey overwrites buf with s's words as raw bytes, trailing zero
-// words dropped, so sets that are Equal get equal keys. It is cheaper
-// than BitSet.Key, whose hex encoding orders divisor ties elsewhere.
-func wordKey(buf []byte, s BitSet) []byte {
-	end := len(s)
-	for end > 0 && s[end-1] == 0 {
-		end--
-	}
-	buf = buf[:0]
-	for _, w := range s[:end] {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf
 }
 
 // Key returns a canonical string identifying the cube multiset (the list
@@ -375,59 +352,18 @@ func (l *List) String() string {
 }
 
 // DisjointSupportGroups partitions the cubes into groups such that any two
-// distinct groups have disjoint variable supports (connected components of
-// the cube/support sharing relation). Constant-1 cubes, having empty
-// support, each form their own group. Groups are returned in a
-// deterministic order.
+// distinct groups have disjoint variable supports (the Components of the
+// cube supports). Constant-1 cubes, having empty support, each form their
+// own group. Groups are returned in a deterministic order.
 func (l *List) DisjointSupportGroups() []*List {
-	n := len(l.Cubes)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
+	comps := Components(len(l.Cubes), func(i int) BitSet { return l.Cubes[i].Vars })
+	out := make([]*List, len(comps))
+	for k, comp := range comps {
+		g := &List{NumVars: l.NumVars, Cubes: make([]Cube, len(comp))}
+		for j, i := range comp {
+			g.Cubes[j] = l.Cubes[i].Clone()
 		}
-		return i
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	// Union cubes sharing any variable via a per-variable owner index.
-	owner := make([]int, l.NumVars)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for i, c := range l.Cubes {
-		c.Vars.ForEach(func(v int) {
-			if owner[v] < 0 {
-				owner[v] = i
-			} else {
-				union(owner[v], i)
-			}
-		})
-	}
-	groups := make(map[int]*List)
-	var order []int
-	for i, c := range l.Cubes {
-		r := find(i)
-		g, ok := groups[r]
-		if !ok {
-			g = NewList(l.NumVars)
-			groups[r] = g
-			order = append(order, r)
-		}
-		g.Add(c.Clone())
-	}
-	out := make([]*List, 0, len(order))
-	for _, r := range order {
-		out = append(out, groups[r])
+		out[k] = g
 	}
 	return out
 }

@@ -123,38 +123,12 @@ func (em *Emitter) emitXor(e *Expr) int {
 	for i, k := range e.Kids {
 		items[i] = xorItem{id: em.Emit(k), sup: em.support(k)}
 	}
-	// Union-find support-connected components.
-	parent := make([]int, len(items))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	for i := range items {
-		for j := i + 1; j < len(items); j++ {
-			if items[i].sup.Intersects(items[j].sup) {
-				parent[find(j)] = find(i)
-			}
-		}
-	}
-	comps := make(map[int][]xorItem)
-	var order []int
-	for i := range items {
-		r := find(i)
-		if _, ok := comps[r]; !ok {
-			order = append(order, r)
-		}
-		comps[r] = append(comps[r], items[i])
-	}
 	var roots []xorItem
-	for _, r := range order {
-		group := comps[r]
+	for _, comp := range cube.Components(len(items), func(i int) cube.BitSet { return items[i].sup }) {
+		group := make([]xorItem, len(comp))
+		for k, i := range comp {
+			group[k] = items[i]
+		}
 		// Greedy pairing inside the component.
 		for len(group) > 1 {
 			bi, bj, bestScore := 0, 1, -1

@@ -262,7 +262,11 @@ func (e *Expr) String() string {
 	case OpLit:
 		return fmt.Sprintf("x%d", e.Var)
 	case OpNot:
-		return "!" + e.Kids[0].String()
+		k := e.Kids[0]
+		if k.Op == OpAnd || k.Op == OpOr || k.Op == OpXor {
+			return "!(" + k.String() + ")"
+		}
+		return "!" + k.String()
 	}
 	var op string
 	switch e.Op {

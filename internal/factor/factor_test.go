@@ -48,6 +48,25 @@ func TestExprConstruction(t *testing.T) {
 	}
 }
 
+// TestStringParenthesizesComplement: a complemented AND, OR or XOR
+// renders as !(…), not as a product whose first factor reads negated.
+func TestStringParenthesizesComplement(t *testing.T) {
+	x0, x2, x5 := Lit(0), Lit(2), Lit(5)
+	for _, tc := range []struct {
+		e    *Expr
+		want string
+	}{
+		{Not(AndN(Not(x5), x0, OrN(x0, Not(x2)))), "!(!x5*x0*(!x2 + x0))"},
+		{Not(OrN(x0, x2)), "!(x0 + x2)"},
+		{Not(XorN(x0, x2)), "!(x0 ^ x2)"},
+		{AndN(Not(x5), x0), "!x5*x0"},
+	} {
+		if got := tc.e.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 func evalExpr(e *Expr, n, a int) bool {
 	lits := make([]bool, n)
 	for v := 0; v < n; v++ {

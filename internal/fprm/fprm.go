@@ -4,14 +4,15 @@
 //
 // A Form couples a polarity vector with a cube list; cube variable v
 // denotes the literal x_v when Polarity[v] is true and x̄_v otherwise.
-// Forms can be derived by the truth-table Reed-Muller butterfly (small
-// variable counts), or from a ROBDD through the OFDD (any size, the
-// paper's route). Polarity search — exhaustive over all 2ⁿ vectors via a
-// Gray-code walk, or greedy coordinate descent — minimizes the cube count.
+// The synthesis flow derives a form's cubes from a ROBDD through the OFDD
+// (ofdd.Manager.FromBDD, then Cubes: the paper's route, any size); the
+// truth-table Reed-Muller butterfly (FromTruthTable, small variable
+// counts) is the tests' independent reference for that route. Polarity
+// search — exhaustive over all 2ⁿ vectors via a Gray-code walk, or greedy
+// coordinate descent — minimizes the cube count.
 package fprm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -19,7 +20,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cube"
 	"repro/internal/obs"
-	"repro/internal/ofdd"
 )
 
 // Form is a fixed-polarity Reed-Muller form: XOR of Cubes with literal
@@ -196,21 +196,6 @@ func butterfly(w []uint64, n, v int, positive bool) {
 	}
 }
 
-// FromBDD computes the FPRM form of a BDD function under the given
-// polarity by building the OFDD and extracting its cubes. cubeLimit caps
-// extraction (≤0 = unlimited); it returns an error past the cap.
-func FromBDD(m *bdd.Manager, f bdd.Ref, polarity []bool, cubeLimit int) (*Form, error) {
-	om := ofdd.New(m.NumVars(), polarity)
-	of := om.FromBDD(m, f)
-	form := NewForm(m.NumVars(), polarity)
-	cubes, err := om.Cubes(of, cubeLimit)
-	if err != nil {
-		return nil, err
-	}
-	form.Cubes = cubes
-	return form, nil
-}
-
 // MaxExhaustiveVars bounds the exhaustive polarity search: the walk
 // visits 2ⁿ polarities, so anything past this is infeasible anyway, and
 // the guard keeps 1<<n from overflowing int on any platform.
@@ -281,7 +266,7 @@ func SearchGreedy(start *Form, b *budget.Budget, s *obs.Search) (best *Form, com
 	for {
 		present := make(map[string]bool, cur.Cubes.Len())
 		for _, c := range cur.Cubes.Cubes {
-			key = cubeKey(key[:0], c.Vars, -1)
+			key = c.Vars.AppendKey(key[:0], -1)
 			present[string(key)] = true
 		}
 		m, l := cur.Cubes.Len(), cur.Cubes.Literals()
@@ -296,7 +281,7 @@ func SearchGreedy(start *Form, b *budget.Budget, s *obs.Search) (best *Form, com
 					continue
 				}
 				rest := c.Size() - 1
-				key = cubeKey(key[:0], c.Vars, v)
+				key = c.Vars.AppendKey(key[:0], v)
 				if present[string(key)] {
 					cubes--
 					lits -= rest
@@ -316,26 +301,6 @@ func SearchGreedy(start *Form, b *budget.Budget, s *obs.Search) (best *Form, com
 		cur.FlipPolarity(bestV)
 		s.Improved()
 	}
-}
-
-// cubeKey appends to buf the bytes of the set vars without drop (-1 drops
-// nothing), trailing zero words left out, so equal sets give equal keys
-// whatever their capacity.
-func cubeKey(buf []byte, vars cube.BitSet, drop int) []byte {
-	end := len(vars)
-	word := func(w int) uint64 {
-		if drop >= 0 && w == drop/64 {
-			return vars[w] &^ (1 << uint(drop%64))
-		}
-		return vars[w]
-	}
-	for end > 0 && word(end-1) == 0 {
-		end--
-	}
-	for w := 0; w < end; w++ {
-		buf = binary.LittleEndian.AppendUint64(buf, word(w))
-	}
-	return buf
 }
 
 // PrimeCubes returns the indices of the prime cubes of the form: cubes

@@ -10,6 +10,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cube"
 	"repro/internal/obs"
+	"repro/internal/ofdd"
 )
 
 func assignOf(n, a int) cube.BitSet {
@@ -86,8 +87,9 @@ func TestQuickTransformMatchesBDDRoute(t *testing.T) {
 			}
 		}
 		f1 := FromTruthTable(n, tt, pol)
-		f2, err := FromBDD(m, g, pol, 0)
-		return err == nil && f1.Cubes.Equal(f2.Cubes)
+		om := ofdd.New(n, pol)
+		cubes, err := om.Cubes(om.FromBDD(m, g), 0)
+		return err == nil && f1.Cubes.Equal(cubes)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -14,6 +14,7 @@ package ofdd
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -316,8 +317,14 @@ func (m *Manager) ToBDD(bm *bdd.Manager) func(Ref) bdd.Ref {
 	return rec
 }
 
+// MaxCubeCount is the ceiling at which CubeCount saturates. No form near
+// it can be materialized, and ratios of counts this large decide
+// nothing, while exact counts would overflow int64 on wide supports (a
+// 64-input OR has 2⁶⁴−1 cubes).
+const MaxCubeCount = int64(1) << 40
+
 // CubeCount returns the number of FPRM cubes of f (number of paths to the
-// One terminal) without materializing them.
+// One terminal), saturating at MaxCubeCount, without materializing them.
 func (m *Manager) CubeCount(f Ref) int64 {
 	if f == Zero {
 		return 0
@@ -329,7 +336,7 @@ func (m *Manager) CubeCount(f Ref) int64 {
 		return c
 	}
 	n := m.nodes[f]
-	c := m.CubeCount(n.lo) + m.CubeCount(n.hi)
+	c := min(m.CubeCount(n.lo)+m.CubeCount(n.hi), MaxCubeCount)
 	m.counts[f] = c
 	return c
 }
@@ -337,38 +344,21 @@ func (m *Manager) CubeCount(f Ref) int64 {
 // Cubes extracts the FPRM cube list of f. Cubes contain variable indices;
 // the polarity vector assigns each its literal. The limit caps the number
 // of cubes extracted (≤0 = unlimited); extraction returns an error past
-// the cap to catch runaway expansions before they materialize.
+// the cap to catch runaway expansions before they materialize, and so
+// that no truncated list passes for the exact one.
 func (m *Manager) Cubes(f Ref, limit int) (*cube.List, error) {
 	if limit > 0 {
 		if c := m.CubeCount(f); c > int64(limit) {
 			return nil, fmt.Errorf("ofdd: %d cubes exceeds limit %d", c, limit)
 		}
 	}
-	out := cube.NewList(m.numVars)
-	path := cube.NewBitSet(m.numVars)
-	var rec func(Ref)
-	rec = func(f Ref) {
-		if f == Zero {
-			return
-		}
-		if f == One {
-			out.Add(cube.Cube{Vars: path.Clone()})
-			return
-		}
-		n := m.nodes[f]
-		rec(n.lo)
-		path.Set(int(n.v))
-		rec(n.hi)
-		path.Clear(int(n.v))
-	}
-	rec(f)
-	out.Sort()
-	return out, nil
+	return m.CubesSample(f, math.MaxInt), nil
 }
 
-// CubesSample extracts at most limit cubes of f (depth-first order),
-// without failing when the full set is larger. Used to build pattern sets
-// for functions whose FPRM forms are too large to materialize.
+// CubesSample extracts at most limit cubes of f (the first ones in
+// depth-first order, lo before hi) and returns them sorted, without
+// failing when the full set is larger. Used to build pattern sets for
+// functions whose FPRM forms are too large to materialize.
 func (m *Manager) CubesSample(f Ref, limit int) *cube.List {
 	out := cube.NewList(m.numVars)
 	path := cube.NewBitSet(m.numVars)

@@ -244,6 +244,60 @@ func TestCubesLimitError(t *testing.T) {
 	}
 }
 
+// TestCubeCountSaturates: the 64-input OR has 2⁶⁴−1 FPRM cubes, past
+// int64, from a 129-node OFDD; the count saturates at MaxCubeCount
+// instead of wrapping to a negative number that passes every cap.
+func TestCubeCountSaturates(t *testing.T) {
+	bm := bdd.New(64)
+	or := bdd.Zero
+	for v := 0; v < 64; v++ {
+		or = bm.Or(or, bm.Var(v))
+	}
+	m := New(64, nil)
+	f := m.FromBDD(bm, or)
+	if got := m.CubeCount(f); got != MaxCubeCount {
+		t.Errorf("OR-64 CubeCount = %d, want MaxCubeCount %d", got, MaxCubeCount)
+	}
+	if _, err := m.Cubes(f, 1<<20); err == nil {
+		t.Error("OR-64 extraction under a 2^20 limit should fail")
+	}
+}
+
+// TestCubesSampleIsCubesPrefix: CubesSample walks like Cubes and stops
+// after limit cubes, so each sample is a subset of the full list, and a
+// limit at or past the count returns the full list.
+func TestCubesSampleIsCubesPrefix(t *testing.T) {
+	bm := bdd.New(5)
+	or := bdd.Zero
+	for v := 0; v < 5; v++ {
+		or = bm.Or(or, bm.Var(v))
+	}
+	m := New(5, []bool{true, false, true, false, true})
+	f := m.FromBDD(bm, or)
+	all, err := m.Cubes(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{1, 7, int(m.CubeCount(f)), 100} {
+		sample := m.CubesSample(f, limit)
+		if want := min(limit, all.Len()); sample.Len() != want {
+			t.Fatalf("CubesSample(%d) has %d cubes, want %d", limit, sample.Len(), want)
+		}
+		for _, c := range sample.Cubes {
+			found := false
+			for _, d := range all.Cubes {
+				found = found || c.Equal(d)
+			}
+			if !found {
+				t.Fatalf("CubesSample(%d) cube %v is not a cube of f", limit, c)
+			}
+		}
+		if limit >= all.Len() && !sample.Equal(all) {
+			t.Errorf("CubesSample(%d) = %v, want the full list %v", limit, sample, all)
+		}
+	}
+}
+
 // Adder carry chain: FPRM cube counts follow N_k = 2·N_{k-1} + 1, matching
 // the paper's z4ml observation (32 cubes total for the 3-bit adder).
 func TestAdderCubeCounts(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/network"
 	"repro/internal/server"
 )
 
@@ -164,6 +165,38 @@ func TestGoldenDegraded(t *testing.T) {
 	}
 	if n := srv.Cache().Len(); n != 0 {
 		t.Errorf("degraded run populated the cache (%d entries)", n)
+	}
+}
+
+// TestWideConeRequest: a 26-input OR at basis xor passes the OFDD
+// method's cube-count limit. The request is answered 200 with the
+// limit's degradation; without the limit its factoring exhausts the
+// process's memory and takes the server down with it.
+func TestWideConeRequest(t *testing.T) {
+	srv := server.New(server.Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	spec := network.New("or26")
+	pis := make([]int, 26)
+	for i := range pis {
+		pis[i] = spec.AddPI("")
+	}
+	spec.AddPO("z", spec.AddGate(network.Or, pis...))
+	var blif bytes.Buffer
+	if err := spec.WriteBLIF(&blif); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postBLIF(t, ts, blif.Bytes(), map[string]string{"X-Rmsynd-Basis": "xor"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, body)
+	}
+	var r server.Response
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Degradations) != 1 || !strings.Contains(r.Degradations[0].Reason, "over the OFDD method's limit") {
+		t.Errorf("degradations %+v, want the OFDD method's limit", r.Degradations)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 // counters from every request's obs.Collector. Everything is atomic so
 // the hot path never takes the rendering lock.
 type metrics struct {
-	admitted atomic.Int64 // admission tokens currently held (queued + running)
 	inflight atomic.Int64 // requests currently synthesizing
 	shed     atomic.Int64 // requests refused with 429
 	abandon  atomic.Int64 // clients gone before their flight finished
@@ -105,12 +104,10 @@ func (m *metrics) write(w io.Writer, snap statsSnapshot) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 
-	admitted := m.admitted.Load()
+	// The limiter's in-system count holds every admitted request,
+	// queued or running.
 	running := m.inflight.Load()
-	queued := admitted - running
-	if queued < 0 {
-		queued = 0
-	}
+	queued := max(int64(snap.limInSystem)-running, 0)
 	gauge("rmsynd_inflight", "requests currently synthesizing", running)
 	gauge("rmsynd_queue_depth", "admitted requests waiting for workers", queued)
 	drain := int64(0)

@@ -281,11 +281,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			retryAfterMS(int64(s.lim.InSystem())))
 		return
 	}
-	s.metrics.admitted.Add(1)
-	defer func() {
-		s.lim.release()
-		s.metrics.admitted.Add(-1)
-	}()
+	defer s.lim.release()
 
 	code := s.synthesize(w, r)
 	s.metrics.outcome(code)

@@ -266,8 +266,8 @@ func (r *remainders) of(a, b sop.Term) bool {
 	r.bNeg = difference(r.bNeg, b.Neg, a.Neg)
 	var restA, restB uint64
 	for w := 0; w < max(len(r.aPos), len(r.aNeg), len(r.bPos), len(r.bNeg)); w++ {
-		ra := word(r.aPos, w) | word(r.aNeg, w)
-		rb := word(r.bPos, w) | word(r.bNeg, w)
+		ra := r.aPos.Word(w) | r.aNeg.Word(w)
+		rb := r.bPos.Word(w) | r.bNeg.Word(w)
 		if ra&rb != 0 {
 			return false
 		}
@@ -306,14 +306,6 @@ func difference(dst, s, t cube.BitSet) cube.BitSet {
 	dst = append(dst[:0], s...)
 	dst.DifferenceWith(t)
 	return dst
-}
-
-// word returns word w of s, zero past its end.
-func word(s cube.BitSet, w int) uint64 {
-	if w < len(s) {
-		return s[w]
-	}
-	return 0
 }
 
 // appendTermKey appends sop.Term.Key of the term with literal sets pos
